@@ -67,8 +67,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "thread-discipline",
         severity: Severity::Error,
-        summary: "no std::thread spawns outside the persistent kernel pool, ThreadedCluster, \
-                  and the SocketCluster server nodes",
+        summary: "no std::thread spawns outside the persistent kernel pool and the \
+                  loopback cluster servers of the dlra-net coordinator",
     },
     Rule {
         id: "lock-order",

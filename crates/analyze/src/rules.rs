@@ -44,14 +44,12 @@ pub fn unsafe_allowed(path: &str) -> bool {
 }
 
 /// The sanctioned long-lived spawn sites: the persistent kernel worker
-/// pool, the per-server workers of `ThreadedCluster`, and the per-server
-/// node threads of `SocketCluster` (the loopback counterpart of the same
-/// worker set). Everything else needs a `dlra-allow(thread-discipline)`
+/// pool, and the per-server threads of the loopback clusters
+/// (`ThreadedCluster` and `SocketCluster`, both started by the `dlra-net`
+/// coordinator). Everything else needs a `dlra-allow(thread-discipline)`
 /// with a reason (the service executor pool carries one).
 pub fn spawn_allowed(path: &str) -> bool {
-    path == "crates/linalg/src/threads.rs"
-        || path == "crates/runtime/src/threaded.rs"
-        || path == "crates/net/src/cluster.rs"
+    path == "crates/linalg/src/threads.rs" || path == "crates/net/src/cluster.rs"
 }
 
 fn diag(
@@ -343,8 +341,8 @@ pub fn thread_discipline(file: &SourceFile) -> Vec<Diagnostic> {
                 col,
                 format!("`{pattern}` outside the sanctioned thread pools"),
                 "route work through the persistent kernel pool (dlra-linalg), the \
-                 ThreadedCluster server workers, or the service executor pool; or suppress \
-                 with `// dlra-allow(thread-discipline): <reason>`"
+                 loopback cluster servers (dlra-net), or the service executor pool; or \
+                 suppress with `// dlra-allow(thread-discipline): <reason>`"
                     .into(),
             ));
         }
@@ -480,8 +478,11 @@ fn f() {
             1
         );
         assert!(thread_discipline(&parse("crates/linalg/src/threads.rs", src)).is_empty());
-        assert!(thread_discipline(&parse("crates/runtime/src/threaded.rs", src)).is_empty());
         assert!(thread_discipline(&parse("crates/net/src/cluster.rs", src)).is_empty());
+        assert_eq!(
+            thread_discipline(&parse("crates/runtime/src/service.rs", src)).len(),
+            1
+        );
         assert_eq!(
             thread_discipline(&parse("crates/net/src/node.rs", src)).len(),
             1

@@ -1,4 +1,4 @@
-//! Transport sweep (threaded channels vs loopback TCP) →
+//! Transport sweep (in-process pipes vs loopback TCP) →
 //! `BENCH_net.json`.
 //!
 //! ```text
@@ -65,23 +65,16 @@ fn main() {
         "identical"
     );
     for m in &report.results {
-        let (bytes, per_word) = match &m.wire {
-            Some(w) => (
-                w.total_bytes.to_string(),
-                format!("{:.2}", w.bytes_per_word),
-            ),
-            None => ("-".to_string(), "-".to_string()),
-        };
         eprintln!(
-            "{:>8} {:>9} {:>12.6} {:>12.6} {:>12} {:>10} {:>12} {:>10} {:>10}",
+            "{:>8} {:>9} {:>12.6} {:>12.6} {:>12} {:>10} {:>12} {:>10.2} {:>10}",
             m.servers,
             m.substrate,
             m.p50_s,
             m.p99_s,
             m.total_words,
             m.messages,
-            bytes,
-            per_word,
+            m.wire.total_bytes,
+            m.wire.bytes_per_word,
             m.outputs_identical
         );
     }

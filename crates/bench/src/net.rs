@@ -3,24 +3,24 @@
 //! `BENCH_net.json`.
 //!
 //! Every cell runs the full Algorithm 1 protocol (Z-sampler) at one
-//! `(s, substrate)` pair — `ThreadedCluster` over typed channels and
-//! `SocketCluster` over length-prefixed frames on loopback sockets —
-//! against a sequential reference at the same `s`. Per cell the sweep
-//! reports p50/p99 query latency over the repetitions, the word-exact
-//! communication ledger, and (for the socket cells) the actual bytes that
-//! crossed the sockets, reconciled against the ledger on the spot: data
-//! body bytes must equal `8 × (words − FRAME_WORDS × messages)` with zero
-//! unexplained bytes, the same identity the `dlra-net` wire-audit tests
-//! prove. Outputs are asserted bit-identical to the sequential reference
-//! per cell, so the latency column isolates pure transport cost.
+//! `(s, substrate)` pair — the same `dlra-net` coordinator and server loop
+//! over in-process pipes (`ThreadedCluster`) and over loopback sockets
+//! (`SocketCluster`) — against a sequential reference at the same `s`. Per
+//! cell the sweep reports p50/p99 query latency over the repetitions, the
+//! word-exact communication ledger, and the bytes that crossed the links,
+//! reconciled against the ledger on the spot: data body bytes must equal
+//! `8 × (words − FRAME_WORDS × messages)` with zero unexplained bytes, the
+//! same identity the `dlra-net` wire-audit tests prove. Outputs are
+//! asserted bit-identical to the sequential reference per cell, so the
+//! latency column isolates pure transport cost.
 
 use dlra_comm::ledger::FRAME_WORDS;
 use dlra_core::prelude::*;
 use dlra_data::{noisy_low_rank, split_with_noise_shares};
 use dlra_linalg::Matrix;
-use dlra_net::SocketCluster;
-use dlra_runtime::ThreadedCluster;
+use dlra_net::{FrameCluster, Link, Pipe, WireStats};
 use dlra_sampler::ZSamplerParams;
+use std::net::TcpStream;
 use std::time::Instant;
 
 /// Sweep configuration.
@@ -72,11 +72,10 @@ impl NetBenchSpec {
     }
 }
 
-/// Socket-only byte accounting for one cell (the threaded substrate moves
-/// no bytes — its "wire" is an in-process channel).
+/// Byte accounting for one cell.
 #[derive(Debug, Clone, Copy)]
 pub struct WireCell {
-    /// Every byte the query pushed through a socket (headers, descriptors,
+    /// Every byte the query pushed through a link (headers, descriptors,
     /// bodies, control frames).
     pub total_bytes: u64,
     /// Ledger-charged frames sent during the query.
@@ -104,8 +103,8 @@ pub struct NetMeasurement {
     pub total_words: u64,
     /// Messages the ledger charged for one query.
     pub messages: u64,
-    /// Byte accounting (socket cells only).
-    pub wire: Option<WireCell>,
+    /// Byte accounting.
+    pub wire: WireCell,
     /// Whether this cell's output was bit-identical to the sequential
     /// reference at the same `s`.
     pub outputs_identical: bool,
@@ -118,7 +117,7 @@ pub struct NetBenchReport {
     pub results: Vec<NetMeasurement>,
     /// Whether every cell matched the sequential reference bit for bit.
     pub outputs_identical: bool,
-    /// Whether every socket cell's byte/word reconciliation held exactly.
+    /// Whether every cell's byte/word reconciliation held exactly.
     pub wire_audit_exact: bool,
     /// The spec the sweep ran with.
     pub spec: NetBenchSpec,
@@ -155,43 +154,21 @@ fn identical(a: &Algorithm1Output, b: &Algorithm1Output) -> bool {
         && a.captured.to_bits() == b.captured.to_bits()
 }
 
-/// Runs the threaded cell: fresh model per repetition (construction is
-/// untimed; the clock covers only the query).
-fn run_threaded(
+/// Runs one cell on link `S`: a fresh model per repetition, with
+/// construction (and, on sockets, the bootstrap) outside the clock. The
+/// wire delta is snapshotted around the first query, so the reported
+/// bytes are exactly one query's traffic.
+fn run_cell<S: Link>(
     parts: &[Matrix],
     cfg: &Algorithm1Config,
     reps: usize,
-) -> (Vec<f64>, Algorithm1Output) {
+) -> (Vec<f64>, Algorithm1Output, WireStats) {
     let mut samples = Vec::new();
-    let mut kept: Option<Algorithm1Output> = None;
+    let mut kept: Option<(Algorithm1Output, WireStats)> = None;
     for _ in 0..reps.max(1) {
         let mut model =
             PartitionModel::with_substrate(parts.to_vec(), EntryFunction::Identity, |locals| {
-                ThreadedCluster::new(locals)
-            })
-            .expect("bench model");
-        let t0 = Instant::now();
-        let out = run_algorithm1(&mut model, cfg).expect("bench query failed");
-        samples.push(t0.elapsed().as_secs_f64());
-        kept.get_or_insert(out);
-    }
-    (samples, kept.expect("reps >= 1"))
-}
-
-/// Runs the socket cell. Bootstrap happens at construction, outside the
-/// clock; the wire delta is snapshotted around the first query so the
-/// reported bytes are exactly one query's traffic.
-fn run_socket(
-    parts: &[Matrix],
-    cfg: &Algorithm1Config,
-    reps: usize,
-) -> (Vec<f64>, Algorithm1Output, dlra_net::WireStats) {
-    let mut samples = Vec::new();
-    let mut kept: Option<(Algorithm1Output, dlra_net::WireStats)> = None;
-    for _ in 0..reps.max(1) {
-        let mut model =
-            PartitionModel::with_substrate(parts.to_vec(), EntryFunction::Identity, |locals| {
-                SocketCluster::new(locals)
+                FrameCluster::<_, S>::new(locals)
             })
             .expect("bench model");
         let before = model.cluster().wire_stats();
@@ -216,46 +193,35 @@ pub fn run(spec: &NetBenchSpec) -> NetBenchReport {
         let mut reference =
             PartitionModel::new(parts.clone(), EntryFunction::Identity).expect("reference model");
         let want = run_algorithm1(&mut reference, &cfg).expect("reference query failed");
-
-        let (mut thr_samples, thr_out) = run_threaded(&parts, &cfg, spec.reps);
-        thr_samples.sort_by(f64::total_cmp);
-        let thr_ok = identical(&want, &thr_out) && thr_out.comm == want.comm;
-        outputs_identical &= thr_ok;
-        results.push(NetMeasurement {
-            servers: s,
-            substrate: "threaded",
-            p50_s: percentile(&thr_samples, 50.0),
-            p99_s: percentile(&thr_samples, 99.0),
-            total_words: thr_out.comm.total_words(),
-            messages: thr_out.comm.messages,
-            wire: None,
-            outputs_identical: thr_ok,
-        });
-
-        let (mut skt_samples, skt_out, delta) = run_socket(&parts, &cfg, spec.reps);
-        skt_samples.sort_by(f64::total_cmp);
-        let skt_ok = identical(&want, &skt_out) && skt_out.comm == want.comm;
-        outputs_identical &= skt_ok;
-        let words = skt_out.comm.total_words();
-        let messages = skt_out.comm.messages;
-        let audit_exact = delta.data_frames == messages
-            && delta.data_body_bytes == 8 * (words - FRAME_WORDS * messages);
-        wire_audit_exact &= audit_exact;
-        results.push(NetMeasurement {
-            servers: s,
-            substrate: "socket",
-            p50_s: percentile(&skt_samples, 50.0),
-            p99_s: percentile(&skt_samples, 99.0),
-            total_words: words,
-            messages,
-            wire: Some(WireCell {
-                total_bytes: delta.total_bytes(),
-                data_frames: delta.data_frames,
-                bytes_per_word: delta.total_bytes() as f64 / words.max(1) as f64,
-                audit_exact,
-            }),
-            outputs_identical: skt_ok,
-        });
+        let cells = [
+            ("threaded", run_cell::<Pipe>(&parts, &cfg, spec.reps)),
+            ("socket", run_cell::<TcpStream>(&parts, &cfg, spec.reps)),
+        ];
+        for (substrate, (mut samples, out, delta)) in cells {
+            samples.sort_by(f64::total_cmp);
+            let ok = identical(&want, &out) && out.comm == want.comm;
+            outputs_identical &= ok;
+            let words = out.comm.total_words();
+            let messages = out.comm.messages;
+            let audit_exact = delta.data_frames == messages
+                && delta.data_body_bytes == 8 * (words - FRAME_WORDS * messages);
+            wire_audit_exact &= audit_exact;
+            results.push(NetMeasurement {
+                servers: s,
+                substrate,
+                p50_s: percentile(&samples, 50.0),
+                p99_s: percentile(&samples, 99.0),
+                total_words: words,
+                messages,
+                wire: WireCell {
+                    total_bytes: delta.total_bytes(),
+                    data_frames: delta.data_frames,
+                    bytes_per_word: delta.total_bytes() as f64 / words.max(1) as f64,
+                    audit_exact,
+                },
+                outputs_identical: ok,
+            });
+        }
     }
     NetBenchReport {
         results,
@@ -280,9 +246,9 @@ impl NetBenchReport {
         (thr.p50_s > 0.0).then(|| skt.p50_s / thr.p50_s)
     }
 
-    /// Wire bytes per ledger word at cluster size `s`.
+    /// Socket wire bytes per ledger word at cluster size `s`.
     pub fn bytes_per_word(&self, s: usize) -> Option<f64> {
-        Some(self.find("socket", s)?.wire?.bytes_per_word)
+        Some(self.find("socket", s)?.wire.bytes_per_word)
     }
 
     /// Serializes the report as the `BENCH_net.json` document.
@@ -304,13 +270,11 @@ impl NetBenchReport {
         out.push_str("  \"results\": [\n");
         for (i, m) in self.results.iter().enumerate() {
             let comma = if i + 1 == self.results.len() { "" } else { "," };
-            let wire = match &m.wire {
-                Some(w) => format!(
-                    "{{\"total_bytes\": {}, \"data_frames\": {}, \"bytes_per_word\": {:.3}, \"audit_exact\": {}}}",
-                    w.total_bytes, w.data_frames, w.bytes_per_word, w.audit_exact
-                ),
-                None => "null".to_string(),
-            };
+            let w = &m.wire;
+            let wire = format!(
+                "{{\"total_bytes\": {}, \"data_frames\": {}, \"bytes_per_word\": {:.3}, \"audit_exact\": {}}}",
+                w.total_bytes, w.data_frames, w.bytes_per_word, w.audit_exact
+            );
             let _ = writeln!(
                 out,
                 "    {{\"servers\": {}, \"substrate\": \"{}\", \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"total_words\": {}, \"messages\": {}, \"wire\": {wire}, \"outputs_identical\": {}}}{comma}",
@@ -357,20 +321,24 @@ mod tests {
                 thr.total_words, skt.total_words,
                 "substrates must charge identical ledgers at s = {s}"
             );
-            let wire = skt.wire.expect("socket cells carry byte accounting");
-            assert!(wire.audit_exact);
-            assert!(
-                wire.total_bytes > 8 * skt.total_words,
-                "wire bytes must exceed raw payload (headers + control)"
+            for cell in [thr, skt] {
+                assert!(cell.wire.audit_exact, "{} at s = {s}", cell.substrate);
+                assert!(
+                    cell.wire.total_bytes > 8 * cell.total_words,
+                    "wire bytes must exceed raw payload (headers + control)"
+                );
+            }
+            assert_eq!(
+                thr.wire.data_frames, skt.wire.data_frames,
+                "both links carry one data frame per ledger message at s = {s}"
             );
-            assert!(thr.wire.is_none());
         }
         assert!(report.bytes_per_word(3).unwrap() > 8.0);
 
         let json = report.to_json();
         assert!(json.contains("\"outputs_identical\": true"));
         assert!(json.contains("\"wire_audit_exact\": true"));
-        assert!(json.contains("\"wire\": null"));
+        assert!(!json.contains("\"wire\": null"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

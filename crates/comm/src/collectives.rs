@@ -4,20 +4,20 @@
 //! Protocol code (`dlra-core::algorithm1`, `dlra-core::adaptive`, the
 //! `dlra-sampler` Z-machinery) is written against this trait, so the same
 //! call sites run unchanged on the sequential in-process simulator
-//! ([`Cluster`]) and on the threaded message-passing runtime
-//! (`dlra-runtime::ThreadedCluster`). Implementations must make ledger
-//! totals substrate-independent: per collective, the same set of messages
-//! is charged with the same word counts, and merges happen in server-index
-//! order so floating-point results are bit-identical.
+//! ([`Cluster`]) and on the message-passing coordinator of `dlra-net`,
+//! whose two links are the threaded (`ThreadedCluster`, in-process pipes)
+//! and socket (`SocketCluster`, TCP) substrates. Implementations must make
+//! ledger totals substrate-independent: per collective, the same set of
+//! messages is charged with the same word counts, and merges happen in
+//! server-index order so floating-point results are bit-identical.
 //!
-//! The closure and payload bounds are the union of what every substrate
-//! needs: a threaded substrate executes per-server closures on persistent
-//! worker threads, so they are `Fn + Send + Sync + 'static` and capture
-//! their context by value (requests travel as cloned typed messages,
-//! exactly as they would on a wire); a socket substrate (`dlra-net`)
-//! additionally serializes every payload, so payload types are [`Wire`]
-//! (word-sized *and* byte-codable). The sequential [`Cluster`] keeps its
-//! historical inherent methods with looser `FnMut` bounds for local tests.
+//! The closure and payload bounds are what the message-passing substrate
+//! needs: it executes per-server closures on persistent server threads,
+//! so they are `Fn + Send + Sync + 'static` and capture their context by
+//! value, and it serializes every payload onto its link, so payload types
+//! are [`Wire`] (word-sized *and* byte-codable). The sequential
+//! [`Cluster`] keeps its historical inherent methods with looser `FnMut`
+//! bounds for local tests.
 
 use crate::cluster::Cluster;
 use crate::ledger::{Direction, Ledger, LedgerSnapshot};

@@ -1,35 +1,53 @@
-//! [`SocketCluster`]: the networked message-passing substrate.
+//! [`FrameCluster`]: the coordinator of the message-passing substrates,
+//! and its two links, [`SocketCluster`] and [`ThreadedCluster`].
 //!
-//! Each of the `s` servers runs the [`crate::node`] event loop behind a
-//! real TCP socket; the coordinator (this struct, server `0`) drives every
-//! collective by exchanging frames with them. In the default **loopback**
-//! harness the server loops run on threads inside this process and share
-//! the coordinator's [`JobRegistry`], so arbitrary typed closures work
-//! exactly as on `dlra-runtime`'s `ThreadedCluster` — but every payload
-//! crosses a genuine socket as encoded bytes.
+//! Each of the `s` servers runs the [`crate::node`] event loop; the
+//! coordinator (server `0`, the thread driving the protocol) runs every
+//! collective as one frame fan-out plus one fan-in:
+//!
+//! ```text
+//!            ┌── frame ──▶ server 1 ─── reply ───┐
+//! coordinator├── frame ──▶ server 2 ─── reply ───┤──▶ replies by index
+//!            └── frame ──▶ server s-1 ─ reply ───┘
+//! ```
+//!
+//! The two substrates differ only in the link the frames travel on and in
+//! how that link is wired:
+//!
+//! * [`SocketCluster`] — TCP sockets on `127.0.0.1`, wired by the
+//!   Hello/Roster/Ready bootstrap that also admits servers running in
+//!   separate processes ([`crate::remote`]);
+//! * [`ThreadedCluster`] — in-process [`Pipe`]s, pre-wired from the
+//!   [`TopologyPlan`] when the cluster is built.
+//!
+//! Either way the server loops run on threads of this process and share
+//! the coordinator's [`JobRegistry`], so arbitrary typed closures work,
+//! while every payload crosses its link as encoded bytes.
 //!
 //! ## Determinism and ledger parity
 //!
-//! The coordinator places replies by server index before using them,
-//! charges the [`Ledger`] in server-index order after each fan-in, and
-//! reductions replay the canonical [`TopologyPlan`] merge schedule — the
-//! same discipline as the threaded substrate, so protocol outputs are
+//! Per-server computations run concurrently, but each is a deterministic
+//! function of that server's state. The coordinator places replies by
+//! server index before using them, charges the [`Ledger`] in server-index
+//! order after each fan-in, and reductions replay the canonical
+//! [`TopologyPlan`] merge schedule, so protocol outputs are
 //! **bit-identical** to the sequential [`dlra_comm::Cluster`] and ledger
 //! transcripts match exactly. The wire codec is bit-exact, so the
 //! decode → compute → encode round trips change nothing.
 //!
 //! ## Byte accounting
 //!
-//! Every frame leaving any socket is recorded in the cluster's shared
+//! Every frame leaving any link is recorded in the cluster's shared
 //! [`WireCounters`] at the send side. Data-frame bodies are exactly
 //! 8 bytes per charged payload word, making total wire bytes an affine
 //! function of ledger words — see `tests/wire_audit.rs`.
 
 use crate::counters::{send_frame, WireCounters, WireStats};
 use crate::frame::{
-    decode_error_frame, decode_hop_desc, Frame, MsgType, NetError, Roster, FLAG_HAS_REQUEST,
+    decode_error_frame, Frame, HopRecord, MsgType, NetError, Roster, FLAG_HAS_REQUEST,
 };
-use crate::node::{run_node, NodeConfig};
+use crate::node::{absorb_round, run_node, run_wired, Node, NodeConfig, Peers};
+use crate::pipe::Pipe;
 use crate::registry::{
     BroadcastJob, Encoded, GatherJob, JobRegistry, JobResolver, NetJob, QueryJob, QueryReduceJob,
     QueryServerJob, ReduceJob,
@@ -37,18 +55,146 @@ use crate::registry::{
 use dlra_comm::ledger::Direction;
 use dlra_comm::wire::{decode_value, encode_value, Wire};
 use dlra_comm::{Collectives, Ledger, Topology, TopologyPlan};
+use dlra_obs::trace;
 use dlra_util::sync::MutexExt;
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Per-edge word logs of one reduction, keyed by `(sender, receiver)` —
-/// what [`charge_reduce`] reconciles against the plan's hop set.
-type HopRecords = BTreeMap<(usize, usize), u64>;
+/// A server thread of a loopback cluster, returning how its loop ended.
+pub type ServerThread = JoinHandle<Result<(), NetError>>;
 
-/// A cluster of `s` servers reached over TCP, implementing
-/// [`Collectives`]. Server `0` is the coordinator (this process/thread).
+/// A byte link the frame protocol runs on, and how a loopback cluster
+/// starts its servers over it.
+pub trait Link: Read + Write + Send + Sized + 'static {
+    /// Starts servers `1..s` on threads of this process, each serving
+    /// `states[t]` with jobs resolved through `registry` and routing
+    /// reductions over `topology`. Returns the coordinator's links to
+    /// them, indexed `t − 1`, and their threads.
+    fn start_servers<L: Send + 'static>(
+        states: &[Arc<Mutex<L>>],
+        topology: Topology,
+        registry: &Arc<JobRegistry<L>>,
+        counters: &Arc<WireCounters>,
+    ) -> (Vec<Self>, Vec<ServerThread>);
+}
+
+impl Link for TcpStream {
+    /// Every server dials back over `127.0.0.1` and joins through the
+    /// bootstrap handshake, exactly as a server process would.
+    fn start_servers<L: Send + 'static>(
+        states: &[Arc<Mutex<L>>],
+        topology: Topology,
+        registry: &Arc<JobRegistry<L>>,
+        counters: &Arc<WireCounters>,
+    ) -> (Vec<TcpStream>, Vec<ServerThread>) {
+        let s = states.len();
+        if s == 1 {
+            return (Vec::new(), Vec::new());
+        }
+        let listener = TcpListener::bind("127.0.0.1:0")
+            // dlra-allow(panic-policy): binding an ephemeral loopback
+            // port fails only on resource exhaustion at construction,
+            // before any query exists to resolve to a typed error.
+            .expect("bind coordinator listener");
+        let addr = listener
+            .local_addr()
+            // dlra-allow(panic-policy): a bound listener has an address.
+            .expect("coordinator listener address")
+            .to_string();
+        let threads = (1..s)
+            .map(|t| {
+                let cfg = NodeConfig {
+                    coordinator: addr.clone(),
+                    server_id: t,
+                    state: Arc::clone(&states[t]),
+                    resolver: Arc::clone(registry) as Arc<dyn JobResolver<L>>,
+                    counters: Arc::clone(counters),
+                };
+                spawn_server(t, move || run_node(cfg))
+            })
+            .collect();
+        let links = bootstrap_coordinator(&listener, s, topology, counters)
+            // dlra-allow(panic-policy): a failed bootstrap leaves no
+            // cluster to return; construction cannot proceed.
+            .expect("bootstrap socket cluster");
+        (links, threads)
+    }
+}
+
+impl Link for Pipe {
+    /// Links are pre-wired from the plan — one pipe per coordinator link
+    /// and one per tree edge between servers — so no handshake runs.
+    fn start_servers<L: Send + 'static>(
+        states: &[Arc<Mutex<L>>],
+        topology: Topology,
+        registry: &Arc<JobRegistry<L>>,
+        counters: &Arc<WireCounters>,
+    ) -> (Vec<Pipe>, Vec<ServerThread>) {
+        let plan = TopologyPlan::new(topology, states.len());
+        let mut peers: Vec<Peers<Pipe>> = states.iter().map(|_| Peers::default()).collect();
+        for hop in plan.rounds().iter().flat_map(|round| &round.hops) {
+            if hop.receiver != 0 {
+                let (up, down) = Pipe::pair();
+                peers[hop.sender].parent = Some(up);
+                peers[hop.receiver].children.insert(hop.sender, down);
+            }
+        }
+        peers
+            .into_iter()
+            .enumerate()
+            .skip(1)
+            .map(|(t, peers)| {
+                let (link, coord) = Pipe::pair();
+                let node = Node {
+                    id: t,
+                    state: Arc::clone(&states[t]),
+                    resolver: Arc::clone(registry) as Arc<dyn JobResolver<L>>,
+                    counters: Arc::clone(counters),
+                };
+                let plan = plan.clone();
+                let thread = spawn_server(t, move || run_wired(&node, &plan, coord, peers));
+                (link, thread)
+            })
+            .unzip()
+    }
+}
+
+fn spawn_server(
+    t: usize,
+    serve: impl FnOnce() -> Result<(), NetError> + Send + 'static,
+) -> ServerThread {
+    std::thread::Builder::new()
+        .name(format!("dlra-server-{t}"))
+        .spawn(serve)
+        // dlra-allow(panic-policy): spawn fails only on OS thread
+        // exhaustion while constructing the cluster, before any query
+        // exists to resolve to a typed error.
+        .expect("spawn server thread")
+}
+
+/// A cluster of `s` servers whose coordinator exchanges frames with them
+/// over links of type `S`, implementing [`Collectives`]. Server `0` is
+/// the coordinator (the calling thread). Use it as [`SocketCluster`] or
+/// [`ThreadedCluster`].
+pub struct FrameCluster<L, S: Link> {
+    /// Per-server local state; `[0]` is the coordinator's own. A server
+    /// locks its state per frame; the coordinator locks `[0]` per
+    /// collective and any state in `with_local{,_mut}`.
+    // dlra-lock-order: server.state
+    states: Vec<Arc<Mutex<L>>>,
+    /// Coordinator ↔ server links, indexed `t - 1`.
+    links: Vec<S>,
+    registry: Arc<JobRegistry<L>>,
+    counters: Arc<WireCounters>,
+    ledger: Ledger,
+    topology: Topology,
+    threads: Vec<ServerThread>,
+}
+
+/// The networked substrate: the servers behind real TCP sockets.
 ///
 /// ```
 /// use dlra_comm::Collectives;
@@ -59,87 +205,63 @@ type HopRecords = BTreeMap<(usize, usize), u64>;
 /// // Same ledger transcript as the sequential and threaded substrates.
 /// assert_eq!(c.comm().upstream_words, 2);
 /// ```
-pub struct SocketCluster<L> {
-    /// Per-server local state; `[0]` is the coordinator's own.
-    states: Vec<Arc<Mutex<L>>>,
-    /// Coordinator ↔ server links, indexed `t - 1`.
-    links: Vec<TcpStream>,
-    registry: Arc<JobRegistry<L>>,
-    counters: Arc<WireCounters>,
-    ledger: Ledger,
-    topology: Topology,
-    handles: Vec<JoinHandle<Result<(), NetError>>>,
-}
+pub type SocketCluster<L> = FrameCluster<L, TcpStream>;
 
-impl<L: Send + 'static> SocketCluster<L> {
-    /// Boots a loopback cluster: one server thread per non-coordinator
-    /// local state, each dialing back over `127.0.0.1`. Reductions route
-    /// over the default [`Topology::Star`].
+/// The threaded substrate: one server thread per non-coordinator local
+/// state, reached over in-process [`Pipe`]s.
+///
+/// ```
+/// use dlra_comm::Collectives;
+/// use dlra_net::ThreadedCluster;
+/// let mut c = ThreadedCluster::new(vec![vec![1.0f64, 2.0], vec![3.0, 4.0]]);
+/// let sums = c.gather("demo", |_t, local: &mut Vec<f64>| local.iter().sum::<f64>());
+/// assert_eq!(sums, vec![3.0, 7.0]);
+/// // One upstream message of one word (+1 frame) was charged, as on the
+/// // sequential simulator, and its frame was counted on the pipe.
+/// assert_eq!(c.comm().upstream_words, 2);
+/// assert_eq!(c.wire_stats().data_frames, 1);
+/// ```
+pub type ThreadedCluster<L> = FrameCluster<L, Pipe>;
+
+impl<L: Send + 'static, S: Link> FrameCluster<L, S> {
+    /// Starts one server thread per non-coordinator local state (server
+    /// `0`'s state is the coordinator's own, as in the paper's star
+    /// model). Reductions route over the default [`Topology::Star`].
     pub fn new(locals: Vec<L>) -> Self {
         Self::with_topology(locals, Topology::Star)
     }
 
-    /// Like [`SocketCluster::new`] but routing reduction collectives over
-    /// `topology` — tree hops become real server → server socket sends.
+    /// Like [`FrameCluster::new`] but routing reduction collectives over
+    /// `topology`: under a tree, servers combine partial results and
+    /// forward them to their tree parent over server → server links, so
+    /// the coordinator's inbox shrinks from `s − 1` messages to one per
+    /// tree level. Results stay bit-identical — the merge order is fixed
+    /// by the server count.
     pub fn with_topology(locals: Vec<L>, topology: Topology) -> Self {
         Self::with_options(locals, topology, WireCounters::shared())
     }
 
     /// Full-control constructor: inject shared [`WireCounters`] so a test
-    /// or bench can observe every byte the cluster puts on the wire.
+    /// or bench can observe every byte the cluster puts on its links.
     pub fn with_options(locals: Vec<L>, topology: Topology, counters: Arc<WireCounters>) -> Self {
-        // Construction-time contract, identical to the sequential and
-        // threaded substrates (`assert!` is outside the panic-policy
-        // pattern set by design: contract checks are welcome).
+        // Construction-time contract, identical to the sequential substrate
+        // (`assert!` is outside the panic-policy pattern set by design:
+        // contract checks are welcome).
         assert!(!locals.is_empty(), "cluster needs at least one server");
-        let s = locals.len();
         let states: Vec<Arc<Mutex<L>>> = locals
             .into_iter()
             .map(|l| Arc::new(Mutex::new(l)))
             .collect();
         let registry = Arc::new(JobRegistry::new());
-        let mut handles = Vec::new();
-        let links = if s > 1 {
-            let listener = TcpListener::bind("127.0.0.1:0")
-                // dlra-allow(panic-policy): binding an ephemeral loopback
-                // port fails only on resource exhaustion at construction,
-                // before any query exists to resolve to a typed error.
-                .expect("bind coordinator listener");
-            let addr = listener
-                .local_addr()
-                // dlra-allow(panic-policy): a bound listener has an address.
-                .expect("coordinator listener address");
-            for (t, state) in states.iter().enumerate().skip(1) {
-                let cfg = NodeConfig {
-                    coordinator: addr.to_string(),
-                    server_id: t,
-                    state: Arc::clone(state),
-                    resolver: Arc::clone(&registry) as Arc<dyn JobResolver<L>>,
-                    counters: Arc::clone(&counters),
-                };
-                let handle = std::thread::Builder::new()
-                    .name(format!("dlra-net-server-{t}"))
-                    .spawn(move || run_node(cfg))
-                    // dlra-allow(panic-policy): spawn fails only on OS
-                    // thread exhaustion during construction.
-                    .expect("spawn server node thread");
-                handles.push(handle);
-            }
-            bootstrap_coordinator(&listener, s, topology, &counters)
-                // dlra-allow(panic-policy): a failed bootstrap leaves no
-                // cluster to return; construction cannot proceed.
-                .expect("bootstrap socket cluster")
-        } else {
-            Vec::new()
-        };
-        SocketCluster {
+        let (links, threads) = S::start_servers(&states, topology, &registry, &counters);
+        FrameCluster {
             states,
             links,
             registry,
             counters,
             ledger: Ledger::new(),
             topology,
-            handles,
+            threads,
         }
     }
 
@@ -148,100 +270,127 @@ impl<L: Send + 'static> SocketCluster<L> {
         &self.counters
     }
 
-    /// Snapshot of bytes on the wire so far.
+    /// Snapshot of bytes on the links so far.
     pub fn wire_stats(&self) -> WireStats {
         self.counters.snapshot()
     }
 
-    /// Kernel-thread share per server (same budget split as the threaded
-    /// substrate; never changes results).
-    fn share(&self) -> usize {
-        (dlra_linalg::threads() / self.states.len()).max(1)
+    /// A `comm.<collective>` trace span named by the ledger label.
+    fn span(&self, collective: &'static str, label: &'static str) -> trace::Span {
+        trace::span(collective, label).arg("servers", self.states.len() as u64)
     }
 
     /// Runs a job step against the coordinator's own local state through
-    /// the same byte-level path the servers use.
+    /// the same byte-level path and kernel-thread share the servers use.
     fn run_own<R>(&self, f: impl FnOnce(&mut L) -> Result<R, NetError>) -> R {
-        let share = self.share();
-        dlra_linalg::with_threads(share, || {
-            let mut local = self.states[0].lock_recover();
-            f(&mut local)
-        })
-        // dlra-allow(panic-policy): the coordinator's own closures only
-        // fail on codec bugs, which are unrecoverable mid-collective —
-        // matching the threaded substrate's dead-worker semantics.
-        .expect("coordinator-side job step")
+        let share = (dlra_linalg::threads() / self.states.len()).max(1);
+        dlra_linalg::with_threads(share, || f(&mut self.states[0].lock_recover()))
+            // dlra-allow(panic-policy): the coordinator's own job steps only
+            // fail on codec bugs, which are unrecoverable mid-collective —
+            // the same as a dead server.
+            .expect("coordinator-side job step")
     }
 
-    /// Sends one frame to server `t`.
+    /// Opens a round in which every server `1..s` receives one request of
+    /// `words` words.
+    fn charge_requests(&self, words: u64, label: &'static str) {
+        self.ledger.next_round();
+        for t in 1..self.states.len() {
+            self.ledger.charge(t, Direction::Downstream, words, label);
+        }
+    }
+
+    /// Registers `job` and sends every server `1..s` one `msg_type` frame:
+    /// a charged data frame carrying `payload`, or a free trigger without
+    /// one (like handing a closure to a worker thread).
+    fn fan_out(
+        &mut self,
+        job: &Arc<dyn NetJob<L>>,
+        msg_type: MsgType,
+        payload: Option<&Encoded>,
+    ) -> u64 {
+        let job_id = self.registry.register(Arc::clone(job));
+        for t in 1..self.states.len() {
+            let mut frame = Frame::control(msg_type, 0, job_id);
+            if let Some((desc, body)) = payload {
+                frame.desc = desc.clone();
+                frame.body = body.clone();
+                if msg_type == MsgType::RunReduce {
+                    frame.flags |= FLAG_HAS_REQUEST;
+                }
+            }
+            self.send_to(t, &frame);
+        }
+        job_id
+    }
+
     fn send_to(&mut self, t: usize, frame: &Frame) {
         send_frame(&mut self.links[t - 1], &self.counters, frame)
             // dlra-allow(panic-policy): a dead server mid-protocol is
-            // unrecoverable for this query; unwind like the threaded
-            // substrate does when a worker thread dies.
+            // unrecoverable for this query; the executor unwinds and the
+            // ticket resolves to RuntimeUnavailable.
             .expect("server link closed mid-collective");
     }
 
-    /// Receives one frame from server `t` and validates it.
     fn recv_from(&mut self, t: usize, expected: MsgType, job_id: u64) -> Frame {
-        let frame = Frame::read_from(&mut self.links[t - 1])
-            // dlra-allow(panic-policy): see `send_to`.
-            .expect("server link closed mid-collective");
-        validate_reply(t, frame, expected, job_id)
+        Frame::read_from(&mut self.links[t - 1])
+            .and_then(|frame| validate_reply(t, frame, expected, job_id))
+            // dlra-allow(panic-policy): a closed link, a server's error
+            // report or a mis-sequenced frame is unrecoverable
+            // mid-collective; see `send_to`.
+            .unwrap_or_else(|e| panic!("server {t}: {e}"))
     }
 
-    /// One expected frame from every server `1..s`, returned in
-    /// server-index order. With the `nonblocking` feature the links are
-    /// polled concurrently; the blocking default reads them in index
-    /// order. Either way replies land in index-ordered slots before any
-    /// ledger charge, so the transcript is identical.
-    fn collect_one_per_link(&mut self, expected: MsgType, job_id: u64) -> Vec<Frame> {
-        #[cfg(feature = "nonblocking")]
-        {
-            let frames = crate::nonblocking::poll_one_frame_per_link(&mut self.links)
-                // dlra-allow(panic-policy): see `send_to`.
-                .expect("server link closed mid-collective");
-            frames
-                .into_iter()
-                .enumerate()
-                .map(|(i, f)| validate_reply(i + 1, f, expected, job_id))
-                .collect()
-        }
-        #[cfg(not(feature = "nonblocking"))]
-        {
-            (1..self.states.len())
-                .map(|t| self.recv_from(t, expected, job_id))
-                .collect()
-        }
+    /// Fans in one `expected` frame per server `1..s`, in server-index
+    /// order, and retires the job.
+    fn fan_in(&mut self, expected: MsgType, job_id: u64) -> Vec<Frame> {
+        let frames = (1..self.states.len())
+            .map(|t| self.recv_from(t, expected, job_id))
+            .collect();
+        self.registry.remove(job_id);
+        frames
     }
 
-    /// Drives the root side of a topology-routed reduction and charges the
-    /// canonical transcript.
+    /// The coordinator's own block followed by every server's reply, in
+    /// server-index order, each reply charged upstream.
+    fn replies<T: Wire>(&mut self, own: Encoded, job_id: u64, label: &'static str) -> Vec<T> {
+        let frames = self.fan_in(MsgType::Reply, job_id);
+        let mut out = Vec::with_capacity(frames.len() + 1);
+        out.push(decode_block(0, &own.0, &own.1));
+        for (i, frame) in frames.iter().enumerate() {
+            let reply: T = decode_block(i + 1, &frame.desc, &frame.body);
+            self.ledger
+                .charge(i + 1, Direction::Upstream, reply.words(), label);
+            out.push(reply);
+        }
+        out
+    }
+
+    /// Drives the root side of a topology-routed reduction, charges the
+    /// canonical transcript, and retires the job.
     fn reduce_at_root<T: Wire>(
         &mut self,
         job: &dyn NetJob<L>,
         job_id: u64,
         own: Encoded,
-        plan: &TopologyPlan,
         label: &'static str,
         first_round_started: bool,
     ) -> T {
-        let (block, records) = root_reduce(job, job_id, own, plan, &mut self.links)
-            // dlra-allow(panic-policy): see `send_to`.
-            .expect("reduction failed mid-collective");
-        charge_reduce(&self.ledger, plan, &records, label, first_round_started)
-            // dlra-allow(panic-policy): a missing hop record means a server
-            // died mid-reduction; the root read above would have failed
-            // first unless the plan was violated, which is unrecoverable.
+        let plan = TopologyPlan::new(self.topology, self.states.len());
+        let (block, log) = root_reduce(job, job_id, own, &plan, &mut self.links)
+            // dlra-allow(panic-policy): see `recv_from`.
+            .unwrap_or_else(|e| panic!("reduction failed mid-collective: {e}"));
+        self.registry.remove(job_id);
+        charge_reduce(&self.ledger, &plan, &log, label, first_round_started)
+            // dlra-allow(panic-policy): the reduction above logged every
+            // edge it absorbed; a missing record is a plan violation,
+            // which is unrecoverable.
             .expect("hop record for every plan edge");
-        decode_value(&block.0, &block.1)
-            // dlra-allow(panic-policy): the root block was produced by this
-            // job's own encoder; failure is a codec bug.
-            .expect("decode reduction root block")
+        decode_block(0, &block.0, &block.1)
     }
 }
 
-impl<L: Send + 'static> Collectives<L> for SocketCluster<L> {
+impl<L: Send + 'static, S: Link> Collectives<L> for FrameCluster<L, S> {
     fn num_servers(&self) -> usize {
         self.states.len()
     }
@@ -255,13 +404,11 @@ impl<L: Send + 'static> Collectives<L> for SocketCluster<L> {
     }
 
     fn with_local<R>(&self, t: usize, f: impl FnOnce(&L) -> R) -> R {
-        let guard = self.states[t].lock_recover();
-        f(&guard)
+        f(&self.states[t].lock_recover())
     }
 
     fn with_local_mut<R>(&mut self, t: usize, f: impl FnOnce(&mut L) -> R) -> R {
-        let mut guard = self.states[t].lock_recover();
-        f(&mut guard)
+        f(&mut self.states[t].lock_recover())
     }
 
     fn broadcast<T, F>(&mut self, msg: &T, label: &'static str, on_receive: F)
@@ -269,24 +416,15 @@ impl<L: Send + 'static> Collectives<L> for SocketCluster<L> {
         T: Wire + Clone + Send + 'static,
         F: Fn(usize, &mut L, &T) + Send + Sync + 'static,
     {
-        let s = self.states.len();
-        self.ledger.next_round();
-        let words = msg.words();
-        for t in 1..s {
-            self.ledger.charge(t, Direction::Downstream, words, label);
-        }
+        let _span = self.span("comm.broadcast", label);
+        self.charge_requests(msg.words(), label);
         let job: Arc<dyn NetJob<L>> = Arc::new(BroadcastJob::new(on_receive));
-        let job_id = self.registry.register(Arc::clone(&job));
-        let (desc, body) = encode_value(msg);
-        for t in 1..s {
-            let frame = Frame::data(MsgType::Broadcast, 0, job_id, desc.clone(), body.clone());
-            self.send_to(t, &frame);
-        }
+        let message = encode_value(msg);
+        let job_id = self.fan_out(&job, MsgType::Broadcast, Some(&message));
         // The coordinator's own state observes the message through the
         // same decode path the servers use — bit-identical by the codec.
-        self.run_own(|local| job.deliver(0, local, &desc, &body));
-        self.collect_one_per_link(MsgType::Ack, job_id);
-        self.registry.remove(job_id);
+        self.run_own(|local| job.deliver(0, local, &message.0, &message.1));
+        self.fan_in(MsgType::Ack, job_id);
     }
 
     fn gather<T, F>(&mut self, label: &'static str, compute: F) -> Vec<T>
@@ -294,32 +432,12 @@ impl<L: Send + 'static> Collectives<L> for SocketCluster<L> {
         T: Wire + Send + 'static,
         F: Fn(usize, &mut L) -> T + Send + Sync + 'static,
     {
-        let s = self.states.len();
+        let _span = self.span("comm.gather", label);
         self.ledger.next_round();
         let job: Arc<dyn NetJob<L>> = Arc::new(GatherJob::new(compute));
-        let job_id = self.registry.register(Arc::clone(&job));
-        for t in 1..s {
-            self.send_to(t, &Frame::control(MsgType::RunGather, 0, job_id));
-        }
+        let job_id = self.fan_out(&job, MsgType::RunGather, None);
         let own = self.run_own(|local| job.make_block(0, local, None));
-        let frames = self.collect_one_per_link(MsgType::Reply, job_id);
-        self.registry.remove(job_id);
-        let mut out: Vec<T> = Vec::with_capacity(s);
-        out.push(decode_own(&own));
-        for (t, f) in frames.iter().enumerate() {
-            out.push(
-                decode_value(&f.desc, &f.body)
-                    // dlra-allow(panic-policy): a malformed reply means the
-                    // server and coordinator disagree on the codec, which
-                    // is unrecoverable mid-collective.
-                    .unwrap_or_else(|e| panic!("decode reply from server {}: {e}", t + 1)),
-            );
-        }
-        for (t, reply) in out.iter().enumerate().skip(1) {
-            self.ledger
-                .charge(t, Direction::Upstream, reply.words(), label);
-        }
-        out
+        self.replies(own, job_id, label)
     }
 
     fn query_all<Q, T, F>(&mut self, request: &Q, label: &'static str, compute: F) -> Vec<T>
@@ -328,38 +446,13 @@ impl<L: Send + 'static> Collectives<L> for SocketCluster<L> {
         T: Wire + Send + 'static,
         F: Fn(usize, &mut L, &Q) -> T + Send + Sync + 'static,
     {
-        let s = self.states.len();
-        self.ledger.next_round();
-        let request_words = request.words();
-        for t in 1..s {
-            self.ledger
-                .charge(t, Direction::Downstream, request_words, label);
-        }
+        let _span = self.span("comm.query_all", label);
+        self.charge_requests(request.words(), label);
         let job: Arc<dyn NetJob<L>> = Arc::new(QueryJob::new(compute));
-        let job_id = self.registry.register(Arc::clone(&job));
-        let (desc, body) = encode_value(request);
-        for t in 1..s {
-            let frame = Frame::data(MsgType::Query, 0, job_id, desc.clone(), body.clone());
-            self.send_to(t, &frame);
-        }
-        let own = self.run_own(|local| job.make_block(0, local, Some((&desc, &body))));
-        let frames = self.collect_one_per_link(MsgType::Reply, job_id);
-        self.registry.remove(job_id);
-        let mut out: Vec<T> = Vec::with_capacity(s);
-        out.push(decode_own(&own));
-        for (t, f) in frames.iter().enumerate() {
-            out.push(
-                decode_value(&f.desc, &f.body)
-                    // dlra-allow(panic-policy): codec disagreement is
-                    // unrecoverable mid-collective.
-                    .unwrap_or_else(|e| panic!("decode reply from server {}: {e}", t + 1)),
-            );
-        }
-        for (t, reply) in out.iter().enumerate().skip(1) {
-            self.ledger
-                .charge(t, Direction::Upstream, reply.words(), label);
-        }
-        out
+        let request = encode_value(request);
+        let job_id = self.fan_out(&job, MsgType::Query, Some(&request));
+        let own = self.run_own(|local| job.make_block(0, local, Some((&request.0, &request.1))));
+        self.replies(own, job_id, label)
     }
 
     fn query_server<Q, T, F>(&mut self, t: usize, request: &Q, label: &'static str, compute: F) -> T
@@ -368,6 +461,7 @@ impl<L: Send + 'static> Collectives<L> for SocketCluster<L> {
         T: Wire + Send + 'static,
         F: FnOnce(&mut L, &Q) -> T + Send + 'static,
     {
+        let _span = trace::span("comm.query_server", label).arg("server", t as u64);
         let job = QueryServerJob::new(compute);
         let (desc, body) = encode_value(request);
         if t == 0 {
@@ -375,19 +469,15 @@ impl<L: Send + 'static> Collectives<L> for SocketCluster<L> {
             // byte path so results can't depend on the substrate.
             let own =
                 self.run_own(|local| NetJob::<L>::make_block(&job, 0, local, Some((&desc, &body))));
-            return decode_own(&own);
+            return decode_block(0, &own.0, &own.1);
         }
         self.ledger
             .charge(t, Direction::Downstream, request.words(), label);
-        let job: Arc<dyn NetJob<L>> = Arc::new(job);
-        let job_id = self.registry.register(Arc::clone(&job));
+        let job_id = self.registry.register(Arc::new(job));
         self.send_to(t, &Frame::data(MsgType::QueryServer, 0, job_id, desc, body));
         let frame = self.recv_from(t, MsgType::Reply, job_id);
         self.registry.remove(job_id);
-        let reply: T = decode_value(&frame.desc, &frame.body)
-            // dlra-allow(panic-policy): codec disagreement is
-            // unrecoverable mid-collective.
-            .unwrap_or_else(|e| panic!("decode reply from server {t}: {e}"));
+        let reply: T = decode_block(t, &frame.desc, &frame.body);
         self.ledger
             .charge(t, Direction::Upstream, reply.words(), label);
         reply
@@ -399,18 +489,11 @@ impl<L: Send + 'static> Collectives<L> for SocketCluster<L> {
         F: Fn(usize, &mut L) -> T + Send + Sync + 'static,
         M: Fn(&mut T, T) + Send + Sync + 'static,
     {
-        let s = self.states.len();
-        let plan = TopologyPlan::new(self.topology, s);
+        let _span = self.span("comm.aggregate_topo", label);
         let job: Arc<dyn NetJob<L>> = Arc::new(ReduceJob::new(compute, merge));
-        let job_id = self.registry.register(Arc::clone(&job));
-        for t in 1..s {
-            // Bare trigger: free, like shipping a closure to a worker.
-            self.send_to(t, &Frame::control(MsgType::RunReduce, 0, job_id));
-        }
+        let job_id = self.fan_out(&job, MsgType::RunReduce, None);
         let own = self.run_own(|local| job.make_block(0, local, None));
-        let result = self.reduce_at_root(job.as_ref(), job_id, own, &plan, label, false);
-        self.registry.remove(job_id);
-        result
+        self.reduce_at_root(job.as_ref(), job_id, own, label, false)
     }
 
     fn query_aggregate<Q, T, F, M>(
@@ -426,69 +509,63 @@ impl<L: Send + 'static> Collectives<L> for SocketCluster<L> {
         F: Fn(usize, &mut L, &Q) -> T + Send + Sync + 'static,
         M: Fn(&mut T, T) + Send + Sync + 'static,
     {
-        let s = self.states.len();
-        let plan = TopologyPlan::new(self.topology, s);
-        self.ledger.next_round();
-        let request_words = request.words();
-        for t in 1..s {
-            self.ledger
-                .charge(t, Direction::Downstream, request_words, label);
-        }
+        let _span = self.span("comm.query_aggregate", label);
+        self.charge_requests(request.words(), label);
         let job: Arc<dyn NetJob<L>> = Arc::new(QueryReduceJob::new(compute, merge));
-        let job_id = self.registry.register(Arc::clone(&job));
-        let (desc, body) = encode_value(request);
-        for t in 1..s {
-            // The down-sweep request rides the reduce trigger: one charged
-            // data frame, exactly the message the ledger just recorded.
-            let mut frame = Frame::data(MsgType::RunReduce, 0, job_id, desc.clone(), body.clone());
-            frame.flags |= FLAG_HAS_REQUEST;
-            self.send_to(t, &frame);
-        }
-        let own = self.run_own(|local| job.make_block(0, local, Some((&desc, &body))));
-        let result = self.reduce_at_root(job.as_ref(), job_id, own, &plan, label, true);
-        self.registry.remove(job_id);
-        result
+        let request = encode_value(request);
+        // The down-sweep request rides the reduce trigger: one charged data
+        // frame per server, exactly the message the ledger just recorded.
+        let job_id = self.fan_out(&job, MsgType::RunReduce, Some(&request));
+        let own = self.run_own(|local| job.make_block(0, local, Some((&request.0, &request.1))));
+        self.reduce_at_root(job.as_ref(), job_id, own, label, true)
     }
 }
 
-impl<L> Drop for SocketCluster<L> {
+impl<L, S: Link> Drop for FrameCluster<L, S> {
     fn drop(&mut self) {
+        let shutdown = Frame::control(MsgType::Shutdown, 0, 0);
         for link in &mut self.links {
-            // The server may already be gone; shutdown is best-effort and
-            // Drop must not panic.
-            let _ = Frame::control(MsgType::Shutdown, 0, 0).write_to(link);
+            // Counted like every other frame. The server may already be
+            // gone; shutdown is best-effort and Drop must not panic.
+            let _ = send_frame(link, &self.counters, &shutdown);
         }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
 
-/// Decodes a coordinator-side block produced by `run_own`.
-fn decode_own<T: Wire>(own: &Encoded) -> T {
-    decode_value(&own.0, &own.1)
-        // dlra-allow(panic-policy): the block was produced by this job's
-        // own encoder in this process; failure is a codec bug.
-        .expect("decode coordinator-side block")
+/// Decodes a block produced by this job's encoder on server `t` (`0`: the
+/// coordinator's own).
+fn decode_block<T: Wire>(t: usize, desc: &[u8], body: &[u8]) -> T {
+    decode_value(desc, body)
+        // dlra-allow(panic-policy): a malformed block means the server and
+        // coordinator disagree on the codec, which is unrecoverable
+        // mid-collective.
+        .unwrap_or_else(|e| panic!("decode block from server {t}: {e}"))
 }
 
-/// Validates a reply frame from server `t`, panicking with the server's
-/// own diagnostics when it reported a typed error.
-fn validate_reply(t: usize, frame: Frame, expected: MsgType, job_id: u64) -> Frame {
+/// Checks that server `t` sent the `expected` frame for `job_id`,
+/// surfacing the server's own diagnostics when it reported an error.
+pub(crate) fn validate_reply(
+    t: usize,
+    frame: Frame,
+    expected: MsgType,
+    job_id: u64,
+) -> Result<Frame, NetError> {
     if frame.msg_type == MsgType::Error {
-        // dlra-allow(panic-policy): the server reported an unrecoverable
-        // failure; unwind like the threaded substrate's dead worker.
-        panic!("server {t} failed: {}", decode_error_frame(&frame));
+        return Err(decode_error_frame(&frame));
     }
-    // A mis-sequenced frame is a protocol bug, unrecoverable
-    // mid-collective.
-    assert!(
-        frame.msg_type == expected && frame.job_id == job_id,
-        "server {t} sent {:?} job {} (wanted {expected:?} job {job_id})",
-        frame.msg_type,
-        frame.job_id
-    );
-    frame
+    if frame.msg_type != expected || frame.job_id != job_id {
+        return Err(NetError::Protocol {
+            what: "unexpected reply frame",
+            detail: format!(
+                "server {t}: {:?} job {} (wanted {expected:?} job {job_id})",
+                frame.msg_type, frame.job_id
+            ),
+        });
+    }
+    Ok(frame)
 }
 
 /// Accepts `s − 1` server dial-ins, assembles the roster **ordered by each
@@ -569,75 +646,24 @@ pub(crate) fn bootstrap_coordinator(
     Ok(links)
 }
 
-/// The root's side of a topology-routed reduction, byte-level: absorb
-/// [`MsgType::HopBlock`] frames round by round from the links of senders
-/// whose receiver is `0`, replay the canonical merges restricted to held
-/// blocks, and collect one hop record per plan edge (carried subtree logs
-/// plus the root's own derivations from `body_len / 8`).
-pub(crate) fn root_reduce<L>(
+/// The root's side of a topology-routed reduction: absorbs hop blocks
+/// round by round from the links of servers whose receiver is `0`, and
+/// returns the merged block with one hop record per plan edge.
+pub(crate) fn root_reduce<L, S: Read>(
     job: &dyn NetJob<L>,
     job_id: u64,
     own: Encoded,
     plan: &TopologyPlan,
-    links: &mut [TcpStream],
-) -> Result<(Encoded, HopRecords), NetError> {
-    let mut records = HopRecords::new();
+    links: &mut [S],
+) -> Result<(Encoded, Vec<HopRecord>), NetError> {
+    let mut log = Vec::new();
     let mut block = own;
     for (h, round) in plan.rounds().iter().enumerate() {
-        let senders: Vec<usize> = round
-            .hops
-            .iter()
-            .filter(|hop| hop.receiver == 0)
-            .map(|hop| hop.sender)
-            .collect();
-        if senders.is_empty() {
-            continue;
-        }
-        let mut held: BTreeMap<usize, Encoded> = BTreeMap::new();
-        held.insert(0, block);
-        for q in senders {
-            let frame = Frame::read_from(&mut links[q - 1])?;
-            if frame.msg_type == MsgType::Error {
-                return Err(decode_error_frame(&frame));
-            }
-            if frame.msg_type != MsgType::HopBlock
-                || frame.seq as usize != h
-                || frame.job_id != job_id
-            {
-                return Err(NetError::Protocol {
-                    what: "unexpected frame on root link",
-                    detail: format!(
-                        "server {q}: {:?} seq {} job {} (wanted hop round {h} job {job_id})",
-                        frame.msg_type, frame.seq, frame.job_id
-                    ),
-                });
-            }
-            let (child_log, payload_desc) = decode_hop_desc(&frame.desc)?;
-            for rec in child_log {
-                records.insert((rec.round as usize, rec.sender as usize), rec.words);
-            }
-            records.insert((h, q), (frame.body.len() / 8) as u64);
-            held.insert(q, (payload_desc.to_vec(), frame.body));
-        }
-        for step in &round.merges {
-            if held.contains_key(&step.dst) && held.contains_key(&step.src) {
-                let src = held.remove(&step.src).ok_or(NetError::Protocol {
-                    what: "merge source vanished",
-                    detail: format!("src {}", step.src),
-                })?;
-                let dst = held.remove(&step.dst).ok_or(NetError::Protocol {
-                    what: "merge destination vanished",
-                    detail: format!("dst {}", step.dst),
-                })?;
-                held.insert(step.dst, job.merge_blocks(dst, (&src.0, &src.1))?);
-            }
-        }
-        block = held.remove(&0).ok_or(NetError::Protocol {
-            what: "root lost its block in merge replay",
-            detail: format!("round {h}"),
+        block = absorb_round(job, job_id, 0, (h, round), block, &mut log, |q| {
+            Frame::read_from(&mut links[q - 1])
         })?;
     }
-    Ok((block, records))
+    Ok((block, log))
 }
 
 /// Replays the reference charging loop over a completed reduction's hop
@@ -647,20 +673,33 @@ pub(crate) fn root_reduce<L>(
 pub(crate) fn charge_reduce(
     ledger: &Ledger,
     plan: &TopologyPlan,
-    records: &HopRecords,
+    log: &[HopRecord],
     label: &'static str,
     first_round_started: bool,
 ) -> Result<(), NetError> {
+    let words: BTreeMap<(u32, u32), u64> = log
+        .iter()
+        .map(|rec| ((rec.round, rec.sender), rec.words))
+        .collect();
     for (h, round) in plan.rounds().iter().enumerate() {
         if h > 0 || !first_round_started {
             ledger.next_round();
         }
         for hop in &round.hops {
-            let words = *records.get(&(h, hop.sender)).ok_or(NetError::Protocol {
-                what: "missing hop record",
-                detail: format!("round {h}, sender {}", hop.sender),
-            })?;
-            ledger.charge_hop(hop.sender, hop.receiver, Direction::Upstream, words, label);
+            let hop_words =
+                *words
+                    .get(&(h as u32, hop.sender as u32))
+                    .ok_or(NetError::Protocol {
+                        what: "missing hop record",
+                        detail: format!("round {h}, sender {}", hop.sender),
+                    })?;
+            ledger.charge_hop(
+                hop.sender,
+                hop.receiver,
+                Direction::Upstream,
+                hop_words,
+                label,
+            );
         }
     }
     Ok(())
@@ -671,6 +710,8 @@ mod tests {
     use super::*;
     use dlra_comm::ledger::FRAME_WORDS;
     use dlra_comm::Cluster;
+    use std::any::type_name;
+    use std::time::{Duration, Instant};
 
     fn locals(s: usize, len: usize) -> Vec<Vec<f64>> {
         (0..s).map(|t| vec![t as f64; len]).collect()
@@ -709,80 +750,171 @@ mod tests {
         out
     }
 
-    #[test]
-    fn matches_sequential_cluster_bit_for_bit() {
-        for s in [1usize, 2, 4, 8] {
-            let mut seq = Cluster::new(locals(s, 4));
-            let mut net = SocketCluster::new(locals(s, 4));
-            let a = protocol(&mut seq);
-            let b = protocol(&mut net);
-            assert_eq!(a, b, "results diverge at s = {s}");
+    /// Runs `protocol` on the sequential reference and on link `S` at every
+    /// size in `sizes`, requiring identical bits and ledgers.
+    fn matches_sequential<S: Link>(topology: Topology, sizes: &[usize]) {
+        for &s in sizes {
+            let mut seq = Cluster::with_topology(locals(s, 4), topology);
+            let mut frames = FrameCluster::<_, S>::with_topology(locals(s, 4), topology);
+            let link = type_name::<S>();
+            assert_eq!(
+                protocol(&mut seq),
+                protocol(&mut frames),
+                "results diverge at s = {s} on {link}"
+            );
             assert_eq!(
                 Collectives::comm(&seq),
-                Collectives::comm(&net),
-                "ledgers diverge at s = {s}"
+                Collectives::comm(&frames),
+                "ledgers diverge at s = {s} on {link}"
             );
         }
+    }
+
+    #[test]
+    fn matches_sequential_cluster_bit_for_bit() {
+        matches_sequential::<TcpStream>(Topology::Star, &[1, 2, 4, 8]);
+        matches_sequential::<Pipe>(Topology::Star, &[1, 2, 4, 8]);
     }
 
     #[test]
     fn tree_routing_matches_sequential_tree_bit_for_bit() {
-        for s in [1usize, 2, 4, 8, 9, 13] {
-            let topology = Topology::Tree { fanout: 2 };
-            let mut seq = Cluster::with_topology(locals(s, 4), topology);
-            let mut net = SocketCluster::with_topology(locals(s, 4), topology);
-            let a = protocol(&mut seq);
-            let b = protocol(&mut net);
-            assert_eq!(a, b, "results diverge at s = {s}");
-            assert_eq!(
-                Collectives::comm(&seq),
-                Collectives::comm(&net),
-                "ledgers diverge at s = {s}"
-            );
+        let tree = Topology::Tree { fanout: 2 };
+        matches_sequential::<TcpStream>(tree, &[1, 2, 4, 8, 9, 13]);
+        matches_sequential::<Pipe>(tree, &[1, 2, 4, 8, 9, 13]);
+    }
+
+    #[test]
+    fn tree_reduction_matches_star_values_with_smaller_root_inbox() {
+        fn check<S: Link>() {
+            for s in [4usize, 8, 9] {
+                let mut star = FrameCluster::<_, S>::new(locals(s, 2));
+                let mut tree =
+                    FrameCluster::<_, S>::with_topology(locals(s, 2), Topology::Tree { fanout: 2 });
+                let a = star.aggregate_topo("t", |t, l| l[0] + t as f64, |acc, r| *acc += r);
+                let b = tree.aggregate_topo("t", |t, l| l[0] + t as f64, |acc, r| *acc += r);
+                assert_eq!(a.to_bits(), b.to_bits(), "s = {s}");
+                let (sc, tc) = (star.comm(), tree.comm());
+                assert_eq!(sc.total_words(), tc.total_words(), "s = {s}");
+                assert_eq!(sc.messages, tc.messages, "s = {s}");
+                assert!(
+                    tc.root_inbox_messages < sc.root_inbox_messages,
+                    "s = {s} on {}: tree inbox {} vs star {}",
+                    type_name::<S>(),
+                    tc.root_inbox_messages,
+                    sc.root_inbox_messages
+                );
+            }
         }
+        check::<TcpStream>();
+        check::<Pipe>();
     }
 
     #[test]
     fn gather_charges_like_reference() {
-        let mut c = SocketCluster::new(locals(3, 1));
-        let replies = c.gather("g", |t, local: &mut Vec<f64>| local[0] + t as f64);
-        assert_eq!(replies, vec![0.0, 2.0, 4.0]);
-        assert_eq!(c.comm().upstream_words, 2 * (1 + FRAME_WORDS));
-        assert_eq!(c.comm().messages, 2);
-        assert_eq!(c.comm().rounds, 1);
+        fn check<S: Link>() {
+            let mut c = FrameCluster::<_, S>::new(locals(3, 1));
+            let replies = c.gather("g", |t, local: &mut Vec<f64>| local[0] + t as f64);
+            assert_eq!(replies, vec![0.0, 2.0, 4.0]);
+            assert_eq!(c.comm().upstream_words, 2 * (1 + FRAME_WORDS));
+            assert_eq!(c.comm().messages, 2);
+            assert_eq!(c.comm().rounds, 1);
+        }
+        check::<TcpStream>();
+        check::<Pipe>();
+    }
+
+    #[test]
+    fn broadcast_reaches_every_worker() {
+        fn check<S: Link>() {
+            let mut c = FrameCluster::<_, S>::new(locals(4, 2));
+            c.broadcast(&7.5f64, "b", |_t, local, &m| local.push(m));
+            for t in 0..4 {
+                assert_eq!(
+                    c.with_local(t, |l| l.clone()),
+                    vec![t as f64, t as f64, 7.5]
+                );
+            }
+            assert_eq!(c.comm().downstream_words, 3 * (1 + FRAME_WORDS));
+            assert_eq!(c.comm().upstream_words, 0);
+        }
+        check::<TcpStream>();
+        check::<Pipe>();
     }
 
     #[test]
     fn every_data_frame_is_a_ledger_message() {
-        let mut c = SocketCluster::new(locals(4, 4));
-        protocol(&mut c);
-        let stats = c.wire_stats();
-        let comm = c.comm();
-        assert_eq!(stats.data_frames, comm.messages, "frames vs messages");
-        assert_eq!(
-            stats.data_body_words() + FRAME_WORDS * stats.data_frames,
-            comm.total_words(),
-            "body words vs ledger words"
-        );
+        fn check<S: Link>() {
+            let mut c = FrameCluster::<_, S>::new(locals(4, 4));
+            protocol(&mut c);
+            let stats = c.wire_stats();
+            let comm = c.comm();
+            assert_eq!(stats.data_frames, comm.messages, "frames vs messages");
+            assert_eq!(
+                stats.data_body_words() + FRAME_WORDS * stats.data_frames,
+                comm.total_words(),
+                "body words vs ledger words"
+            );
+        }
+        check::<TcpStream>();
+        check::<Pipe>();
     }
 
     #[test]
     fn with_local_mut_is_free() {
-        let mut c = SocketCluster::new(locals(2, 1));
-        c.with_local_mut(1, |l| l[0] = 42.0);
-        assert_eq!(c.with_local(1, |l| l[0]), 42.0);
-        assert_eq!(c.comm().total_words(), 0);
+        fn check<S: Link>() {
+            let mut c = FrameCluster::<_, S>::new(locals(2, 1));
+            c.with_local_mut(1, |l| l[0] = 42.0);
+            assert_eq!(c.with_local(1, |l| l[0]), 42.0);
+            assert_eq!(c.comm().total_words(), 0);
+        }
+        check::<TcpStream>();
+        check::<Pipe>();
+    }
+
+    #[test]
+    fn workers_run_concurrently() {
+        // Each server sleeps 40 ms; if execution were serialized the
+        // collective would take ≥ 320 ms.
+        fn check<S: Link>() {
+            let mut c = FrameCluster::<_, S>::new(locals(8, 1));
+            let start = Instant::now();
+            let replies = c.gather("sleep", |t, _local| {
+                std::thread::sleep(Duration::from_millis(40));
+                t as f64
+            });
+            let elapsed = start.elapsed();
+            assert_eq!(replies.len(), 8);
+            assert!(
+                elapsed < Duration::from_millis(300),
+                "collective did not parallelize on {}: {elapsed:?}",
+                type_name::<S>()
+            );
+        }
+        check::<TcpStream>();
+        check::<Pipe>();
     }
 
     #[test]
     fn drop_shuts_servers_down_cleanly() {
-        let c = SocketCluster::new(locals(4, 1));
-        drop(c); // must not hang or panic
+        // Must not hang or panic, and every shutdown frame is counted.
+        fn check<S: Link>() {
+            let c = FrameCluster::<_, S>::new(locals(4, 1));
+            let counters = Arc::clone(c.counters());
+            let before = counters.snapshot();
+            drop(c);
+            let after = counters.snapshot().since(&before);
+            assert_eq!(after.control_frames, 3, "on {}", type_name::<S>());
+            assert_eq!(after.control_bytes, 3 * 24);
+        }
+        check::<TcpStream>();
+        check::<Pipe>();
     }
 
     #[test]
     #[should_panic(expected = "at least one server")]
     fn empty_cluster_rejected() {
-        let _ = SocketCluster::<Vec<f64>>::new(vec![]);
+        let socket = std::panic::catch_unwind(|| SocketCluster::<Vec<f64>>::new(vec![]));
+        assert!(socket.is_err(), "the socket link accepted an empty cluster");
+        let _ = ThreadedCluster::<Vec<f64>>::new(vec![]);
     }
 }

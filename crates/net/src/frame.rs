@@ -25,7 +25,7 @@
 
 use dlra_comm::wire::WireError;
 use dlra_comm::Topology;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// First header byte of every frame.
 pub const MAGIC: u8 = 0xD7;
@@ -285,18 +285,24 @@ impl Frame {
         HEADER_BYTES + self.desc.len() as u64 + self.body.len() as u64
     }
 
-    /// Serializes the frame into one buffer (a single `write_all` keeps
-    /// frames atomic on a shared link).
+    /// The encoded 24-byte header.
+    fn header(&self) -> [u8; 24] {
+        let mut h = [0u8; 24];
+        h[0] = MAGIC;
+        h[1] = VERSION;
+        h[2] = self.msg_type as u8;
+        h[3] = self.flags;
+        h[4..8].copy_from_slice(&(self.desc.len() as u32).to_le_bytes());
+        h[8..12].copy_from_slice(&(self.body.len() as u32).to_le_bytes());
+        h[12..16].copy_from_slice(&self.seq.to_le_bytes());
+        h[16..24].copy_from_slice(&self.job_id.to_le_bytes());
+        h
+    }
+
+    /// Serializes the frame into one buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(24 + self.desc.len() + self.body.len());
-        out.push(MAGIC);
-        out.push(VERSION);
-        out.push(self.msg_type as u8);
-        out.push(self.flags);
-        out.extend_from_slice(&(self.desc.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.job_id.to_le_bytes());
+        out.extend_from_slice(&self.header());
         out.extend_from_slice(&self.desc);
         out.extend_from_slice(&self.body);
         out
@@ -353,9 +359,25 @@ impl Frame {
         ))
     }
 
-    /// Writes the frame to a stream as one atomic write.
+    /// Writes the frame to a stream with vectored writes — one `writev`
+    /// on a socket, one message on a [`Pipe`](crate::pipe::Pipe) — without
+    /// first copying header, descriptor and body into one buffer.
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), NetError> {
-        w.write_all(&self.to_bytes())?;
+        let header = self.header();
+        let mut parts = [
+            IoSlice::new(&header),
+            IoSlice::new(&self.desc),
+            IoSlice::new(&self.body),
+        ];
+        let mut rest = &mut parts[..];
+        while !rest.is_empty() {
+            match w.write_vectored(rest) {
+                Ok(0) => return Err(NetError::Io(ErrorKind::WriteZero.into())),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
         Ok(())
     }
 
@@ -404,7 +426,7 @@ fn read_exact_or_truncated(
                 })
             }
             Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(NetError::Io(e)),
         }
     }
@@ -676,6 +698,9 @@ mod tests {
         };
         let bytes = f.to_bytes();
         assert_eq!(bytes.len() as u64, f.wire_bytes());
+        let mut written = Vec::new();
+        f.write_to(&mut written).unwrap();
+        assert_eq!(written, bytes, "vectored write matches the buffer");
         let back = Frame::from_bytes(&bytes).expect("decode");
         assert_eq!(back.msg_type, MsgType::HopBlock);
         assert_eq!(back.flags, FLAG_HAS_REQUEST);
@@ -683,6 +708,26 @@ mod tests {
         assert_eq!(back.job_id, 0xDEAD_BEEF_0042);
         assert_eq!(back.desc, f.desc);
         assert_eq!(back.body, f.body);
+    }
+
+    #[test]
+    fn write_to_survives_short_writes() {
+        /// A stream that takes at most five bytes per call.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                let n = buf.len().min(5);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let f = Frame::data(MsgType::Reply, 2, 5, vec![1, 2, 3], vec![4; 24]);
+        let mut out = Trickle(Vec::new());
+        f.write_to(&mut out).unwrap();
+        assert_eq!(out.0, f.to_bytes());
     }
 
     #[test]

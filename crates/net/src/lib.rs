@@ -1,32 +1,34 @@
-//! `dlra-net`: the networked collectives substrate — the paper's `s`
-//! servers as real participants over TCP.
+//! `dlra-net`: the message-passing collectives substrate — the paper's `s`
+//! servers as real participants exchanging frames.
 //!
 //! The sequential [`dlra_comm::Cluster`] simulates the distributed model
-//! in one thread; `dlra-runtime`'s `ThreadedCluster` runs it on worker
-//! threads with typed channels. This crate completes the progression:
-//! servers behind genuine sockets, every payload serialized through the
-//! bit-exact `dlra-comm` wire codec, and combining-tree hops as real
-//! server → server connections. Layers:
+//! in one thread. This crate runs it for real, once: one coordinator and
+//! one server event loop, generic over the byte link their frames travel
+//! on. Every payload is serialized through the bit-exact `dlra-comm` wire
+//! codec, and combining-tree hops are real server → server links. Its two
+//! links are the substrates [`ThreadedCluster`] (in-process pipes) and
+//! [`SocketCluster`] (TCP). Layers:
 //!
 //! * [`frame`] — the length-prefixed wire protocol: a 24-byte header,
 //!   a descriptor (shape metadata, never ledger-charged), and a body of
 //!   exactly 8 bytes per charged payload word. Malformed input yields
 //!   typed [`frame::NetError`]s, never panics.
 //! * [`counters`] — send-side byte accounting, split data vs control, so
-//!   tests reconcile bytes-on-the-wire against the [`dlra_comm::Ledger`]
+//!   tests reconcile bytes on the links against the [`dlra_comm::Ledger`]
 //!   with zero unexplained bytes.
 //! * [`registry`] — type-erased collective jobs: decode → typed closure →
 //!   re-encode, bit-identical by codec exactness.
-//! * [`node`] — the server event loop (bootstrap handshake, collective
-//!   frames, tree-hop exchanges), shared by loopback threads and the
-//!   `dlra-net-server` binary.
-//! * [`cluster`] — [`SocketCluster`], the coordinator: implements
+//! * [`pipe`] — [`Pipe`], an in-process `Read + Write` byte link over
+//!   `std::sync::mpsc`.
+//! * [`node`] — the server event loop (collective frames, tree-hop
+//!   exchanges, and the TCP bootstrap handshake), shared by loopback
+//!   threads on either link and by the `dlra-net-server` binary.
+//! * [`cluster`] — [`FrameCluster`], the coordinator: implements
 //!   [`dlra_comm::Collectives`] with bit-identical results and exact
-//!   ledger parity against the sequential and threaded substrates.
+//!   ledger parity against the sequential substrate, and emits one
+//!   `comm.<collective>` trace span per collective.
 //! * [`remote`] — the static op table and coordinator for servers in
 //!   separate processes, where closures cannot travel.
-//! * [`nonblocking`] (feature `nonblocking`) — a poll-based reply fan-in
-//!   that multiplexes all server links without external event libraries.
 //!
 //! This crate reads **no environment variables**: substrate selection
 //! (`DLRA_SUBSTRATE`) lives in the runtime layer per the determinism
@@ -39,13 +41,13 @@ pub mod cluster;
 pub mod counters;
 pub mod frame;
 pub mod node;
-#[cfg(feature = "nonblocking")]
-pub mod nonblocking;
+pub mod pipe;
 pub mod registry;
 pub mod remote;
 
-pub use cluster::SocketCluster;
+pub use cluster::{FrameCluster, Link, SocketCluster, ThreadedCluster};
 pub use counters::{WireCounters, WireStats};
 pub use frame::{Frame, MsgType, NetError, OverloadedFrame};
 pub use node::{run_node, NodeConfig};
+pub use pipe::Pipe;
 pub use registry::{JobRegistry, JobResolver, NetJob};

@@ -1,37 +1,41 @@
-//! The server-side event loop: one of the paper's `s` servers as a real
-//! network participant.
+//! The server-side event loop: one of the paper's `s` servers as a network
+//! participant.
 //!
-//! A node dials the coordinator, completes the bootstrap handshake
-//! (Hello → Roster → peer links → Ready), then serves collective frames
-//! until shutdown. During a topology-routed reduction it exchanges
-//! [`MsgType::HopBlock`] frames directly with its tree peers — server →
-//! server traffic that never touches the coordinator, mirroring the plan's
-//! edges one TCP hop per charged hop.
+//! A node serves collective frames from the coordinator until shutdown.
+//! During a topology-routed reduction it exchanges [`MsgType::HopBlock`]
+//! frames directly with its tree peers — server → server traffic that never
+//! touches the coordinator, mirroring the plan's edges one link per charged
+//! hop.
 //!
-//! The same loop backs both deployment shapes: the loopback harness spawns
-//! `run_node` on threads inside the coordinator process (sharing its
-//! [`JobRegistry`](crate::registry::JobRegistry)), and the
-//! `dlra-net-server` binary runs it in a separate process with the static
-//! remote op table. Configuration arrives exclusively through
-//! [`NodeConfig`] (the binary builds one from argv) — this crate reads no
-//! environment variables, keeping the determinism contract's env reads in
-//! the runtime layer.
+//! The loop is generic over the link its frames travel on. Over TCP a node
+//! first dials the coordinator and completes the bootstrap handshake
+//! (Hello → Roster → peer links → Ready): that is [`run_node`], which backs
+//! both the loopback `SocketCluster` threads (sharing the coordinator's
+//! [`JobRegistry`](crate::registry::JobRegistry)) and the
+//! `dlra-net-server` binary (with the static remote op table). A
+//! `ThreadedCluster` instead pre-wires in-process
+//! [`Pipe`](crate::pipe::Pipe)s from the plan and enters the same loop
+//! directly. Configuration arrives exclusively through parameters — this
+//! crate reads no environment variables, keeping the determinism
+//! contract's env reads in the runtime layer.
 
 use crate::counters::{send_frame, WireCounters};
 use crate::frame::{
-    decode_hop_desc, encode_hop_desc, error_frame, Frame, HopRecord, MsgType, NetError, Roster,
-    FLAG_HAS_REQUEST,
+    decode_error_frame, decode_hop_desc, encode_hop_desc, error_frame, Frame, HopRecord, MsgType,
+    NetError, Roster, FLAG_HAS_REQUEST,
 };
-use crate::registry::{Encoded, JobResolver, NetJob};
+use crate::registry::{Encoded, Held, JobResolver, NetJob};
+use dlra_comm::topology::RoundPlan;
 use dlra_comm::TopologyPlan;
 use dlra_util::sync::MutexExt;
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 
-/// Everything a node needs to join a cluster. No defaults are read from
-/// the environment; callers (the loopback harness, the server binary's
-/// argv parser, tests) fill every field explicitly.
+/// Everything a node needs to join a cluster over TCP. No defaults are
+/// read from the environment; callers (the loopback harness, the server
+/// binary's argv parser, tests) fill every field explicitly.
 pub struct NodeConfig<L> {
     /// Coordinator address to dial, e.g. `127.0.0.1:4400`.
     pub coordinator: String,
@@ -46,13 +50,29 @@ pub struct NodeConfig<L> {
     pub counters: Arc<WireCounters>,
 }
 
-/// This node's fixed role in the reduction plan.
-struct ReduceRole {
-    /// `(parent id, round of our single send)`.
-    parent: (usize, usize),
-    /// Child senders in `(round, plan-hop-order)` — the order we must
-    /// receive their blocks in.
-    children: Vec<(usize, usize)>,
+/// A server's identity and resources, whatever link it serves on.
+pub(crate) struct Node<L> {
+    pub(crate) id: usize,
+    pub(crate) state: Arc<Mutex<L>>,
+    pub(crate) resolver: Arc<dyn JobResolver<L>>,
+    pub(crate) counters: Arc<WireCounters>,
+}
+
+/// A server's links to its combining-tree neighbours: its parent (`None`
+/// when the parent is the coordinator, whose link the server already
+/// holds) and its children, by server id.
+pub(crate) struct Peers<S> {
+    pub(crate) parent: Option<S>,
+    pub(crate) children: BTreeMap<usize, S>,
+}
+
+impl<S> Default for Peers<S> {
+    fn default() -> Self {
+        Peers {
+            parent: None,
+            children: BTreeMap::new(),
+        }
+    }
 }
 
 /// Dials the coordinator, bootstraps, and serves collectives until a
@@ -61,27 +81,58 @@ struct ReduceRole {
 pub fn run_node<L>(cfg: NodeConfig<L>) -> Result<(), NetError> {
     let mut coord = TcpStream::connect(&cfg.coordinator)?;
     coord.set_nodelay(true)?;
-    match serve(&cfg, &mut coord) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let report = error_frame(1, &format!("server {}: {e}", cfg.server_id));
-            let _ = send_frame(&mut coord, &cfg.counters, &report);
-            Err(e)
-        }
-    }
+    let node = Node {
+        id: cfg.server_id,
+        state: cfg.state,
+        resolver: cfg.resolver,
+        counters: cfg.counters,
+    };
+    let served = bootstrap(&node, &mut coord)
+        .and_then(|(plan, mut peers)| serve(&node, &plan, &mut coord, &mut peers));
+    reported(&node, &mut coord, served)
 }
 
-/// The bootstrap handshake plus the main frame loop.
-fn serve<L>(cfg: &NodeConfig<L>, coord: &mut TcpStream) -> Result<(), NetError> {
-    let id = cfg.server_id;
+/// Serves collectives on links wired in process, until shutdown or a
+/// failure (reported to the coordinator like [`run_node`]'s).
+pub(crate) fn run_wired<L, S: Read + Write>(
+    node: &Node<L>,
+    plan: &TopologyPlan,
+    mut coord: S,
+    mut peers: Peers<S>,
+) -> Result<(), NetError> {
+    let served = serve(node, plan, &mut coord, &mut peers);
+    reported(node, &mut coord, served)
+}
 
-    // Bootstrap: bind our peer listener first so its port rides the Hello
-    // and child dials can queue in the backlog before we ever accept.
+/// Passes a node's outcome through, first reporting a failure to the
+/// coordinator when the link still takes a frame.
+fn reported<L>(
+    node: &Node<L>,
+    coord: &mut impl Write,
+    served: Result<(), NetError>,
+) -> Result<(), NetError> {
+    if let Err(e) = &served {
+        let report = error_frame(1, &format!("server {}: {e}", node.id));
+        let _ = send_frame(coord, &node.counters, &report);
+    }
+    served
+}
+
+/// The TCP bootstrap handshake: returns the cluster's reduction plan and
+/// this node's tree links.
+fn bootstrap<L>(
+    node: &Node<L>,
+    coord: &mut TcpStream,
+) -> Result<(TopologyPlan, Peers<TcpStream>), NetError> {
+    let id = node.id;
+
+    // Bind our peer listener first so its port rides the Hello and child
+    // dials can queue in the backlog before we ever accept.
     let peer_listener = TcpListener::bind("127.0.0.1:0")?;
     let peer_port = peer_listener.local_addr()?.port();
     let mut hello = Frame::control(MsgType::Hello, id as u32, 0);
     hello.desc = peer_port.to_le_bytes().to_vec();
-    send_frame(coord, &cfg.counters, &hello)?;
+    send_frame(coord, &node.counters, &hello)?;
 
     let roster_frame = Frame::read_from(coord)?;
     if roster_frame.msg_type != MsgType::Roster {
@@ -99,13 +150,21 @@ fn serve<L>(cfg: &NodeConfig<L>, coord: &mut TcpStream) -> Result<(), NetError> 
         });
     }
     let plan = TopologyPlan::new(roster.topology, s);
-    let role = reduce_role(&plan, id)?;
+    let hops = || plan.rounds().iter().flat_map(|round| &round.hops);
+    let parent_id = hops()
+        .find(|hop| hop.sender == id)
+        .ok_or(NetError::Protocol {
+            what: "server has no send hop in plan",
+            detail: format!("server {id}"),
+        })?
+        .receiver;
+    let child_count = hops().filter(|hop| hop.receiver == id).count();
 
     // Dial our tree parent (unless it is the coordinator, which we already
     // hold a link to) before accepting children: every dial targets an
     // already-bound listener, so the graph wires up without deadlock.
-    let (parent_id, _) = role.parent;
-    let mut parent_link = if parent_id != 0 {
+    let mut peers = Peers::default();
+    if parent_id != 0 {
         let port = *roster.peer_ports.get(parent_id).ok_or(NetError::Protocol {
             what: "parent missing from roster",
             detail: format!("parent {parent_id}"),
@@ -114,16 +173,12 @@ fn serve<L>(cfg: &NodeConfig<L>, coord: &mut TcpStream) -> Result<(), NetError> 
         link.set_nodelay(true)?;
         send_frame(
             &mut link,
-            &cfg.counters,
+            &node.counters,
             &Frame::control(MsgType::PeerHello, id as u32, 0),
         )?;
-        Some(link)
-    } else {
-        None
-    };
-
-    let mut child_links: BTreeMap<usize, TcpStream> = BTreeMap::new();
-    for _ in 0..role.children.len() {
+        peers.parent = Some(link);
+    }
+    for _ in 0..child_count {
         let (mut link, _) = peer_listener.accept()?;
         link.set_nodelay(true)?;
         let hello = Frame::read_from(&mut link)?;
@@ -133,225 +188,177 @@ fn serve<L>(cfg: &NodeConfig<L>, coord: &mut TcpStream) -> Result<(), NetError> 
                 detail: format!("got {:?}", hello.msg_type),
             });
         }
-        child_links.insert(hello.seq as usize, link);
+        peers.children.insert(hello.seq as usize, link);
     }
-    for &(_, sender) in &role.children {
-        if !child_links.contains_key(&sender) {
-            return Err(NetError::Protocol {
-                what: "tree child never dialed in",
-                detail: format!("server {id} expected child {sender}"),
-            });
-        }
+    if let Some(hop) =
+        hops().find(|hop| hop.receiver == id && !peers.children.contains_key(&hop.sender))
+    {
+        return Err(NetError::Protocol {
+            what: "tree child never dialed in",
+            detail: format!("server {id} expected child {}", hop.sender),
+        });
     }
 
     send_frame(
         coord,
-        &cfg.counters,
+        &node.counters,
         &Frame::control(MsgType::Ready, id as u32, 0),
     )?;
+    Ok((plan, peers))
+}
 
-    // Server processes are themselves a parallelism layer: divide the
-    // kernel thread budget across the s servers (floor, at least 1) so the
-    // layers compose additively instead of multiplying. Never changes
-    // results: kernels are bit-identical across thread counts.
-    let share = (dlra_linalg::threads() / s).max(1);
-
+/// The main frame loop.
+fn serve<L, S: Read + Write>(
+    node: &Node<L>,
+    plan: &TopologyPlan,
+    coord: &mut S,
+    peers: &mut Peers<S>,
+) -> Result<(), NetError> {
+    let id = node.id;
     loop {
         let frame = Frame::read_from(coord)?;
-        let resolve = |frame: &Frame| {
-            cfg.resolver
-                .resolve(frame.job_id, frame.seq)
-                .ok_or(NetError::Protocol {
-                    what: "no job for frame",
-                    detail: format!("job {} op {}", frame.job_id, frame.seq),
-                })
-        };
-        match frame.msg_type {
-            MsgType::Shutdown => return Ok(()),
+        if frame.msg_type == MsgType::Shutdown {
+            return Ok(());
+        }
+        let job = node
+            .resolver
+            .resolve(frame.job_id, frame.seq)
+            .ok_or(NetError::Protocol {
+                what: "no job for frame",
+                detail: format!("{:?} job {} op {}", frame.msg_type, frame.job_id, frame.seq),
+            })?;
+        // Servers are themselves a parallelism layer: divide the kernel
+        // thread budget across the s servers (floor, at least 1) so the
+        // layers compose additively — s × ⌊T/s⌋ ≤ T live kernel threads —
+        // instead of multiplying to s × T. Resolved per frame, so a
+        // `set_threads` after construction is honored. Never changes
+        // results: kernels are bit-identical across thread counts.
+        let share = (dlra_linalg::threads() / plan.servers()).max(1);
+        dlra_linalg::with_threads(share, || match frame.msg_type {
             MsgType::Broadcast => {
-                let job = resolve(&frame)?;
-                dlra_linalg::with_threads(share, || {
-                    let mut local = cfg.state.lock_recover();
-                    job.deliver(id, &mut local, &frame.desc, &frame.body)
-                })?;
-                send_frame(
-                    coord,
-                    &cfg.counters,
-                    &Frame::control(MsgType::Ack, id as u32, frame.job_id),
-                )?;
+                job.deliver(id, &mut node.state.lock_recover(), &frame.desc, &frame.body)?;
+                let ack = Frame::control(MsgType::Ack, id as u32, frame.job_id);
+                send_frame(coord, &node.counters, &ack)
             }
             MsgType::RunGather | MsgType::Query | MsgType::QueryServer => {
-                let job = resolve(&frame)?;
                 let request = (frame.msg_type != MsgType::RunGather)
                     .then_some((frame.desc.as_slice(), frame.body.as_slice()));
-                let (desc, body) = dlra_linalg::with_threads(share, || {
-                    let mut local = cfg.state.lock_recover();
-                    job.make_block(id, &mut local, request)
-                })?;
-                send_frame(
-                    coord,
-                    &cfg.counters,
-                    &Frame::data(MsgType::Reply, id as u32, frame.job_id, desc, body),
-                )?;
+                let (desc, body) = job.make_block(id, &mut node.state.lock_recover(), request)?;
+                let reply = Frame::data(MsgType::Reply, id as u32, frame.job_id, desc, body);
+                send_frame(coord, &node.counters, &reply)
             }
             MsgType::RunReduce => {
-                let job = resolve(&frame)?;
                 let request = (frame.flags & FLAG_HAS_REQUEST != 0)
                     .then_some((frame.desc.as_slice(), frame.body.as_slice()));
-                drive_reduce(
-                    cfg,
-                    job.as_ref(),
-                    frame.job_id,
-                    request,
-                    &plan,
-                    &role,
-                    share,
-                    &mut child_links,
-                    parent_link.as_mut(),
-                    coord,
-                )?;
+                let block = job.make_block(id, &mut node.state.lock_recover(), request)?;
+                drive_reduce(node, job.as_ref(), frame.job_id, block, plan, coord, peers)
             }
-            other => {
-                return Err(NetError::Protocol {
-                    what: "unexpected frame at server",
-                    detail: format!("{other:?}"),
-                })
-            }
-        }
+            other => Err(NetError::Protocol {
+                what: "unexpected frame at server",
+                detail: format!("{other:?}"),
+            }),
+        })?;
     }
 }
 
-/// Extracts this node's parent hop and ordered child hops from the plan.
-/// Every non-coordinator server sends exactly once, so a missing parent is
-/// a protocol violation.
-fn reduce_role(plan: &TopologyPlan, id: usize) -> Result<ReduceRole, NetError> {
-    let mut parent = None;
-    let mut children = Vec::new();
-    for (h, round) in plan.rounds().iter().enumerate() {
-        for hop in &round.hops {
-            if hop.sender == id {
-                parent = Some((hop.receiver, h));
-            }
-            if hop.receiver == id {
-                children.push((h, hop.sender));
-            }
-        }
-    }
-    let parent = parent.ok_or(NetError::Protocol {
-        what: "server has no send hop in plan",
-        detail: format!("server {id}"),
-    })?;
-    Ok(ReduceRole { parent, children })
-}
-
-/// One reduction from this node's perspective: compute the leaf block,
-/// absorb child blocks round by round (replaying the canonical merge
-/// schedule restricted to held blocks, so association order — and thus
-/// floating point — matches the sequential reference bit for bit), then
-/// forward the accumulated block and hop log to the parent in our single
-/// send round.
+/// One reduction from a non-coordinator server's perspective: absorb child
+/// blocks round by round, then forward the accumulated block and hop log
+/// to the parent in this server's single send round.
 ///
 /// The descriptor of an outgoing hop frame carries only the *subtree's*
 /// hop records; the frame's own hop is derived by the receiver from the
 /// link identity, the round in `seq`, and `body_len / 8` — so the root
 /// collects exactly one record per plan edge.
-#[allow(clippy::too_many_arguments)]
-fn drive_reduce<L>(
-    cfg: &NodeConfig<L>,
+fn drive_reduce<L, S: Read + Write>(
+    node: &Node<L>,
     job: &dyn NetJob<L>,
     job_id: u64,
-    request: Option<(&[u8], &[u8])>,
+    mut block: Encoded,
     plan: &TopologyPlan,
-    role: &ReduceRole,
-    share: usize,
-    child_links: &mut BTreeMap<usize, TcpStream>,
-    parent_link: Option<&mut TcpStream>,
-    coord: &mut TcpStream,
+    coord: &mut S,
+    peers: &mut Peers<S>,
 ) -> Result<(), NetError> {
-    let id = cfg.server_id;
-    let mut block: Encoded = dlra_linalg::with_threads(share, || {
-        let mut local = cfg.state.lock_recover();
-        job.make_block(id, &mut local, request)
-    })?;
-    let mut log: Vec<HopRecord> = Vec::new();
-    let (_, send_round) = role.parent;
+    let id = node.id;
+    let mut log = Vec::new();
     for (h, round) in plan.rounds().iter().enumerate() {
-        let senders: Vec<usize> = round
-            .hops
-            .iter()
-            .filter(|hop| hop.receiver == id)
-            .map(|hop| hop.sender)
-            .collect();
-        if !senders.is_empty() {
-            let mut held: BTreeMap<usize, Encoded> = BTreeMap::new();
-            held.insert(id, block);
-            for q in senders {
-                let link = child_links.get_mut(&q).ok_or(NetError::Protocol {
-                    what: "no link to plan child",
-                    detail: format!("server {id}, child {q}"),
-                })?;
-                let hop = Frame::read_from(link)?;
-                if hop.msg_type != MsgType::HopBlock
-                    || hop.seq as usize != h
-                    || hop.job_id != job_id
-                {
-                    return Err(NetError::Protocol {
-                        what: "unexpected frame on tree link",
-                        detail: format!(
-                            "{:?} seq {} job {} (wanted hop round {h} job {job_id})",
-                            hop.msg_type, hop.seq, hop.job_id
-                        ),
-                    });
-                }
-                let (child_log, payload_desc) = decode_hop_desc(&hop.desc)?;
-                log.extend(child_log);
-                log.push(HopRecord {
-                    round: h as u32,
-                    sender: q as u32,
-                    words: (hop.body.len() / 8) as u64,
-                });
-                held.insert(q, (payload_desc.to_vec(), hop.body));
-            }
-            for step in &round.merges {
-                if held.contains_key(&step.dst) && held.contains_key(&step.src) {
-                    let src = held.remove(&step.src).ok_or(NetError::Protocol {
-                        what: "merge source vanished",
-                        detail: format!("src {}", step.src),
-                    })?;
-                    let dst = held.remove(&step.dst).ok_or(NetError::Protocol {
-                        what: "merge destination vanished",
-                        detail: format!("dst {}", step.dst),
-                    })?;
-                    let merged = dlra_linalg::with_threads(share, || {
-                        job.merge_blocks(dst, (&src.0, &src.1))
-                    })?;
-                    held.insert(step.dst, merged);
-                }
-            }
-            block = held.remove(&id).ok_or(NetError::Protocol {
-                what: "receiver lost its block in merge replay",
-                detail: format!("server {id}, round {h}"),
+        block = absorb_round(job, job_id, id, (h, round), block, &mut log, |q| {
+            let link = peers.children.get_mut(&q).ok_or(NetError::Protocol {
+                what: "no link to plan child",
+                detail: format!("server {id}, child {q}"),
             })?;
-        }
-        if send_round == h {
+            Frame::read_from(link)
+        })?;
+        if round.hops.iter().any(|hop| hop.sender == id) {
             let (payload_desc, body) = block;
-            let frame = Frame::data(
-                MsgType::HopBlock,
-                h as u32,
-                job_id,
-                encode_hop_desc(&log, &payload_desc),
-                body,
-            );
-            let out = match parent_link {
+            let desc = encode_hop_desc(&log, &payload_desc);
+            let frame = Frame::data(MsgType::HopBlock, h as u32, job_id, desc, body);
+            let out = match peers.parent.as_mut() {
                 Some(link) => link,
                 None => coord,
             };
-            send_frame(out, &cfg.counters, &frame)?;
-            return Ok(());
+            return send_frame(out, &node.counters, &frame);
         }
     }
     Err(NetError::Protocol {
         what: "reduction ended without a send",
         detail: format!("server {id}"),
     })
+}
+
+/// One round `h` of a combining-tree reduction at server `id`, on the
+/// coordinator and on every server alike: absorbs the round's child blocks
+/// (read by `read_child`, in plan-hop order), logs one hop record per
+/// absorbed edge (the child's subtree log, then the edge itself), and
+/// replays the round's canonical merges restricted to the blocks held
+/// ([`NetJob::merge_round`]). Merges of disjoint block pairs commute, so
+/// association order — and thus floating point — matches the sequential
+/// reference bit for bit.
+pub(crate) fn absorb_round<L>(
+    job: &dyn NetJob<L>,
+    job_id: u64,
+    id: usize,
+    (h, round): (usize, &RoundPlan),
+    block: Encoded,
+    log: &mut Vec<HopRecord>,
+    mut read_child: impl FnMut(usize) -> Result<Frame, NetError>,
+) -> Result<Encoded, NetError> {
+    let mut children = round
+        .hops
+        .iter()
+        .filter(|hop| hop.receiver == id)
+        .peekable();
+    if children.peek().is_none() {
+        return Ok(block);
+    }
+    let mut held = Held::from([(id, block)]);
+    for q in children.map(|hop| hop.sender) {
+        let frame = read_child(q)?;
+        if frame.msg_type == MsgType::Error {
+            return Err(decode_error_frame(&frame));
+        }
+        if frame.msg_type != MsgType::HopBlock || frame.seq as usize != h || frame.job_id != job_id
+        {
+            return Err(NetError::Protocol {
+                what: "unexpected frame on tree link",
+                detail: format!(
+                    "server {id} from {q}: {:?} seq {} job {} (wanted hop round {h} job {job_id})",
+                    frame.msg_type, frame.seq, frame.job_id
+                ),
+            });
+        }
+        let (child_log, payload_desc) = decode_hop_desc(&frame.desc)?;
+        log.extend(child_log);
+        log.push(HopRecord {
+            round: h as u32,
+            sender: q as u32,
+            words: (frame.body.len() / 8) as u64,
+        });
+        held.insert(q, (payload_desc.to_vec(), frame.body));
+    }
+    job.merge_round(held, &round.merges)?
+        .remove(&id)
+        .ok_or(NetError::Protocol {
+            what: "receiver lost its block in merge replay",
+            detail: format!("server {id}, round {h}"),
+        })
 }

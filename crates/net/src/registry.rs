@@ -20,9 +20,10 @@
 //!   static table of pre-agreed jobs ([`crate::remote`]).
 
 use crate::frame::NetError;
+use dlra_comm::topology::MergeStep;
 use dlra_comm::wire::{decode_value, encode_value, Wire};
 use dlra_util::sync::MutexExt;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -30,6 +31,9 @@ use std::sync::{Arc, Mutex};
 /// Encoded payload: `(descriptor, body)` as produced by
 /// [`dlra_comm::wire::encode_value`].
 pub type Encoded = (Vec<u8>, Vec<u8>);
+
+/// The encoded blocks a server holds during a reduction round, by server.
+pub type Held = BTreeMap<usize, Encoded>;
 
 /// Invariance marker for a job's request/reply types: the job neither
 /// stores nor produces a `Q`/`T`, but its wire behavior is fixed by them.
@@ -64,16 +68,46 @@ pub trait NetJob<L>: Send + Sync {
         })
     }
 
-    /// Merges an encoded source block into an encoded destination block
-    /// (a combining-tree step). Decode → typed merge → re-encode; the
-    /// bit-exact codec makes the result identical to a typed merge.
-    fn merge_blocks(&self, dst: Encoded, src: (&[u8], &[u8])) -> Result<Encoded, NetError> {
-        let _ = (dst, src);
+    /// Replays one round of combining-tree merge steps over the encoded
+    /// blocks a server holds, keyed by server id: every step whose source
+    /// and destination are both held merges the source into the
+    /// destination. Each held block is decoded once and each survivor
+    /// re-encoded once; the bit-exact codec makes the result identical to
+    /// a typed reduction.
+    fn merge_round(&self, held: Held, merges: &[MergeStep]) -> Result<Held, NetError> {
+        let _ = (held, merges);
         Err(NetError::Protocol {
             what: "job does not merge blocks",
             detail: String::new(),
         })
     }
+}
+
+/// Decodes `held`, replays the `merges` whose blocks are both held with the
+/// typed `merge`, and re-encodes the survivors.
+fn replay_merges<T: Wire>(
+    merge: impl Fn(&mut T, T),
+    held: Held,
+    merges: &[MergeStep],
+) -> Result<Held, NetError> {
+    let mut typed = BTreeMap::new();
+    for (q, (desc, body)) in held {
+        typed.insert(q, decode_value::<T>(&desc, &body)?);
+    }
+    for step in merges {
+        if !typed.contains_key(&step.dst) {
+            continue;
+        }
+        if let Some(src) = typed.remove(&step.src) {
+            if let Some(dst) = typed.get_mut(&step.dst) {
+                merge(dst, src);
+            }
+        }
+    }
+    Ok(typed
+        .into_iter()
+        .map(|(q, v)| (q, encode_value(&v)))
+        .collect())
 }
 
 /// Decodes an optional request payload.
@@ -251,11 +285,8 @@ where
         Ok(encode_value(&(self.compute)(t, local)))
     }
 
-    fn merge_blocks(&self, dst: Encoded, src: (&[u8], &[u8])) -> Result<Encoded, NetError> {
-        let mut d = decode_value::<T>(&dst.0, &dst.1)?;
-        let s = decode_value::<T>(src.0, src.1)?;
-        (self.merge)(&mut d, s);
-        Ok(encode_value(&d))
+    fn merge_round(&self, held: Held, merges: &[MergeStep]) -> Result<Held, NetError> {
+        replay_merges::<T>(&self.merge, held, merges)
     }
 }
 
@@ -295,11 +326,8 @@ where
         Ok(encode_value(&(self.compute)(t, local, &q)))
     }
 
-    fn merge_blocks(&self, dst: Encoded, src: (&[u8], &[u8])) -> Result<Encoded, NetError> {
-        let mut d = decode_value::<T>(&dst.0, &dst.1)?;
-        let s = decode_value::<T>(src.0, src.1)?;
-        (self.merge)(&mut d, s);
-        Ok(encode_value(&d))
+    fn merge_round(&self, held: Held, merges: &[MergeStep]) -> Result<Held, NetError> {
+        replay_merges::<T>(&self.merge, held, merges)
     }
 }
 
@@ -371,13 +399,20 @@ mod tests {
             |t: usize, local: &mut Vec<f64>| local[0] + t as f64,
             |acc: &mut f64, r: f64| *acc += r,
         );
-        let mut l0 = vec![0.1];
-        let mut l1 = vec![0.2];
-        let a = NetJob::<Vec<f64>>::make_block(&job, 0, &mut l0, None).unwrap();
-        let b = NetJob::<Vec<f64>>::make_block(&job, 1, &mut l1, None).unwrap();
-        let merged = NetJob::<Vec<f64>>::merge_blocks(&job, a, (&b.0, &b.1)).unwrap();
-        let v = decode_value::<f64>(&merged.0, &merged.1).unwrap();
-        assert_eq!(v.to_bits(), (0.1f64 + (0.2f64 + 1.0)).to_bits());
+        let mut held = Held::new();
+        for (t, x) in [0.1, 0.2, 0.4].into_iter().enumerate() {
+            let block = NetJob::<Vec<f64>>::make_block(&job, t, &mut vec![x], None).unwrap();
+            held.insert(t, block);
+        }
+        // ((0 ← 1) ← 2), then a step whose source is not held: skipped.
+        let steps = [(0, 1), (0, 2), (0, 7)].map(|(dst, src)| MergeStep { dst, src });
+        let merged = NetJob::<Vec<f64>>::merge_round(&job, held, &steps).unwrap();
+        assert_eq!(merged.keys().copied().collect::<Vec<_>>(), vec![0]);
+        let v = decode_value::<f64>(&merged[&0].0, &merged[&0].1).unwrap();
+        assert_eq!(
+            v.to_bits(),
+            ((0.1f64 + (0.2f64 + 1.0)) + (0.4 + 2.0)).to_bits()
+        );
     }
 
     #[test]
@@ -397,7 +432,7 @@ mod tests {
         let mut local = vec![0.0];
         let err = NetJob::<Vec<f64>>::deliver(&job, 0, &mut local, &[], &[]).unwrap_err();
         assert!(matches!(err, NetError::Protocol { .. }));
-        let err = NetJob::<Vec<f64>>::merge_blocks(&job, (vec![], vec![]), (&[], &[])).unwrap_err();
+        let err = NetJob::<Vec<f64>>::merge_round(&job, Held::new(), &[]).unwrap_err();
         assert!(matches!(err, NetError::Protocol { .. }));
     }
 

@@ -11,9 +11,9 @@
 //! process-level integration test does. Full Algorithm 1 runs on the
 //! loopback harness, where typed closures are available.
 
-use crate::cluster::{bootstrap_coordinator, charge_reduce, root_reduce};
+use crate::cluster::{bootstrap_coordinator, charge_reduce, root_reduce, validate_reply};
 use crate::counters::{send_frame, WireCounters};
-use crate::frame::{decode_error_frame, Frame, MsgType, NetError};
+use crate::frame::{Frame, MsgType, NetError};
 use crate::registry::{BroadcastJob, GatherJob, JobResolver, NetJob, QueryServerJob, ReduceJob};
 use dlra_comm::ledger::Direction;
 use dlra_comm::wire::{decode_value, encode_value};
@@ -136,19 +136,7 @@ impl RemoteCoordinator {
 
     fn recv_from(&mut self, t: usize, expected: MsgType, job_id: u64) -> Result<Frame, NetError> {
         let frame = Frame::read_from(&mut self.links[t - 1])?;
-        if frame.msg_type == MsgType::Error {
-            return Err(decode_error_frame(&frame));
-        }
-        if frame.msg_type != expected || frame.job_id != job_id {
-            return Err(NetError::Protocol {
-                what: "unexpected reply frame",
-                detail: format!(
-                    "server {t}: {:?} job {} (wanted {expected:?} job {job_id})",
-                    frame.msg_type, frame.job_id
-                ),
-            });
-        }
-        Ok(frame)
+        validate_reply(t, frame, expected, job_id)
     }
 
     /// [`OP_BROADCAST_SCALE`]: every server (and the coordinator's own
@@ -218,8 +206,8 @@ impl RemoteCoordinator {
             send_frame(&mut self.links[t - 1], &self.counters, &frame)?;
         }
         let own = job.make_block(0, &mut self.local, None)?;
-        let (block, records) = root_reduce(job.as_ref(), job_id, own, &plan, &mut self.links)?;
-        charge_reduce(&self.ledger, &plan, &records, "net.reduce_sum", false)?;
+        let (block, log) = root_reduce(job.as_ref(), job_id, own, &plan, &mut self.links)?;
+        charge_reduce(&self.ledger, &plan, &log, "net.reduce_sum", false)?;
         Ok(decode_value::<f64>(&block.0, &block.1)?)
     }
 

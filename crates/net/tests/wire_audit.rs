@@ -1,7 +1,7 @@
-//! The bytes-on-the-wire audit: for a **full Algorithm 1 query** over real
-//! sockets, every byte the cluster puts on the wire is explained by the
-//! communication ledger — measured bytes are an affine function of charged
-//! ledger words:
+//! The bytes-on-the-wire audit: for a **full Algorithm 1 query** on both
+//! links — real sockets and in-process pipes — every byte the cluster puts
+//! on the wire is explained by the communication ledger; measured bytes
+//! are an affine function of charged ledger words:
 //!
 //! ```text
 //! data_body_bytes  == 8 * (total_words - FRAME_WORDS * messages)
@@ -12,16 +12,18 @@
 //! with zero unexplained bytes, under both the star and the combining-tree
 //! topology. The same run is also checked bit-identical (projection, rows,
 //! boosting score) and ledger-identical to the sequential simulator — the
-//! paper's word counts are what actually crossed the sockets.
+//! paper's word counts are what actually crossed the links. Tearing the
+//! cluster down then sends exactly one counted shutdown frame per server.
 
 use dlra_comm::ledger::FRAME_WORDS;
 use dlra_comm::{Cluster, Collectives, Topology};
 use dlra_core::algorithm1::{run_algorithm1, Algorithm1Config, SamplerKind};
 use dlra_core::functions::EntryFunction;
 use dlra_core::model::PartitionModel;
-use dlra_net::{SocketCluster, WireCounters};
+use dlra_net::{FrameCluster, Link, Pipe, WireCounters};
 use dlra_sampler::ZSamplerParams;
 use dlra_util::Rng;
+use std::net::TcpStream;
 use std::sync::Arc;
 
 fn shares(s: usize, n: usize, d: usize, seed: u64) -> Vec<dlra_linalg::Matrix> {
@@ -30,10 +32,17 @@ fn shares(s: usize, n: usize, d: usize, seed: u64) -> Vec<dlra_linalg::Matrix> {
     dlra_data::split_with_noise_shares(&global, s, 0.3, &mut rng)
 }
 
-/// Runs one full Algorithm 1 query on the socket substrate and audits
-/// every byte against the ledger; returns nothing — panics on any
-/// unexplained byte or any divergence from the sequential reference.
-fn audit_one(s: usize, topology: Topology, cfg: &Algorithm1Config) {
+/// Runs [`audit_one`] on both links.
+fn audit_both(s: usize, topology: Topology, cfg: &Algorithm1Config) {
+    audit_one::<TcpStream>(s, topology, cfg);
+    audit_one::<Pipe>(s, topology, cfg);
+}
+
+/// Runs one full Algorithm 1 query over link `S` and audits every byte
+/// against the ledger; returns nothing — panics on any unexplained byte or
+/// any divergence from the sequential reference.
+fn audit_one<S: Link>(s: usize, topology: Topology, cfg: &Algorithm1Config) {
+    let link = std::any::type_name::<S>();
     let parts = shares(s, 72, 10, cfg.seed);
 
     let mut sequential =
@@ -45,38 +54,41 @@ fn audit_one(s: usize, topology: Topology, cfg: &Algorithm1Config) {
 
     let counters = WireCounters::shared();
     let shared = Arc::clone(&counters);
-    let mut socket =
-        PartitionModel::with_substrate(parts, EntryFunction::Identity, move |locals| {
-            SocketCluster::with_options(locals, topology, shared)
-        })
-        .unwrap();
+    let mut model = PartitionModel::with_substrate(parts, EntryFunction::Identity, move |locals| {
+        FrameCluster::<_, S>::with_options(locals, topology, shared)
+    })
+    .unwrap();
 
-    // Bootstrap traffic (hellos, roster, peer wiring) is control-plane:
-    // not ledger-charged, but still fully counted. Snapshot after
-    // construction so the query delta isolates the protocol itself.
+    // Bootstrap traffic (hellos, roster, peer wiring on sockets; none on
+    // pre-wired pipes) is control-plane: not ledger-charged, but still
+    // fully counted. Snapshot after construction so the query delta
+    // isolates the protocol itself.
     let boot = counters.snapshot();
     assert_eq!(
         boot.data_frames, 0,
         "bootstrap must be pure control traffic"
     );
-    let ledger_before = socket.cluster().comm();
+    let ledger_before = model.cluster().comm();
 
-    let got = run_algorithm1(&mut socket, cfg).unwrap();
+    let got = run_algorithm1(&mut model, cfg).unwrap();
 
     // Bit-identical outputs and identical ledgers vs the simulator.
     assert_eq!(
         got.projection.basis().as_slice(),
         want.projection.basis().as_slice(),
-        "projection diverges at s = {s}, {topology:?}"
+        "projection diverges at s = {s}, {topology:?} on {link}"
     );
-    assert_eq!(got.rows, want.rows, "rows diverge at s = {s}, {topology:?}");
+    assert_eq!(
+        got.rows, want.rows,
+        "rows diverge at s = {s}, {topology:?} on {link}"
+    );
     assert_eq!(got.captured.to_bits(), want.captured.to_bits());
     assert_eq!(
         got.comm, want.comm,
-        "ledgers diverge at s = {s}, {topology:?}"
+        "ledgers diverge at s = {s}, {topology:?} on {link}"
     );
     assert_eq!(
-        socket.cluster().comm().since(&ledger_before),
+        model.cluster().comm().since(&ledger_before),
         want.comm,
         "whole-cluster ledger delta must equal the query's reported comm"
     );
@@ -90,12 +102,12 @@ fn audit_one(s: usize, topology: Topology, cfg: &Algorithm1Config) {
     assert!(wire.data_frames > 0, "the query must move data frames");
     assert_eq!(
         wire.data_frames, comm.messages,
-        "one wire frame per ledger message at s = {s}, {topology:?}"
+        "one wire frame per ledger message at s = {s}, {topology:?} on {link}"
     );
     assert_eq!(
         wire.data_body_bytes,
         8 * (comm.total_words() - FRAME_WORDS * comm.messages),
-        "payload bytes must be exactly 8 × charged payload words at s = {s}, {topology:?}"
+        "payload bytes must be exactly 8 × charged payload words at s = {s}, {topology:?} on {link}"
     );
     assert_eq!(
         wire.data_header_bytes,
@@ -109,8 +121,20 @@ fn audit_one(s: usize, topology: Topology, cfg: &Algorithm1Config) {
     assert_eq!(
         wire.total_bytes(),
         wire.data_header_bytes + wire.data_desc_bytes + wire.data_body_bytes + wire.control_bytes,
-        "unexplained bytes on the wire at s = {s}, {topology:?}"
+        "unexplained bytes on the wire at s = {s}, {topology:?} on {link}"
     );
+
+    // Teardown: one counted 24-byte shutdown frame per server link.
+    let before = counters.snapshot();
+    drop(model);
+    let teardown = counters.snapshot().since(&before);
+    assert_eq!(
+        teardown.control_frames,
+        (s - 1) as u64,
+        "one shutdown frame per server at s = {s} on {link}"
+    );
+    assert_eq!(teardown.control_bytes, 24 * (s - 1) as u64);
+    assert_eq!(teardown.total_bytes(), teardown.control_bytes);
 }
 
 #[test]
@@ -122,7 +146,7 @@ fn algorithm1_wire_bytes_are_affine_in_ledger_words_star() {
         seed: 7,
         ..Default::default()
     };
-    audit_one(4, Topology::Star, &cfg);
+    audit_both(4, Topology::Star, &cfg);
 }
 
 #[test]
@@ -136,7 +160,7 @@ fn algorithm1_wire_bytes_are_affine_in_ledger_words_tree() {
         seed: 11,
         ..Default::default()
     };
-    audit_one(5, Topology::Tree { fanout: 2 }, &cfg);
+    audit_both(5, Topology::Tree { fanout: 2 }, &cfg);
 }
 
 #[test]
@@ -149,6 +173,6 @@ fn uniform_query_audits_clean_too() {
         seed: 3,
         ..Default::default()
     };
-    audit_one(4, Topology::Star, &cfg);
-    audit_one(3, Topology::Tree { fanout: 2 }, &cfg);
+    audit_both(4, Topology::Star, &cfg);
+    audit_both(3, Topology::Tree { fanout: 2 }, &cfg);
 }

@@ -1,15 +1,18 @@
-//! # dlra-runtime — threaded execution substrate + multi-dataset service façade
+//! # dlra-runtime — the multi-dataset service façade over the substrates
 //!
 //! The sequential simulator in `dlra-comm` executes every "distributed"
-//! protocol single-threaded on one core. This crate provides the real
-//! concurrent substrate behind the same [`dlra_comm::Collectives`] surface,
-//! and the serving layers on top of it:
+//! protocol single-threaded on one core; `dlra-net` runs the same
+//! [`dlra_comm::Collectives`] surface on real concurrent servers. This
+//! crate picks a substrate per query and provides the serving layers on
+//! top of it:
 //!
-//! * [`ThreadedCluster`] — each of the `s` servers is a dedicated worker
-//!   thread owning its local state, exchanging typed messages with the
-//!   coordinator over `std::sync::mpsc` channels. Protocol outputs are
-//!   bit-identical to the sequential [`dlra_comm::Cluster`] and the
-//!   word-exact [`dlra_comm::Ledger`] totals match exactly (see
+//! * [`ThreadedCluster`] (re-exported from `dlra-net`) — each of the `s`
+//!   servers is a dedicated thread owning its local state and running the
+//!   `dlra-net` server loop; the coordinator exchanges frames with it over
+//!   in-process pipes. `dlra_net::SocketCluster` runs the same coordinator
+//!   and loop over loopback TCP. Protocol outputs are bit-identical to the
+//!   sequential [`dlra_comm::Cluster`] and the word-exact
+//!   [`dlra_comm::Ledger`] totals match exactly (see
 //!   `tests/runtime_equivalence.rs` at the workspace root).
 //! * [`Service`] — the **multi-dataset front door**: many named resident
 //!   datasets share one executor pool, each with its own residency epoch
@@ -40,9 +43,9 @@
 //!   sharing a [`PlanKey`] (dataset id, `f`, sampler parameters, seed,
 //!   residency epoch) run the expensive, `k`-independent
 //!   `ZSampler::prepare` **once** and draw from the shared `Arc`-backed
-//!   structure concurrently. Server workers pin kernel threading to 1
-//!   (`dlra_linalg::with_threads`), so the substrate's parallelism and the
-//!   kernel pool never compose multiplicatively.
+//!   structure concurrently. Servers split the kernel thread budget
+//!   among themselves (`dlra_linalg::with_threads`), so the substrate's
+//!   parallelism and the kernel pool never compose multiplicatively.
 //! * [`threaded_model`] / [`threaded_gm_pooling`] — one-line constructors
 //!   for a `PartitionModel` on the threaded substrate.
 //!
@@ -72,7 +75,6 @@ pub mod planner;
 pub mod query;
 pub mod runtime;
 pub mod service;
-pub mod threaded;
 
 use dlra_core::functions::EntryFunction;
 use dlra_core::model::{MatrixServer, PartitionModel};
@@ -80,13 +82,13 @@ use dlra_core::Result;
 use dlra_linalg::Matrix;
 
 pub use dlra_comm::Topology;
+pub use dlra_net::ThreadedCluster;
 pub use planner::{PlanCache, PlanCacheStats, PlanKey};
 pub use query::{Query, QueryBuilder, QueryError, QueryRequest};
 pub use runtime::{QueryHandle, Runtime, RuntimeConfig};
 pub use service::{
     DatasetHandle, PlanUse, QueryOutcome, Service, ServiceConfig, ServiceError, Substrate, Ticket,
 };
-pub use threaded::ThreadedCluster;
 
 /// A partition model on the threaded substrate (the parallel counterpart
 /// of `PartitionModel::new`).

@@ -77,7 +77,6 @@
 
 use crate::planner::{PlanCache, PlanCacheStats, PlanKey};
 use crate::query::{Query, QueryError, QueryRequest};
-use crate::threaded::ThreadedCluster;
 use dlra_comm::{LedgerSnapshot, Topology};
 use dlra_core::algorithm1::{
     prepare_z_plan, run_algorithm1_interruptible, run_algorithm1_with_plan_interruptible,
@@ -104,7 +103,8 @@ use std::time::{Duration, Instant};
 pub enum Substrate {
     /// The sequential in-process simulator (`dlra-comm::Cluster`).
     Sequential,
-    /// The threaded message-passing cluster ([`ThreadedCluster`]).
+    /// The threaded message-passing cluster (`dlra-net::ThreadedCluster`):
+    /// one server thread per share, frames over in-process pipes.
     #[default]
     Threaded,
     /// The networked cluster (`dlra-net::SocketCluster`): servers behind
@@ -1628,7 +1628,7 @@ fn execute(
         }
         Substrate::Threaded => {
             let mut model = PartitionModel::with_substrate(parts, request.f, move |locals| {
-                ThreadedCluster::with_topology(locals, topology)
+                dlra_net::ThreadedCluster::with_topology(locals, topology)
             })
             .map_err(map_execution)?;
             execute_on(&mut model, dataset, request, epoch, d, ticket)

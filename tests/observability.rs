@@ -6,7 +6,8 @@
 //!   the prepare/execute *split* legitimately differs — a warm cache pays
 //!   no preparation, an unplanned run has no prepare phase at all).
 //! * Query outputs and per-query ledgers are bit-identical with tracing
-//!   enabled and disabled.
+//!   enabled and disabled, on the threaded and the socket substrate, and
+//!   the trace holds their `comm.<collective>` spans.
 //! * The latency histogram's bucket boundaries are fixed powers of two —
 //!   quantiles are deterministic bucket upper bounds, never interpolated.
 //! * A metrics-disabled service reports `None`; an enabled one exports
@@ -138,23 +139,33 @@ fn total_comm_identical_plan_cache_on_and_off() {
 
 #[test]
 fn tracing_does_not_perturb_results() {
-    let (out_off, snap_off) = run_workload(config(8, true));
-    let path = std::env::temp_dir().join("dlra_obs_test_trace.json");
-    trace::enable(&path);
-    let (out_on, snap_on) = run_workload(config(8, true));
-    trace::disable();
-    for (a, b) in out_off.iter().zip(&out_on) {
-        assert_eq!(a.output.comm, b.output.comm);
-        assert_eq!(a.output.projection, b.output.projection);
-        assert_eq!(a.output.rows, b.output.rows);
-        assert_eq!(a.output.captured.to_bits(), b.output.captured.to_bits());
+    for substrate in [Substrate::Threaded, Substrate::Socket] {
+        let cfg = || ServiceConfig {
+            substrate,
+            ..config(8, true)
+        };
+        let (out_off, snap_off) = run_workload(cfg());
+        let path = std::env::temp_dir().join(format!("dlra_obs_test_trace_{substrate:?}.json"));
+        trace::enable(&path);
+        let (out_on, snap_on) = run_workload(cfg());
+        trace::disable();
+        for (a, b) in out_off.iter().zip(&out_on) {
+            assert_eq!(a.output.comm, b.output.comm);
+            assert_eq!(a.output.projection, b.output.projection);
+            assert_eq!(a.output.rows, b.output.rows);
+            assert_eq!(a.output.captured.to_bits(), b.output.captured.to_bits());
+        }
+        assert_eq!(snap_off.unwrap().comm, snap_on.unwrap().comm);
+        let body = std::fs::read_to_string(&path).expect("trace file written");
+        assert!(body.starts_with("[\n"), "chrome trace-event array header");
+        assert!(body.contains("query.run"), "run spans recorded");
+        assert!(body.contains("plan.lookup"), "plan spans recorded");
+        assert!(
+            body.contains("\"cat\":\"comm."),
+            "collective spans recorded on {substrate:?}"
+        );
+        let _ = std::fs::remove_file(&path);
     }
-    assert_eq!(snap_off.unwrap().comm, snap_on.unwrap().comm);
-    let body = std::fs::read_to_string(&path).expect("trace file written");
-    assert!(body.starts_with("[\n"), "chrome trace-event array header");
-    assert!(body.contains("query.run"), "run spans recorded");
-    assert!(body.contains("plan.lookup"), "plan spans recorded");
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
