@@ -18,7 +18,7 @@
 //!   Hello/Roster/Ready bootstrap that also admits servers running in
 //!   separate processes ([`crate::remote`]);
 //! * [`ThreadedCluster`] — in-process [`Pipe`]s, pre-wired from the
-//!   [`TopologyPlan`] when the cluster is built.
+//!   [`TopologyPlan`] when the cluster is built ([`crate::threaded`]).
 //!
 //! Either way the server loops run on threads of this process and share
 //! the coordinator's [`JobRegistry`], so arbitrary typed closures work,
@@ -46,7 +46,7 @@ use crate::counters::{send_frame, WireCounters, WireStats};
 use crate::frame::{
     decode_error_frame, Frame, HopRecord, MsgType, NetError, Roster, FLAG_HAS_REQUEST,
 };
-use crate::node::{absorb_round, run_node, run_wired, Node, NodeConfig, Peers};
+use crate::node::{absorb_round, run_node, NodeConfig};
 use crate::pipe::Pipe;
 use crate::registry::{
     BroadcastJob, Encoded, GatherJob, JobRegistry, JobResolver, NetJob, QueryJob, QueryReduceJob,
@@ -124,45 +124,8 @@ impl Link for TcpStream {
     }
 }
 
-impl Link for Pipe {
-    /// Links are pre-wired from the plan — one pipe per coordinator link
-    /// and one per tree edge between servers — so no handshake runs.
-    fn start_servers<L: Send + 'static>(
-        states: &[Arc<Mutex<L>>],
-        topology: Topology,
-        registry: &Arc<JobRegistry<L>>,
-        counters: &Arc<WireCounters>,
-    ) -> (Vec<Pipe>, Vec<ServerThread>) {
-        let plan = TopologyPlan::new(topology, states.len());
-        let mut peers: Vec<Peers<Pipe>> = states.iter().map(|_| Peers::default()).collect();
-        for hop in plan.rounds().iter().flat_map(|round| &round.hops) {
-            if hop.receiver != 0 {
-                let (up, down) = Pipe::pair();
-                peers[hop.sender].parent = Some(up);
-                peers[hop.receiver].children.insert(hop.sender, down);
-            }
-        }
-        peers
-            .into_iter()
-            .enumerate()
-            .skip(1)
-            .map(|(t, peers)| {
-                let (link, coord) = Pipe::pair();
-                let node = Node {
-                    id: t,
-                    state: Arc::clone(&states[t]),
-                    resolver: Arc::clone(registry) as Arc<dyn JobResolver<L>>,
-                    counters: Arc::clone(counters),
-                };
-                let plan = plan.clone();
-                let thread = spawn_server(t, move || run_wired(&node, &plan, coord, peers));
-                (link, thread)
-            })
-            .unzip()
-    }
-}
-
-fn spawn_server(
+/// Spawns server `t`'s loop on a named thread of this process.
+pub(crate) fn spawn_server(
     t: usize,
     serve: impl FnOnce() -> Result<(), NetError> + Send + 'static,
 ) -> ServerThread {
@@ -706,11 +669,16 @@ pub(crate) fn charge_reduce(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! Checks generic over the link. Where [`crate::threaded`]'s tests run
+    //! a check on the pipe link, the test here runs it on the socket link;
+    //! the rest run on both links here.
+
     use super::*;
     use dlra_comm::ledger::FRAME_WORDS;
     use dlra_comm::Cluster;
     use std::any::type_name;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
 
     fn locals(s: usize, len: usize) -> Vec<Vec<f64>> {
@@ -752,7 +720,7 @@ mod tests {
 
     /// Runs `protocol` on the sequential reference and on link `S` at every
     /// size in `sizes`, requiring identical bits and ledgers.
-    fn matches_sequential<S: Link>(topology: Topology, sizes: &[usize]) {
+    pub(crate) fn matches_sequential<S: Link>(topology: Topology, sizes: &[usize]) {
         for &s in sizes {
             let mut seq = Cluster::with_topology(locals(s, 4), topology);
             let mut frames = FrameCluster::<_, S>::with_topology(locals(s, 4), topology);
@@ -770,17 +738,65 @@ mod tests {
         }
     }
 
+    /// A gather returns replies in server order and charges one upstream
+    /// message per non-coordinator server in one round.
+    pub(crate) fn gather_charges_like_reference_on<S: Link>() {
+        let mut c = FrameCluster::<_, S>::new(locals(3, 1));
+        let replies = c.gather("g", |t, local: &mut Vec<f64>| local[0] + t as f64);
+        assert_eq!(replies, vec![0.0, 2.0, 4.0]);
+        assert_eq!(c.comm().upstream_words, 2 * (1 + FRAME_WORDS));
+        assert_eq!(c.comm().messages, 2);
+        assert_eq!(c.comm().rounds, 1);
+    }
+
+    /// Local access outside collectives charges no words and sends no
+    /// data frame.
+    pub(crate) fn with_local_mut_is_free_on<S: Link>() {
+        let mut c = FrameCluster::<_, S>::new(locals(2, 1));
+        c.with_local_mut(1, |l| l[0] = 42.0);
+        assert_eq!(c.with_local(1, |l| l[0]), 42.0);
+        assert_eq!(c.comm().total_words(), 0);
+        assert_eq!(c.wire_stats().data_frames, 0, "on {}", type_name::<S>());
+    }
+
+    /// A local state that counts how many times it was dropped.
+    struct Tracked(Arc<AtomicUsize>);
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Dropping a cluster must not hang or panic. Every shutdown frame is
+    /// counted, and every server thread has been joined: no server still
+    /// holds its state once the drop returns.
+    pub(crate) fn drop_shuts_servers_down_on<S: Link>() {
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let states = (0..4).map(|_| Tracked(Arc::clone(&dropped))).collect();
+        let c = FrameCluster::<_, S>::new(states);
+        let counters = Arc::clone(c.counters());
+        let before = counters.snapshot();
+        drop(c);
+        let after = counters.snapshot().since(&before);
+        let link = type_name::<S>();
+        assert_eq!(after.control_frames, 3, "on {link}");
+        assert_eq!(after.control_bytes, 3 * 24);
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            4,
+            "server states outlived the cluster on {link}"
+        );
+    }
+
     #[test]
     fn matches_sequential_cluster_bit_for_bit() {
         matches_sequential::<TcpStream>(Topology::Star, &[1, 2, 4, 8]);
-        matches_sequential::<Pipe>(Topology::Star, &[1, 2, 4, 8]);
     }
 
     #[test]
     fn tree_routing_matches_sequential_tree_bit_for_bit() {
-        let tree = Topology::Tree { fanout: 2 };
-        matches_sequential::<TcpStream>(tree, &[1, 2, 4, 8, 9, 13]);
-        matches_sequential::<Pipe>(tree, &[1, 2, 4, 8, 9, 13]);
+        matches_sequential::<TcpStream>(Topology::Tree { fanout: 2 }, &[1, 2, 4, 8, 9, 13]);
     }
 
     #[test]
@@ -811,16 +827,7 @@ mod tests {
 
     #[test]
     fn gather_charges_like_reference() {
-        fn check<S: Link>() {
-            let mut c = FrameCluster::<_, S>::new(locals(3, 1));
-            let replies = c.gather("g", |t, local: &mut Vec<f64>| local[0] + t as f64);
-            assert_eq!(replies, vec![0.0, 2.0, 4.0]);
-            assert_eq!(c.comm().upstream_words, 2 * (1 + FRAME_WORDS));
-            assert_eq!(c.comm().messages, 2);
-            assert_eq!(c.comm().rounds, 1);
-        }
-        check::<TcpStream>();
-        check::<Pipe>();
+        gather_charges_like_reference_on::<TcpStream>();
     }
 
     #[test]
@@ -861,14 +868,7 @@ mod tests {
 
     #[test]
     fn with_local_mut_is_free() {
-        fn check<S: Link>() {
-            let mut c = FrameCluster::<_, S>::new(locals(2, 1));
-            c.with_local_mut(1, |l| l[0] = 42.0);
-            assert_eq!(c.with_local(1, |l| l[0]), 42.0);
-            assert_eq!(c.comm().total_words(), 0);
-        }
-        check::<TcpStream>();
-        check::<Pipe>();
+        with_local_mut_is_free_on::<TcpStream>();
     }
 
     #[test]
@@ -896,25 +896,12 @@ mod tests {
 
     #[test]
     fn drop_shuts_servers_down_cleanly() {
-        // Must not hang or panic, and every shutdown frame is counted.
-        fn check<S: Link>() {
-            let c = FrameCluster::<_, S>::new(locals(4, 1));
-            let counters = Arc::clone(c.counters());
-            let before = counters.snapshot();
-            drop(c);
-            let after = counters.snapshot().since(&before);
-            assert_eq!(after.control_frames, 3, "on {}", type_name::<S>());
-            assert_eq!(after.control_bytes, 3 * 24);
-        }
-        check::<TcpStream>();
-        check::<Pipe>();
+        drop_shuts_servers_down_on::<TcpStream>();
     }
 
     #[test]
     #[should_panic(expected = "at least one server")]
     fn empty_cluster_rejected() {
-        let socket = std::panic::catch_unwind(|| SocketCluster::<Vec<f64>>::new(vec![]));
-        assert!(socket.is_err(), "the socket link accepted an empty cluster");
-        let _ = ThreadedCluster::<Vec<f64>>::new(vec![]);
+        let _ = SocketCluster::<Vec<f64>>::new(vec![]);
     }
 }

@@ -27,6 +27,8 @@
 //!   [`dlra_comm::Collectives`] with bit-identical results and exact
 //!   ledger parity against the sequential substrate, and emits one
 //!   `comm.<collective>` trace span per collective.
+//! * [`threaded`] — the threaded substrate's link: pipes pre-wired from
+//!   the topology plan, with no handshake.
 //! * [`remote`] — the static op table and coordinator for servers in
 //!   separate processes, where closures cannot travel.
 //!
@@ -44,6 +46,7 @@ pub mod node;
 pub mod pipe;
 pub mod registry;
 pub mod remote;
+pub mod threaded;
 
 pub use cluster::{FrameCluster, Link, SocketCluster, ThreadedCluster};
 pub use counters::{WireCounters, WireStats};
