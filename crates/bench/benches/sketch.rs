@@ -1,8 +1,11 @@
 //! Microbenchmarks for the sketching substrate: CountSketch / AMS update
-//! throughput, merge (the per-server aggregation cost), point queries, and
-//! heavy-hitter recovery.
+//! throughput, merge (the per-server aggregation cost), point queries,
+//! heavy-hitter recovery, and one Z-estimator pass's two sketch scans
+//! (every server's `SketchBundle::absorb`, the coordinator's `recover`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dlra_data::isolet_like;
+use dlra_sampler::{DenseServerVec, SampleVector, SketchBundle, ZSamplerParams};
 use dlra_sketch::{AmsF2, CountSketch, HeavyHittersSketch};
 use dlra_util::Rng;
 use std::hint::black_box;
@@ -90,12 +93,81 @@ fn bench_heavy_hitter_recovery(c: &mut Criterion) {
     group.finish();
 }
 
+/// The repository benchmark's `cold_prepare` sketch shape: the pinned
+/// isolet parameters (`ZSamplerParams::practical(1200·256, 4000)`, written
+/// out so a change to `practical` cannot move this number) over the ten
+/// `isolet_like(1, 50, ·)` shares.
+fn isolet_bundle_inputs() -> (ZSamplerParams, Vec<DenseServerVec>) {
+    let params = ZSamplerParams {
+        eps_class: 0.35,
+        hh_depth: 3,
+        hh_width: 33,
+        groups: 2,
+        reps: 1,
+        b_threshold: 8.25,
+        max_levels: 19,
+        window_lo: 3,
+        window_hi: 96,
+        max_inject_per_class: 64,
+        g_independence: 16,
+        max_draw_tries: 64,
+        max_candidates_per_level: 50,
+    };
+    let shares = isolet_like(1, 50, 20_160_516)
+        .parts
+        .into_iter()
+        .map(|m| DenseServerVec::new(m.as_slice().to_vec()))
+        .collect();
+    (params, shares)
+}
+
+/// One estimator pass's server side: every server sketches its share.
+fn bench_bundle_absorb(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bundle_absorb");
+    group.sample_size(10);
+    let (params, shares) = isolet_bundle_inputs();
+    let dim = shares[0].dim();
+    group.throughput(Throughput::Elements(dim * shares.len() as u64));
+    group.bench_function("isolet_10_servers", |b| {
+        b.iter(|| {
+            for share in &shares {
+                let mut bundle = SketchBundle::new(&params, 17, dim);
+                bundle.absorb(share);
+                black_box(&bundle);
+            }
+        });
+    });
+    group.finish();
+}
+
+/// One estimator pass's coordinator side: the recovery scan over every
+/// coordinate of the merged bundle.
+fn bench_bundle_recover(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bundle_recover");
+    group.sample_size(10);
+    let (params, shares) = isolet_bundle_inputs();
+    let dim = shares[0].dim();
+    let mut merged = SketchBundle::new(&params, 17, dim);
+    for share in &shares {
+        let mut bundle = SketchBundle::new(&params, 17, dim);
+        bundle.absorb(share);
+        merged.merge(&bundle);
+    }
+    group.throughput(Throughput::Elements(dim));
+    group.bench_function("isolet_merged", |b| {
+        b.iter(|| black_box(merged.recover(black_box(dim))));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_countsketch_update,
     bench_countsketch_estimate,
     bench_sketch_merge,
     bench_ams_estimate,
-    bench_heavy_hitter_recovery
+    bench_heavy_hitter_recovery,
+    bench_bundle_absorb,
+    bench_bundle_recover
 );
 criterion_main!(benches);

@@ -9,9 +9,9 @@ use dlra_bench::cli;
 use dlra_bench::repro::render_panel;
 
 fn main() {
-    let (panel, spec, ps) = cli::parse_args();
+    let cli::Args { panel, spec, ps } = cli::args_or_exit("fig2");
     println!("Figure 2 — relative error vs projection dimension\n");
-    for p in cli::panels(&panel, &spec, &ps) {
+    for p in cli::panels(panel, &spec, &ps) {
         println!("{}", render_panel(&p, 2));
     }
 }

@@ -320,7 +320,8 @@ pub enum ServiceError {
     /// [`Service::load`] would overwrite a resident dataset; use
     /// [`Service::reload`] to swap data under an existing name.
     DatasetExists(String),
-    /// The dataset payload is malformed (no servers, mismatched shapes).
+    /// The dataset payload is malformed (no servers, mismatched shapes,
+    /// a NaN or infinite entry).
     InvalidDataset(String),
     /// The ticket's deadline expired before the query executed.
     Deadline,
@@ -1445,6 +1446,17 @@ fn validate_locals(locals: &[Matrix]) -> Result<(usize, usize), ServiceError> {
             "server {t} has shape {:?}, expected ({n}, {d})",
             m.shape()
         )));
+    }
+    // A NaN or ±∞ share entry poisons every sketch and sum it reaches.
+    for (t, m) in locals.iter().enumerate() {
+        if let Some(i) = m.as_slice().iter().position(|x| !x.is_finite()) {
+            return Err(ServiceError::InvalidDataset(format!(
+                "server {t} entry ({}, {}) is {}; entries must be finite",
+                i / d,
+                i % d,
+                m.as_slice()[i]
+            )));
+        }
     }
     Ok((n, d))
 }

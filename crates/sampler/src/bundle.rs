@@ -75,8 +75,8 @@ impl SketchBundle {
         if u <= 0.0 {
             return self.num_levels;
         }
-        let lvl = (-u.log2()).floor();
-        (lvl.max(0.0) as usize).min(self.num_levels)
+        // `u ∈ (0, 1]`, so `-log2 u ≥ 0` and the truncating cast is its floor.
+        ((-u.log2()) as usize).min(self.num_levels)
     }
 
     /// Adds `value` at coordinate `j` into every level it survives to.
@@ -155,8 +155,7 @@ impl SketchBundle {
                     if t <= 0.0 {
                         continue;
                     }
-                    let est = rep.groups[g].estimate(j);
-                    if est * est >= t {
+                    if let Some(est) = rep.groups[g].estimate_if_heavy(j, t) {
                         hit = true;
                         best = best.max(est.abs());
                     }
@@ -521,6 +520,72 @@ mod tests {
         let (desc, body) = encode_value(&b);
         let err = decode_value::<SketchBundle>(&desc, &body[..body.len() - 8]).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. }), "{err:?}");
+    }
+
+    /// The recovery scan probing every row of each group sketch, then
+    /// comparing its median estimate with the threshold.
+    fn full_probe_recover(b: &SketchBundle, dim: u64) -> Vec<Vec<u64>> {
+        let mut scored: Vec<Vec<(f64, u64)>> = vec![Vec::new(); b.num_levels + 1];
+        for j in 0..dim {
+            for (reps, found) in b.levels.iter().zip(&mut scored).take(b.level_of(j) + 1) {
+                let mut best = 0.0f64;
+                let mut hit = false;
+                for rep in reps {
+                    let hh = &rep.groups[rep.group_hash.bucket(j, rep.groups.len())];
+                    let t = 0.5 * hh.f2_estimate() / hh.b();
+                    let est = hh.estimate(j);
+                    if t > 0.0 && est * est >= t {
+                        hit = true;
+                        best = best.max(est.abs());
+                    }
+                }
+                if hit {
+                    found.push((best, j));
+                }
+            }
+        }
+        scored
+            .into_iter()
+            .map(|mut lvl| {
+                if lvl.len() > b.max_candidates_per_level {
+                    lvl.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+                    lvl.truncate(b.max_candidates_per_level);
+                }
+                let mut coords: Vec<u64> = lvl.into_iter().map(|(_, j)| j).collect();
+                coords.sort_unstable();
+                coords
+            })
+            .collect()
+    }
+
+    #[test]
+    fn recover_matches_full_probe_reference() {
+        let dim = 3000u64;
+        for (case, depth) in (1..=5).enumerate() {
+            for cap in [6, 512] {
+                let p = ZSamplerParams {
+                    hh_depth: depth,
+                    hh_width: 24,
+                    max_candidates_per_level: cap,
+                    ..small_params()
+                };
+                let mut rng = Rng::new(100 + case as u64);
+                let v: Vec<f64> = (0..dim)
+                    .map(|_| match rng.index(40) {
+                        0 => rng.gaussian() * 20.0,
+                        1..=3 => rng.gaussian(),
+                        _ => 0.0,
+                    })
+                    .collect();
+                let mut b = SketchBundle::new(&p, 7 + case as u64, dim);
+                b.absorb(&DenseServerVec::new(v));
+                let got = b.recover(dim);
+                // Some candidates, and the small cap binds.
+                assert!(got.iter().map(Vec::len).sum::<usize>() > 0);
+                assert!(cap > 6 || got.iter().any(|l| l.len() == cap));
+                assert_eq!(got, full_probe_recover(&b, dim), "depth {depth} cap {cap}");
+            }
+        }
     }
 
     #[test]

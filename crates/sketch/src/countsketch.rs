@@ -8,6 +8,10 @@
 
 use crate::hashing::KWiseHash;
 
+/// Rows a point query keeps on the stack; deeper sketches use a heap
+/// buffer.
+const STACK_ROWS: usize = 8;
+
 /// A seeded CountSketch over `u64`-indexed coordinates.
 ///
 /// ```
@@ -95,15 +99,65 @@ impl CountSketch {
         }
     }
 
+    /// Row `r`'s signed counter for coordinate `j`: `σᵣ(j) · table[r][hᵣ(j)]`.
+    #[inline]
+    fn row_value(&self, r: usize, j: u64) -> f64 {
+        let b = self.bucket_hash[r].bucket(j, self.width);
+        self.sign_hash[r].sign(j) * self.table[r * self.width + b]
+    }
+
+    /// Runs `f` on a `depth`-long scratch slice, kept on the stack for
+    /// sketches up to [`STACK_ROWS`] deep so a point query allocates
+    /// nothing.
+    #[inline]
+    fn with_rows<R>(&self, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        let mut stack = [0.0; STACK_ROWS];
+        let mut heap = Vec::new();
+        let rows = if self.depth <= STACK_ROWS {
+            &mut stack[..self.depth]
+        } else {
+            heap.resize(self.depth, 0.0);
+            &mut heap[..]
+        };
+        f(rows)
+    }
+
     /// Point query: median over rows of `σᵣ(j) · table[r][hᵣ(j)]`.
     pub fn estimate(&self, j: u64) -> f64 {
-        let mut vals: Vec<f64> = (0..self.depth)
-            .map(|r| {
-                let b = self.bucket_hash[r].bucket(j, self.width);
-                self.sign_hash[r].sign(j) * self.table[r * self.width + b]
-            })
-            .collect();
-        median_in_place(&mut vals)
+        self.with_rows(|vals| {
+            for (r, v) in vals.iter_mut().enumerate() {
+                *v = self.row_value(r, j);
+            }
+            median_in_place(vals)
+        })
+    }
+
+    /// The heavy test of heavy-hitter recovery: `Some(est)` when the point
+    /// estimate `est = estimate(j)` satisfies `est * est >= t`, `None`
+    /// otherwise — the same answer, bit for bit, as calling
+    /// [`estimate`](Self::estimate) and comparing.
+    ///
+    /// Rows are probed in order, and probing stops once more than half of
+    /// them have `v * v < t`: the median is then one such row, or the mean
+    /// of two (rounding is monotone, so that mean is no larger in magnitude
+    /// than the larger of the two), so `est * est < t` as well. A
+    /// coordinate far below the threshold — almost every coordinate of a
+    /// recovery scan — skips the remaining rows' hashes.
+    pub fn estimate_if_heavy(&self, j: u64, t: f64) -> Option<f64> {
+        self.with_rows(|vals| {
+            let mut light = 0;
+            for (r, v) in vals.iter_mut().enumerate() {
+                *v = self.row_value(r, j);
+                if *v * *v < t {
+                    light += 1;
+                    if 2 * light > self.depth {
+                        return None;
+                    }
+                }
+            }
+            let est = median_in_place(vals);
+            (est * est >= t).then_some(est)
+        })
     }
 
     /// AMS-style second-moment estimate: median over rows of the row's
@@ -156,9 +210,14 @@ impl CountSketch {
 }
 
 /// Median of a scratch vector (averaging the middle pair for even length).
+/// NaN sorts after every number; numbers keep their usual order, equal
+/// ones (`-0.0` and `0.0`) in input order.
 pub(crate) fn median_in_place(vals: &mut [f64]) -> f64 {
     assert!(!vals.is_empty());
-    vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    vals.sort_by(|a, b| {
+        a.partial_cmp(b)
+            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+    });
     let n = vals.len();
     if n % 2 == 1 {
         vals[n / 2]
@@ -277,5 +336,73 @@ mod tests {
         assert_eq!(median_in_place(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median_in_place(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median_in_place(&mut [5.0]), 5.0);
+    }
+
+    #[test]
+    fn median_sorts_nan_last_and_keeps_zero_ties_stable() {
+        assert_eq!(median_in_place(&mut [f64::NAN, 1.0, 2.0]), 2.0);
+        assert_eq!(median_in_place(&mut [3.0, f64::NAN, -1.0]), 3.0);
+        assert!(median_in_place(&mut [f64::NAN, f64::NAN, 1.0]).is_nan());
+        // Equal values keep input order, so the median here is the second
+        // zero of the input, sign included.
+        let neg = median_in_place(&mut [0.0, -0.0, 1.0]);
+        let pos = median_in_place(&mut [-0.0, 0.0, 1.0]);
+        assert!(neg.is_sign_negative() && pos.is_sign_positive());
+    }
+
+    #[test]
+    fn nan_table_queries_without_panicking() {
+        let mut cs = CountSketch::new(5, 16, 3);
+        cs.update(4, 2.0);
+        let mut table = cs.table().to_vec();
+        table[0] = f64::NAN;
+        table[16 + 3] = f64::NAN;
+        assert!(cs.load_table(&table));
+        for j in 0..64 {
+            let est = cs.estimate(j);
+            let heavy = cs.estimate_if_heavy(j, 1.0);
+            assert_eq!(
+                heavy.map(f64::to_bits),
+                (est * est >= 1.0).then_some(est.to_bits())
+            );
+        }
+        // Two NaN rows of five: the median row sum is a finite one.
+        assert!(cs.f2_estimate().is_finite());
+    }
+
+    /// `estimate_if_heavy` is `estimate` plus `est * est >= t`, bit for bit.
+    fn assert_heavy_test_exact(cs: &CountSketch, j: u64, t: f64) {
+        let est = cs.estimate(j);
+        let want = (est * est >= t).then_some(est.to_bits());
+        let got = cs.estimate_if_heavy(j, t).map(f64::to_bits);
+        assert_eq!(got, want, "depth {} j {j} t {t}", cs.depth());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Depths 1–9 cover odd and even medians and sketches deeper than
+        /// the stack buffer; thresholds cover negative, zero, an exact tie
+        /// with a row's and the median's square, and random values.
+        #[test]
+        fn estimate_if_heavy_matches_estimate(seed in 0u64..u64::MAX, width in 1usize..24, t in 0.0f64..40.0) {
+            let mut rng = Rng::new(seed);
+            for depth in 1..=9 {
+                let mut cs = CountSketch::new(depth, width, seed ^ depth as u64);
+                for j in 0..64u64 {
+                    // Sparse integer values keep exact ties (and zeros) common.
+                    if rng.bernoulli(0.4) {
+                        cs.update(j, (rng.index(9) as f64 - 4.0) * 0.5);
+                    }
+                }
+                for j in 0..96u64 {
+                    let est = cs.estimate(j);
+                    let row0 = cs.row_value(0, j);
+                    for thr in [-1.0, 0.0, est * est, row0 * row0, t, f64::NAN] {
+                        assert_heavy_test_exact(&cs, j, thr);
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,18 +1,45 @@
 //! k-wise independent hashing by polynomial evaluation over GF(p),
-//! p = 2⁶¹ − 1 (a Mersenne prime, so reduction is two adds and a shift).
+//! p = 2⁶¹ − 1 (a Mersenne prime, so reduction is an add, a mask and a
+//! shift: `2⁶¹ ≡ 1`).
 //!
 //! The paper's algorithms need pairwise-independent bucket hashes
 //! (Algorithms 2 and 3) and an `O(C·log(ε⁻¹l))`-wise independent hash `g`
 //! for the min-wise coordinate selection of Algorithm 4. A degree-(k−1)
 //! polynomial with uniformly random coefficients evaluated over a prime
 //! field is the textbook construction for exactly k-wise independence.
+//!
+//! # One reduction per Horner step, and why it is exact
+//!
+//! A hash value is the canonical residue of `poly(x)` in `[0, p)`, and every
+//! sketch table, recovered candidate and wire word downstream depends on it
+//! bit for bit. Any evaluation whose intermediates stay congruent mod p to
+//! the textbook Horner (`x % p`, then `acc = (acc·x mod p + c) mod p` from
+//! `acc = 0`) and that ends with a canonical reduction returns the same
+//! value, since the canonical residue is unique. [`KWiseHash::hash`]
+//! evaluates that way with one cheap fold per step:
+//!
+//! * the input is folded to its canonical residue by `reduce128` (the
+//!   same value as `x % p`, without a multiply-by-reciprocal);
+//! * the accumulator starts at the leading coefficient, which is what the
+//!   textbook's first step `0·x + c` reduces to;
+//! * each step keeps `acc ≤ 2⁶¹ + 1`: with `x < p` and `c < p`, one
+//!   64×64-bit multiply of `acc` by `8x < 2⁶⁴` yields `⌊acc·x / 2⁶¹⌋ ≤ 2⁶¹`
+//!   as its high word and `8·(acc·x mod 2⁶¹)` as its low word, so
+//!   `y = ⌊acc·x / 2⁶¹⌋ + (acc·x mod 2⁶¹) + c < 3·2⁶¹` fits a `u64` and is
+//!   `≡ acc·x + c` (as `2⁶¹ ≡ 1`); folding `y` once more,
+//!   `(y mod 2⁶¹) + ⌊y / 2⁶¹⌋ ≤ 2⁶¹ + 1`, restores the bound;
+//! * a final conditional subtract maps `[0, 2⁶¹ + 1]` onto `[0, p)`.
+//!
+//! The textbook step reduces twice, each time fully (two folds and a
+//! compare), on a serial chain whose latency bounds the sketch scans.
 
 use dlra_util::Rng;
 
 /// The Mersenne prime 2⁶¹ − 1.
 pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
 
-/// Reduces a 128-bit value modulo 2⁶¹ − 1.
+/// Reduces a 128-bit value modulo 2⁶¹ − 1 to its canonical residue in
+/// `[0, 2⁶¹ − 1)`.
 #[inline]
 fn reduce128(x: u128) -> u64 {
     const P: u128 = MERSENNE_P as u128;
@@ -24,19 +51,6 @@ fn reduce128(x: u128) -> u64 {
         r -= MERSENNE_P;
     }
     r
-}
-
-/// `(a * b) mod (2⁶¹ − 1)`.
-#[inline]
-fn mulmod(a: u64, b: u64) -> u64 {
-    reduce128(a as u128 * b as u128)
-}
-
-/// `(a + b) mod (2⁶¹ − 1)`.
-#[inline]
-fn addmod(a: u64, b: u64) -> u64 {
-    let s = a as u128 + b as u128;
-    reduce128(s)
 }
 
 /// A hash function drawn from a k-wise independent family, mapping
@@ -81,15 +95,25 @@ impl KWiseHash {
         self.coeffs.len()
     }
 
-    /// Raw hash value in `[0, 2⁶¹ − 1)` (Horner evaluation).
+    /// Raw hash value in `[0, 2⁶¹ − 1)` (Horner evaluation with one fold
+    /// per step; the module docs show why the value is the textbook one).
     #[inline]
     pub fn hash(&self, x: u64) -> u64 {
-        let x = x % MERSENNE_P;
-        let mut acc = 0u64;
-        for &c in self.coeffs.iter().rev() {
-            acc = addmod(mulmod(acc, x), c);
+        let x8 = u128::from(reduce128(u128::from(x)) << 3);
+        let (&lead, rest) = self
+            .coeffs
+            .split_last()
+            .expect("KWiseHash::new guarantees independence >= 1");
+        let acc = rest.iter().rev().fold(lead, |acc, &c| {
+            let v = u128::from(acc) * x8;
+            let y = (v >> 64) as u64 + ((v as u64) >> 3) + c;
+            (y & MERSENNE_P) + (y >> 61)
+        });
+        if acc >= MERSENNE_P {
+            acc - MERSENNE_P
+        } else {
+            acc
         }
-        acc
     }
 
     /// Hash mapped to a bucket in `[0, m)`.
@@ -102,11 +126,8 @@ impl KWiseHash {
     /// Rademacher sign `±1` derived from the hash's low bit.
     #[inline]
     pub fn sign(&self, x: u64) -> f64 {
-        if self.hash(x) & 1 == 0 {
-            1.0
-        } else {
-            -1.0
-        }
+        // The low bit becomes the sign bit of 1.0: no branch to mispredict.
+        f64::from_bits(1f64.to_bits() | (self.hash(x) & 1) << 63)
     }
 
     /// Hash mapped to a float in `[0, 1)` (used for subsampling levels).
@@ -142,6 +163,70 @@ impl PairwiseHash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `(a * b) mod (2⁶¹ − 1)`.
+    fn mulmod(a: u64, b: u64) -> u64 {
+        reduce128(a as u128 * b as u128)
+    }
+
+    /// `(a + b) mod (2⁶¹ − 1)`.
+    fn addmod(a: u64, b: u64) -> u64 {
+        reduce128(a as u128 + b as u128)
+    }
+
+    /// The original evaluation: `x % p`, then Horner from a zero
+    /// accumulator with a multiply-reduce and an add-reduce per step.
+    fn reference_hash(h: &KWiseHash, x: u64) -> u64 {
+        let x = x % MERSENNE_P;
+        let mut acc = 0u64;
+        for &c in h.coeffs.iter().rev() {
+            acc = addmod(mulmod(acc, x), c);
+        }
+        acc
+    }
+
+    const EDGE_INPUTS: [u64; 6] = [
+        0,
+        MERSENNE_P - 1,
+        MERSENNE_P,
+        MERSENNE_P + 1,
+        2 * MERSENNE_P,
+        u64::MAX,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-fold Horner is the reference evaluation bit for bit, at
+        /// the reduction edges and at random inputs, for every independence
+        /// the sketches use.
+        #[test]
+        fn hash_matches_reference_horner(seed in 0u64..u64::MAX, x in 0u64..u64::MAX) {
+            let mut rng = Rng::new(x);
+            let random: Vec<u64> = (0..256).map(|_| rng.next_u64()).collect();
+            for k in [1usize, 2, 4, 16] {
+                let h = KWiseHash::from_seed(k, seed);
+                for &input in EDGE_INPUTS.iter().chain(&[x, x >> 3]).chain(&random) {
+                    prop_assert_eq!(h.hash(input), reference_hash(&h, input), "k {} x {}", k, input);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hash_matches_reference_at_extreme_coefficients() {
+        // Coefficients of p − 1 maximise acc·x + c, the sum the single fold
+        // must not overflow.
+        for k in [1usize, 2, 4, 16] {
+            for c in [0, 1, MERSENNE_P - 1] {
+                let h = KWiseHash { coeffs: vec![c; k] };
+                for x in EDGE_INPUTS {
+                    assert_eq!(h.hash(x), reference_hash(&h, x), "k {k} c {c} x {x}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn mersenne_arithmetic() {

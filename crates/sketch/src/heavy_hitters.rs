@@ -104,6 +104,12 @@ impl HeavyHittersSketch {
         self.cs.estimate(j)
     }
 
+    /// `Some(est)` when the point estimate of `j` clears `est² ≥ t`
+    /// (see [`CountSketch::estimate_if_heavy`]).
+    pub fn estimate_if_heavy(&self, j: u64, t: f64) -> Option<f64> {
+        self.cs.estimate_if_heavy(j, t)
+    }
+
     /// The sketch's own `F₂` estimate.
     pub fn f2_estimate(&self) -> f64 {
         self.cs.f2_estimate()
@@ -122,12 +128,8 @@ impl HeavyHittersSketch {
         let threshold = 0.5 * f2 / self.b;
         let mut out = Vec::new();
         for j in candidates {
-            let est = self.cs.estimate(j);
-            if est * est >= threshold {
-                out.push(HeavyHitter {
-                    index: j,
-                    estimate: est,
-                });
+            if let Some(estimate) = self.cs.estimate_if_heavy(j, threshold) {
+                out.push(HeavyHitter { index: j, estimate });
             }
         }
         out

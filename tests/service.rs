@@ -677,6 +677,48 @@ fn cancel_after_timeout_resolves_to_exactly_one_terminal_state() {
     }
 }
 
+/// A NaN or infinite share entry is a typed `InvalidDataset` naming the
+/// server and the entry, at load and at reload, instead of a panic inside a
+/// sketch that kills the executor; a rejected reload leaves the previous
+/// epoch serving.
+#[test]
+fn non_finite_entries_are_rejected_at_load_and_reload() {
+    let service = Service::new(service_config(1));
+    let mut poisoned = shares(3, 40, 6, 2, 15);
+    poisoned[1][(7, 2)] = f64::NAN;
+    match service.load("nan", poisoned).err() {
+        Some(ServiceError::InvalidDataset(m)) => {
+            assert!(m.contains("server 1") && m.contains("(7, 2)"), "{m}")
+        }
+        other => panic!("NaN entry accepted: {:?}", other.map(|e| e.to_string())),
+    }
+    assert!(service.dataset("nan").is_none());
+
+    let handle = service.load("d", shares(3, 40, 6, 2, 16)).unwrap();
+    let query = z_query(2, 20, 5);
+    let before = submit_admitted(&handle, &query).wait().unwrap();
+    let mut infinite = shares(3, 40, 6, 2, 17);
+    infinite[2][(0, 5)] = f64::NEG_INFINITY;
+    match service.reload("d", infinite) {
+        Err(ServiceError::InvalidDataset(m)) => {
+            assert!(m.contains("server 2") && m.contains("(0, 5)"), "{m}")
+        }
+        other => panic!("infinite entry accepted: {other:?}"),
+    }
+    assert_eq!(
+        handle.epoch(),
+        0,
+        "a rejected reload must not bump the epoch"
+    );
+    let after = submit_admitted(&handle, &query).wait().unwrap();
+    assert_eq!(
+        after.output.projection.basis().as_slice(),
+        before.output.projection.basis().as_slice(),
+        "the old data must keep serving"
+    );
+    assert_eq!(after.output.rows, before.output.rows);
+}
+
 #[test]
 fn shutdown_and_dataset_registry_errors_are_typed() {
     let mut service = Service::new(service_config(1));
