@@ -284,7 +284,8 @@ pub fn build_edges(files: &[&SourceFile]) -> (Vec<EdgeWitness>, Vec<Diagnostic>)
     (list, out)
 }
 
-/// [`Edge`] plus the witness snippet for rendering.
+/// A lock-order edge `from → to` (held `from` while acquiring `to`) plus
+/// the witness location and snippet for rendering.
 #[derive(Debug, Clone)]
 pub struct EdgeWitness {
     pub from: String,

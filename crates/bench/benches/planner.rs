@@ -1,13 +1,13 @@
-//! Criterion benchmarks of the query planner: `Runtime::submit_batch`
-//! with the plan cache on vs off, B ∈ {1, 4, 16} queries sharing one `f`
-//! over a resident 1024×16 dataset. The batched path pays one
-//! `ZSampler::prepare` per batch; the unbatched path pays B.
+//! Criterion benchmarks of the query planner: B ∈ {1, 4, 16} queries
+//! sharing one `f`, submitted back to back to a one-dataset `Service` with
+//! the plan cache on vs off, over a resident 1024×16 dataset. The batched
+//! path pays one `ZSampler::prepare` per batch; the unbatched path pays B.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlra_core::prelude::*;
 use dlra_data::{noisy_low_rank, split_with_noise_shares};
 use dlra_linalg::Matrix;
-use dlra_runtime::{QueryRequest, Runtime, RuntimeConfig, Substrate};
+use dlra_runtime::{DatasetHandle, Query, Service, ServiceConfig, Substrate};
 use dlra_sampler::ZSamplerParams;
 use dlra_util::Rng;
 use std::hint::black_box;
@@ -21,18 +21,39 @@ fn shares(s: usize) -> Vec<Matrix> {
     split_with_noise_shares(&a, s, 0.3, &mut rng)
 }
 
-fn requests(b: usize) -> Vec<QueryRequest> {
+fn queries(b: usize) -> Vec<Query> {
     (0..b)
         .map(|i| {
-            QueryRequest::identity(Algorithm1Config {
-                k: 1 + i % 4,
-                r: 40,
-                sampler: SamplerKind::Z(ZSamplerParams::default()),
-                seed: 71,
-                ..Default::default()
-            })
+            Query::rank(1 + i % 4)
+                .samples(40)
+                .sampler(SamplerKind::Z(ZSamplerParams::default()))
+                .seed(71)
+                .build()
+                .unwrap()
         })
         .collect()
+}
+
+/// A one-dataset service holding `parts` on the threaded substrate.
+fn resident(parts: &[Matrix], executors: usize, plan_cache: usize) -> (Service, DatasetHandle) {
+    let service = Service::new(ServiceConfig {
+        executors,
+        substrate: Substrate::Threaded,
+        plan_cache,
+        metrics: true,
+        ..Default::default()
+    });
+    let dataset = service.load("resident", parts.to_vec()).unwrap();
+    (service, dataset)
+}
+
+/// Submits the whole batch, then sums the boosting scores as they resolve.
+fn serve(dataset: &DatasetHandle, batch: &[Query]) -> f64 {
+    let tickets: Vec<_> = batch.iter().map(|q| dataset.submit(q)).collect();
+    tickets
+        .into_iter()
+        .map(|t| t.wait().unwrap().output.captured)
+        .sum()
 }
 
 fn bench_batch_submit(c: &mut Criterion) {
@@ -40,49 +61,15 @@ fn bench_batch_submit(c: &mut Criterion) {
     group.sample_size(10);
     let parts = shares(4);
     for &b in &[1usize, 4, 16] {
-        let batch = requests(b);
-        group.bench_with_input(BenchmarkId::new("batched", b), &b, |bench, _| {
-            bench.iter(|| {
-                let runtime = Runtime::new(
-                    parts.clone(),
-                    RuntimeConfig {
-                        executors: 4,
-                        substrate: Substrate::Threaded,
-                        plan_cache: 16,
-                        metrics: true,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let handles = runtime.submit_batch(batch.clone());
-                let captured: f64 = handles
-                    .into_iter()
-                    .map(|h| h.wait().unwrap().captured)
-                    .sum();
-                black_box(captured)
+        let batch = queries(b);
+        for (mode, plan_cache) in [("batched", 16), ("unbatched", 0)] {
+            group.bench_with_input(BenchmarkId::new(mode, b), &b, |bench, _| {
+                bench.iter(|| {
+                    let (_service, dataset) = resident(&parts, 4, plan_cache);
+                    black_box(serve(&dataset, &batch))
+                });
             });
-        });
-        group.bench_with_input(BenchmarkId::new("unbatched", b), &b, |bench, _| {
-            bench.iter(|| {
-                let runtime = Runtime::new(
-                    parts.clone(),
-                    RuntimeConfig {
-                        executors: 4,
-                        substrate: Substrate::Threaded,
-                        plan_cache: 0,
-                        metrics: true,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let handles: Vec<_> = batch.iter().map(|q| runtime.submit(q.clone())).collect();
-                let captured: f64 = handles
-                    .into_iter()
-                    .map(|h| h.wait().unwrap().captured)
-                    .sum();
-                black_box(captured)
-            });
-        });
+        }
     }
     group.finish();
 }
@@ -93,23 +80,12 @@ fn bench_batch_submit(c: &mut Criterion) {
 fn bench_warm_cache_submit(c: &mut Criterion) {
     let mut group = c.benchmark_group("planner_warm_submit_1024x16");
     group.sample_size(10);
-    let parts = shares(4);
-    let request = &requests(1)[0];
-    let runtime = Runtime::new(
-        parts,
-        RuntimeConfig {
-            executors: 1,
-            substrate: Substrate::Threaded,
-            plan_cache: 16,
-            metrics: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let query = &queries(1)[0];
+    let (_service, dataset) = resident(&shares(4), 1, 16);
     // Warm the cache.
-    runtime.submit(request.clone()).wait().unwrap();
+    dataset.submit(query).wait().unwrap();
     group.bench_function("warm", |bench| {
-        bench.iter(|| black_box(runtime.submit(request.clone()).wait().unwrap().captured));
+        bench.iter(|| black_box(dataset.submit(query).wait().unwrap().output.captured));
     });
     group.finish();
 }

@@ -7,10 +7,7 @@ use dlra_comm::{Cluster, Collectives};
 use dlra_core::prelude::*;
 use dlra_data::{noisy_low_rank, split_with_noise_shares};
 use dlra_linalg::Matrix;
-use dlra_runtime::{
-    threaded_model, Query, QueryRequest, Runtime, RuntimeConfig, Service, ServiceConfig, Substrate,
-    ThreadedCluster,
-};
+use dlra_runtime::{threaded_model, Query, Service, ServiceConfig, Substrate, ThreadedCluster};
 use dlra_sampler::ZSamplerParams;
 use dlra_util::Rng;
 use std::hint::black_box;
@@ -131,23 +128,29 @@ fn bench_algorithm1_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
+/// The smallest query that runs the protocol: rank 1, one uniformly
+/// sampled row.
+fn tiny_query() -> Query {
+    Query::rank(1)
+        .samples(1)
+        .sampler(SamplerKind::Uniform)
+        .seed(3)
+        .build()
+        .expect("valid query")
+}
+
 /// Query-dispatch latency across resident dataset sizes `n`.
 ///
-/// Measures submit → result delivery for a degenerate query (`k = 0`):
-/// the executor builds the full per-query model from the resident payload
-/// and then rejects the config before any protocol work, isolating the
-/// dispatch overhead. With copy-on-write residency the per-query model is
-/// built from O(s) handle clones, so this is **flat in `n`**; before, it
+/// Measures submit → result delivery for a rank-1, one-sample uniform
+/// query: the executor builds the full per-query model from the resident
+/// payload and then does a minimal protocol run, so the time is dominated
+/// by dispatch. With copy-on-write residency the per-query model is built
+/// from O(s) handle clones, so dispatch is **flat in `n`**; before, it
 /// deep-copied all `s·n·d` resident words per submit.
 fn bench_dispatch_latency(c: &mut Criterion) {
     let mut group = c.benchmark_group("runtime_dispatch_latency");
     group.sample_size(10);
-    let degenerate = Algorithm1Config {
-        k: 0,
-        r: 1,
-        sampler: SamplerKind::Uniform,
-        ..Default::default()
-    };
+    let tiny = tiny_query();
     for &n in &[1024usize, 8192, 65536] {
         let mut rng = Rng::new(29);
         let a = noisy_low_rank(n, D, 5, 0.1, &mut rng);
@@ -156,20 +159,14 @@ fn bench_dispatch_latency(c: &mut Criterion) {
             ("sequential", Substrate::Sequential),
             ("threaded", Substrate::Threaded),
         ] {
-            let runtime = Runtime::new(
-                parts.clone(),
-                RuntimeConfig {
-                    executors: 1,
-                    substrate,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let service = Service::new(ServiceConfig {
+                executors: 1,
+                substrate,
+                ..Default::default()
+            });
+            let dataset = service.load("resident", parts.clone()).unwrap();
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-                b.iter(|| {
-                    let handle = runtime.submit(QueryRequest::identity(degenerate.clone()));
-                    black_box(handle.wait().is_err())
-                });
+                b.iter(|| black_box(dataset.submit(&tiny).wait().is_ok()));
             });
         }
     }
@@ -183,12 +180,7 @@ fn bench_dispatch_latency(c: &mut Criterion) {
 fn bench_service_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_dispatch_latency");
     group.sample_size(10);
-    let tiny = Query::rank(1)
-        .samples(1)
-        .sampler(SamplerKind::Uniform)
-        .seed(3)
-        .build()
-        .expect("valid query");
+    let tiny = tiny_query();
     for &datasets in &[1usize, 4, 16] {
         let service = Service::new(ServiceConfig {
             executors: 1,

@@ -3,7 +3,10 @@
 //! panel and communication-ratio budget.
 //!
 //! Usage mirrors `fig1`:
-//!   cargo run --release -p dlra-bench --bin fig2 -- [--panel <name>] [--quick] ...
+//!
+//! ```text
+//! cargo run --release -p dlra-bench --bin fig2 -- [--panel <name>] [--quick] ...
+//! ```
 
 use dlra_bench::cli;
 use dlra_bench::repro::render_panel;

@@ -72,7 +72,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(Args { panel, spec, ps })
 }
 
-/// [`parse_args`] over the process arguments; on an error, prints it and
+/// `parse_args` over the process arguments; on an error, prints it and
 /// the usage to stderr and exits with status 2.
 pub fn args_or_exit(bin: &str) -> Args {
     parse_args(std::env::args().skip(1)).unwrap_or_else(|err| {

@@ -2,17 +2,18 @@
 //! resident dataset, measuring wall time and ledger words for B queries
 //! sharing one `f`. Emits the machine-readable `BENCH_planner.json`.
 //!
-//! The batched path goes through `Runtime::submit_batch` with the plan
-//! cache enabled: one `ZSampler::prepare` per distinct plan key, B
-//! draw/fetch phases. The unbatched path disables the cache, so every
-//! query re-prepares — exactly what `Runtime::submit` did before the
-//! planner existed. Outputs are bit-identical either way (asserted into
-//! the report), so the comparison isolates pure planning benefit.
+//! Both paths submit the B queries back to back to a one-dataset
+//! `Service`. The batched path has the plan cache enabled: one
+//! `ZSampler::prepare` per distinct plan key, B draw/fetch phases. The
+//! unbatched path disables the cache, so every query re-prepares — exactly
+//! what a submission did before the planner existed. Outputs are
+//! bit-identical either way (asserted into the report), so the comparison
+//! isolates pure planning benefit.
 
 use dlra_core::prelude::*;
 use dlra_data::{noisy_low_rank, split_with_noise_shares};
 use dlra_linalg::Matrix;
-use dlra_runtime::{QueryRequest, Runtime, RuntimeConfig, Substrate};
+use dlra_runtime::{DatasetHandle, Query, QueryOutcome, Service, ServiceConfig, Substrate};
 use dlra_sampler::ZSamplerParams;
 use dlra_util::Rng;
 use std::time::Instant;
@@ -68,16 +69,15 @@ impl PlannerBenchSpec {
     /// The B queries of one batch: same `f` (identity), same seed and
     /// sampler parameters (one plan key), ranks cycling 1..=4 — the
     /// many-`k` sweep the fig1/fig2 harness runs sequentially.
-    fn requests(&self) -> Vec<QueryRequest> {
+    fn queries(&self) -> Vec<Query> {
         (0..self.batch_max())
             .map(|i| {
-                QueryRequest::identity(Algorithm1Config {
-                    k: 1 + i % 4.min(self.d),
-                    r: self.r,
-                    sampler: SamplerKind::Z(ZSamplerParams::default()),
-                    seed: self.seed ^ 0x51,
-                    ..Default::default()
-                })
+                Query::rank(1 + i % 4.min(self.d))
+                    .samples(self.r)
+                    .sampler(SamplerKind::Z(ZSamplerParams::default()))
+                    .seed(self.seed ^ 0x51)
+                    .build()
+                    .expect("bench query is valid")
             })
             .collect()
     }
@@ -92,8 +92,7 @@ impl PlannerBenchSpec {
 pub struct PlannerMeasurement {
     /// Batch size B.
     pub batch: usize,
-    /// `batched` (plan cache on, `submit_batch`) or `unbatched` (cache
-    /// off, independent submits).
+    /// `batched` (plan cache on) or `unbatched` (cache off).
     pub mode: &'static str,
     /// Best wall time over the repetitions, submit → last result, seconds.
     pub wall_s: f64,
@@ -131,20 +130,39 @@ fn shares(spec: &PlannerBenchSpec) -> Vec<Matrix> {
     split_with_noise_shares(&a, spec.servers, 0.3, &mut rng)
 }
 
-fn runtime_config(spec: &PlannerBenchSpec, plan_cache: usize) -> RuntimeConfig {
-    RuntimeConfig {
+/// A fresh one-dataset service holding `parts`, with the given plan-cache
+/// capacity.
+fn resident(
+    spec: &PlannerBenchSpec,
+    parts: &[Matrix],
+    plan_cache: usize,
+) -> (Service, DatasetHandle) {
+    let service = Service::new(ServiceConfig {
         executors: spec.executors,
         substrate: Substrate::Threaded,
         plan_cache,
         metrics: true,
         ..Default::default()
-    }
+    });
+    let dataset = service
+        .load("resident", parts.to_vec())
+        .expect("bench dataset is valid");
+    (service, dataset)
+}
+
+/// Submits every query, then waits for them all in order.
+fn submit_all(dataset: &DatasetHandle, queries: &[Query]) -> Vec<QueryOutcome> {
+    let tickets: Vec<_> = queries.iter().map(|q| dataset.submit(q)).collect();
+    tickets
+        .into_iter()
+        .map(|t| t.wait().expect("bench query failed"))
+        .collect()
 }
 
 /// Runs the sweep.
 pub fn run(spec: &PlannerBenchSpec) -> PlannerBenchReport {
     let parts = shares(spec);
-    let requests = spec.requests();
+    let queries = spec.queries();
 
     // The preparation's deterministic ledger delta, measured once on a
     // direct model: the unbatched path re-pays exactly this per query.
@@ -159,7 +177,7 @@ pub fn run(spec: &PlannerBenchSpec) -> PlannerBenchReport {
     let mut results = Vec::new();
     let mut outputs_identical = true;
     for &b in &spec.batches {
-        let batch: Vec<QueryRequest> = requests[..b].to_vec();
+        let batch = &queries[..b];
 
         let mut batched_outputs: Vec<Algorithm1Output> = Vec::new();
         let mut best_batched = f64::INFINITY;
@@ -167,16 +185,12 @@ pub fn run(spec: &PlannerBenchSpec) -> PlannerBenchReport {
         let mut batched_execute = 0u64;
         let mut batched_preparations = 0u64;
         for rep in 0..spec.reps.max(1) {
-            // A fresh runtime per repetition: every repetition pays the
+            // A fresh service per repetition: every repetition pays the
             // preparation exactly once (steady-state cache hits would be
             // free and flatter the batched path).
-            let runtime = Runtime::new(parts.clone(), runtime_config(spec, 16)).unwrap();
+            let (_service, dataset) = resident(spec, &parts, 16);
             let t0 = Instant::now();
-            let handles = runtime.submit_batch(batch.clone());
-            let outcomes: Vec<_> = handles
-                .into_iter()
-                .map(|h| h.wait_outcome().expect("bench query failed"))
-                .collect();
+            let outcomes = submit_all(&dataset, batch);
             let wall = t0.elapsed().as_secs_f64();
             best_batched = best_batched.min(wall);
             if rep == 0 {
@@ -214,12 +228,11 @@ pub fn run(spec: &PlannerBenchSpec) -> PlannerBenchReport {
         let mut unbatched_total = 0u64;
         let mut unbatched_outputs: Vec<Algorithm1Output> = Vec::new();
         for rep in 0..spec.reps.max(1) {
-            let runtime = Runtime::new(parts.clone(), runtime_config(spec, 0)).unwrap();
+            let (_service, dataset) = resident(spec, &parts, 0);
             let t0 = Instant::now();
-            let handles: Vec<_> = batch.iter().map(|q| runtime.submit(q.clone())).collect();
-            let outputs: Vec<_> = handles
+            let outputs: Vec<_> = submit_all(&dataset, batch)
                 .into_iter()
-                .map(|h| h.wait().expect("bench query failed"))
+                .map(|o| o.output)
                 .collect();
             let wall = t0.elapsed().as_secs_f64();
             best_unbatched = best_unbatched.min(wall);

@@ -160,7 +160,7 @@ impl std::ops::Add for LedgerSnapshot {
     }
 }
 
-/// In-place component-wise sum — the accumulation form of [`Add`], used by
+/// In-place component-wise sum — the accumulation form of [`Add`](std::ops::Add), used by
 /// metrics registries folding per-query deltas into running totals.
 impl std::ops::AddAssign for LedgerSnapshot {
     fn add_assign(&mut self, rhs: LedgerSnapshot) {

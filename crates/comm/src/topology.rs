@@ -40,9 +40,9 @@
 
 /// How reduction collectives route partial results to the coordinator.
 ///
-/// Selection is config-passed (`RuntimeConfig` / `ServiceConfig` in
-/// `dlra-runtime`) — never read from the ambient environment inside this
-/// crate, keeping the comm layer deterministic in its inputs.
+/// Selection is config-passed (`ServiceConfig` in `dlra-runtime`) —
+/// never read from the ambient environment inside this crate, keeping the
+/// comm layer deterministic in its inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Topology {
     /// Every server sends its block straight to the coordinator in one

@@ -1,5 +1,5 @@
 //! Prior-work baseline: distributed PCA in the **row partition model**
-//! ([8], [9] — Feldman–Schmidt–Sohler / Liang et al. style).
+//! (\[8\], \[9\] — Feldman–Schmidt–Sohler / Liang et al. style).
 //!
 //! Each server holds a *disjoint set of rows* of the global matrix and
 //! ships a local SVD summary (its top-`t` scaled right singular vectors);

@@ -12,7 +12,7 @@ use dlra_sampler::{FairSq, HuberSq, L1L2Sq, PowerAbs, Square, ZFn};
 /// An entrywise function `f : ℝ → ℝ` applied to the aggregated matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EntryFunction {
-    /// `f(x) = x` — the arbitrary partition model of [7] as a special case.
+    /// `f(x) = x` — the arbitrary partition model of \[7\] as a special case.
     Identity,
     /// `f(x) = x^{1/p}` applied to locally p-th-powered, `1/s`-scaled
     /// absolute entries — together computing the softmax

@@ -7,7 +7,7 @@
 //! reorders *which element* is worked on next, never the order of additions
 //! *into* an element, and the thread split assigns disjoint contiguous row
 //! panels of the output, so results are bit-identical to the
-//! [`reference`] kernels for every shape, block size, and thread count.
+//! [`reference`](mod@reference) kernels for every shape, block size, and thread count.
 //! That determinism is what lets the protocol layers (and
 //! `tests/runtime_equivalence.rs`) keep their exact bit-equality contracts
 //! while the kernels run blocked and parallel.

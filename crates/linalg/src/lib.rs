@@ -6,7 +6,7 @@
 //! * [`kernels`] — the cache-blocked, register-tiled, panel-parallel
 //!   implementations behind `matmul` / `transpose_matmul` / `gram` /
 //!   `transpose`, plus the retained naive [`kernels::reference`] baselines;
-//! * [`threads`] — the kernel thread-count knob ([`set_threads`] /
+//! * [`threads`](mod@threads) — the kernel thread-count knob ([`set_threads`] /
 //!   `DLRA_THREADS`, default = available parallelism), the scoped
 //!   [`with_threads`] override outer parallelism layers use to pin
 //!   kernels, and the persistent panel-worker pool the kernels run on;
@@ -14,7 +14,7 @@
 //!   `(A·V)·Vᵀ`, never materializing the `d × d` matrix;
 //! * [`qr`] — Householder thin QR and orthonormalization;
 //! * [`eigen`] — cyclic Jacobi eigensolver for symmetric matrices;
-//! * [`svd`] — one-sided Jacobi (Hestenes) singular value decomposition;
+//! * [`svd`](mod@svd) — one-sided Jacobi (Hestenes) singular value decomposition;
 //! * [`lowrank`] — best rank-k approximations, projection matrices, and the
 //!   Frobenius-error helpers used by the paper's definitions of additive and
 //!   relative error.

@@ -3,7 +3,7 @@
 //!
 //! The theorems are reductions: *if* a cheap relative-error distributed PCA
 //! protocol existed, it would solve a communication problem with a known
-//! lower bound (L∞ [23], 2-DISJ [24], Gap-Hamming-Distance [25]). These
+//! lower bound (L∞ \[23\], 2-DISJ \[24\], Gap-Hamming-Distance \[25\]). These
 //! modules build the gadget instances and run the reduction protocols
 //! against a PCA oracle, verifying end to end that a valid `(1+ε)`
 //! relative-error projection *does* decide each promise problem — which is

@@ -3,7 +3,7 @@
 
 use dlra_util::Rng;
 
-/// An L∞ promise instance (Theorem 5 / [23]): vectors `x, y ∈ {0..B}ᵐ` with
+/// An L∞ promise instance (Theorem 5 / \[23\]): vectors `x, y ∈ {0..B}ᵐ` with
 /// either `|xᵢ − yᵢ| ≤ 1` everywhere, or exactly one coordinate with
 /// `|xᵢ − yᵢ| = B` (and `≤ 1` elsewhere).
 #[derive(Debug, Clone)]
@@ -56,7 +56,7 @@ impl LinftyInstance {
     }
 }
 
-/// A 2-DISJ promise instance (Theorem 7 / [24]): binary vectors that either
+/// A 2-DISJ promise instance (Theorem 7 / \[24\]): binary vectors that either
 /// share no common 1, or share exactly one.
 #[derive(Debug, Clone)]
 pub struct TwoDisjInstance {
@@ -100,7 +100,7 @@ impl TwoDisjInstance {
     }
 }
 
-/// A Gap-Hamming / gap-inner-product instance (Theorem 9 / [25], in the
+/// A Gap-Hamming / gap-inner-product instance (Theorem 9 / \[25\], in the
 /// form Theorem 8's proof uses): `x, y ∈ {−1,+1}ᵐ` with
 /// `⟨x,y⟩ > 2√m` or `⟨x,y⟩ < −2√m` (the paper writes `m = 1/ε²`, gap
 /// `±2/ε`).

@@ -65,10 +65,6 @@ pub enum MsgType {
     /// Either direction: a typed failure; `seq` is the error code, the
     /// descriptor a UTF-8 message.
     Error = 7,
-    /// Service-level backpressure: the receiver should retry after the
-    /// hinted delay. Descriptor: `queue_depth`, `limit`,
-    /// `retry_after_micros` (u64 LE each).
-    Overloaded = 8,
     /// Coordinator → node: compute a gather reply (bare trigger; free, like
     /// shipping a closure to an in-process worker).
     RunGather = 9,
@@ -99,7 +95,6 @@ impl MsgType {
             5 => MsgType::Ack,
             6 => MsgType::Shutdown,
             7 => MsgType::Error,
-            8 => MsgType::Overloaded,
             9 => MsgType::RunGather,
             10 => MsgType::RunReduce,
             16 => MsgType::Broadcast,
@@ -159,15 +154,6 @@ pub enum NetError {
         /// Human-readable message from the descriptor.
         message: String,
     },
-    /// The peer shed this request under load; retry after the hint.
-    Overloaded {
-        /// Queue depth observed at the shedding service.
-        queue_depth: u64,
-        /// The configured admission limit.
-        limit: u64,
-        /// Suggested backoff before retrying, in microseconds.
-        retry_after_micros: u64,
-    },
 }
 
 impl std::fmt::Display for NetError {
@@ -186,14 +172,6 @@ impl std::fmt::Display for NetError {
                 write!(f, "protocol violation: {what} ({detail})")
             }
             NetError::Remote { code, message } => write!(f, "remote error {code}: {message}"),
-            NetError::Overloaded {
-                queue_depth,
-                limit,
-                retry_after_micros,
-            } => write!(
-                f,
-                "overloaded: queue {queue_depth}/{limit}, retry after {retry_after_micros} µs"
-            ),
         }
     }
 }
@@ -545,59 +523,6 @@ impl Roster {
     }
 }
 
-/// Service-level backpressure carried over the wire (the `dlra-runtime`
-/// `ServiceError::Overloaded` plus the drain-rate retry hint).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverloadedFrame {
-    /// Queue depth at shed time.
-    pub queue_depth: u64,
-    /// The admission limit that was hit.
-    pub limit: u64,
-    /// Suggested backoff before retrying, in microseconds, derived from
-    /// the service's observed drain rate.
-    pub retry_after_micros: u64,
-}
-
-impl OverloadedFrame {
-    /// Encodes into a [`MsgType::Overloaded`] control frame.
-    pub fn to_frame(&self) -> Frame {
-        let mut desc = Vec::with_capacity(24);
-        desc.extend_from_slice(&self.queue_depth.to_le_bytes());
-        desc.extend_from_slice(&self.limit.to_le_bytes());
-        desc.extend_from_slice(&self.retry_after_micros.to_le_bytes());
-        Frame {
-            msg_type: MsgType::Overloaded,
-            flags: 0,
-            seq: 0,
-            job_id: 0,
-            desc,
-            body: Vec::new(),
-        }
-    }
-
-    /// Decodes from an overloaded frame descriptor.
-    pub fn from_frame(frame: &Frame) -> Result<OverloadedFrame, NetError> {
-        let d = &frame.desc;
-        if d.len() != 24 {
-            return Err(NetError::Truncated {
-                what: "overloaded descriptor",
-                needed: 24,
-                have: d.len(),
-            });
-        }
-        let word = |i: usize| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(&d[i..i + 8]);
-            u64::from_le_bytes(a)
-        };
-        Ok(OverloadedFrame {
-            queue_depth: word(0),
-            limit: word(8),
-            retry_after_micros: word(16),
-        })
-    }
-}
-
 /// One hop-accounting record riding a [`MsgType::HopBlock`] descriptor:
 /// the block size (in words) that left `sender` in routing round `round`.
 /// The hop a frame *itself* performs is never in its own records — the
@@ -777,6 +702,18 @@ mod tests {
                 other => panic!("expected BadFrame({what}), got {other:?}"),
             }
         }
+        // Unassigned type bytes between assigned ones are unknown too.
+        for unassigned in [0u8, 8, 11, 15, 21] {
+            let mut bytes = good.clone();
+            bytes[2] = unassigned;
+            assert!(
+                matches!(
+                    Frame::from_bytes(&bytes),
+                    Err(NetError::BadFrame { what: "msg_type", value }) if value == u64::from(unassigned)
+                ),
+                "type byte {unassigned}"
+            );
+        }
     }
 
     #[test]
@@ -818,17 +755,6 @@ mod tests {
         };
         let err = Roster::from_frame(&r.to_frame()).unwrap_err();
         assert!(matches!(err, NetError::Protocol { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn overloaded_roundtrips() {
-        let o = OverloadedFrame {
-            queue_depth: 130,
-            limit: 128,
-            retry_after_micros: 2_500,
-        };
-        let back = OverloadedFrame::from_frame(&o.to_frame()).expect("overloaded");
-        assert_eq!(back, o);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod threaded;
 
 pub use cluster::{FrameCluster, Link, SocketCluster, ThreadedCluster};
 pub use counters::{WireCounters, WireStats};
-pub use frame::{Frame, MsgType, NetError, OverloadedFrame};
+pub use frame::{Frame, MsgType, NetError};
 pub use node::{run_node, NodeConfig};
 pub use pipe::Pipe;
 pub use registry::{JobRegistry, JobResolver, NetJob};

@@ -11,7 +11,7 @@ use dlra_net::frame::{
     decode_error_frame, decode_hop_desc, encode_hop_desc, error_frame, HopRecord, Roster,
     HEADER_BYTES, MAX_BODY_BYTES,
 };
-use dlra_net::{Frame, MsgType, NetError, OverloadedFrame};
+use dlra_net::{Frame, MsgType, NetError};
 use dlra_sampler::{SketchBundle, ZSamplerParams};
 use dlra_sketch::{AmsF2, CountMin, CountSketch, HeavyHittersSketch};
 use proptest::prelude::*;
@@ -251,20 +251,6 @@ fn control_frame_codecs_roundtrip_and_reject_truncation() {
         let mut clipped = frame.clone();
         clipped.desc.truncate(cut);
         assert!(Roster::from_frame(&clipped).is_err(), "cut {cut}");
-    }
-
-    let overloaded = OverloadedFrame {
-        queue_depth: 17,
-        limit: 16,
-        retry_after_micros: 12_345,
-    };
-    let frame = overloaded.to_frame();
-    let back = OverloadedFrame::from_frame(&frame).expect("overloaded roundtrip");
-    assert_eq!(back, overloaded);
-    for cut in 0..frame.desc.len() {
-        let mut clipped = frame.clone();
-        clipped.desc.truncate(cut);
-        assert!(OverloadedFrame::from_frame(&clipped).is_err(), "cut {cut}");
     }
 
     let err = error_frame(7, "server 3: disk on fire");

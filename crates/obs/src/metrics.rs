@@ -690,6 +690,36 @@ pub struct MetricsSnapshot {
     pub datasets: Vec<DatasetMetricsSnapshot>,
 }
 
+/// `s` as the body of a JSON string: `"` and `\` backslash-escaped,
+/// control characters as `\u00XX`.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// `s` as a Prometheus label value: backslash, double quote and line feed
+/// escaped, as the text exposition format requires.
+fn prom_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 fn json_hist(out: &mut String, key: &str, h: &HistogramSnapshot) {
     out.push_str(&format!(
         "\"{key}\":{{\"count\":{},\"sum_micros\":{},\"p50_micros\":{},\"p99_micros\":{},\"counts\":[",
@@ -754,7 +784,7 @@ impl MetricsSnapshot {
             out.push_str("\n    {");
             out.push_str(&format!(
                 "\"name\":\"{}\",\"qps\":{:.4},\"submitted\":{},\"completed\":{},\"failed\":{},\"cancelled\":{},\"expired\":{},\"rejected\":{},\"rejected_overload\":{},\"queue_depth\":{},\"in_flight\":{},\"resident_bytes\":{},\"plan_hits\":{},\"plan_misses\":{},",
-                d.name,
+                json_escape(&d.name),
                 d.qps(self.uptime_secs),
                 d.submitted,
                 d.completed,
@@ -914,7 +944,8 @@ impl MetricsSnapshot {
         for (name, help, get) in counters {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
             for d in &self.datasets {
-                out.push_str(&format!("{name}{{dataset=\"{}\"}} {}\n", d.name, get(d)));
+                let label = prom_escape(&d.name);
+                out.push_str(&format!("{name}{{dataset=\"{label}\"}} {}\n", get(d)));
             }
         }
         let gauges: [Row; 3] = [
@@ -935,7 +966,8 @@ impl MetricsSnapshot {
         for (name, help, get) in gauges {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
             for d in &self.datasets {
-                out.push_str(&format!("{name}{{dataset=\"{}\"}} {}\n", d.name, get(d)));
+                let label = prom_escape(&d.name);
+                out.push_str(&format!("{name}{{dataset=\"{label}\"}} {}\n", get(d)));
             }
         }
         for (key, help, get) in [
@@ -958,22 +990,21 @@ impl MetricsSnapshot {
             out.push_str(&format!("# HELP {key} {help}\n# TYPE {key} histogram\n"));
             for d in &self.datasets {
                 let h = get(d);
+                let label = prom_escape(&d.name);
                 let mut cumulative = 0u64;
                 for (i, bound) in LATENCY_BUCKET_BOUNDS_MICROS.iter().enumerate() {
                     cumulative += h.counts[i];
                     out.push_str(&format!(
-                        "{key}_bucket{{dataset=\"{}\",le=\"{bound}\"}} {cumulative}\n",
-                        d.name
+                        "{key}_bucket{{dataset=\"{label}\",le=\"{bound}\"}} {cumulative}\n"
                     ));
                 }
                 cumulative += h.counts[LATENCY_BUCKETS - 1];
                 out.push_str(&format!(
-                    "{key}_bucket{{dataset=\"{}\",le=\"+Inf\"}} {cumulative}\n",
-                    d.name
+                    "{key}_bucket{{dataset=\"{label}\",le=\"+Inf\"}} {cumulative}\n"
                 ));
                 out.push_str(&format!(
-                    "{key}_sum{{dataset=\"{}\"}} {}\n{key}_count{{dataset=\"{}\"}} {}\n",
-                    d.name, h.sum_micros, d.name, h.count
+                    "{key}_sum{{dataset=\"{label}\"}} {}\n{key}_count{{dataset=\"{label}\"}} {}\n",
+                    h.sum_micros, h.count
                 ));
             }
         }
@@ -981,7 +1012,7 @@ impl MetricsSnapshot {
             if let Some(pc) = &d.plan_cache {
                 out.push_str(&format!(
                     "dlra_plan_cache_hit_ratio{{dataset=\"{}\"}} {:.4}\n",
-                    d.name,
+                    prom_escape(&d.name),
                     pc.hit_ratio()
                 ));
             }

@@ -26,7 +26,10 @@
 //!   running), and [`Ticket::wait_timeout`]. Failures are unified in the
 //!   [`ServiceError`] taxonomy ([`ServiceError::is_retryable`] /
 //!   [`ServiceError::is_caller_error`] classify it for backoff loops).
-//!   The service self-regulates under pressure: a configurable admission
+//!   Residency is copy-on-write (loading and dispatch clone `Matrix`
+//!   handles, never entry data), and a dead or shut-down executor pool
+//!   resolves every ticket to [`ServiceError::RuntimeUnavailable`]
+//!   instead of panicking. The service self-regulates under pressure: a configurable admission
 //!   bound sheds over-limit submissions with a typed
 //!   [`ServiceError::Overloaded`] in O(µs), and a resident-byte budget
 //!   LRU-evicts idle tenants (never one with queries in flight) — see
@@ -34,11 +37,6 @@
 //!   and [`Service::pressure`]. Executors budget kernel threads at
 //!   `max(1, total/executors)` so coordinator-side SVDs never
 //!   oversubscribe at high executor counts.
-//! * [`Runtime`] — the single-dataset API, now a thin shim over a
-//!   one-dataset [`Service`] with outputs and per-query ledgers unchanged
-//!   bit for bit: [`Runtime::submit`] / [`Runtime::submit_batch`] for raw
-//!   [`QueryRequest`]s, copy-on-write residency, graceful
-//!   `CoreError::RuntimeUnavailable` on a dead pool.
 //! * [`PlanCache`] — the query planner: unboosted Z-sampled queries
 //!   sharing a [`PlanKey`] (dataset id, `f`, sampler parameters, seed,
 //!   residency epoch) run the expensive, `k`-independent
@@ -46,8 +44,8 @@
 //!   structure concurrently. Servers split the kernel thread budget
 //!   among themselves (`dlra_linalg::with_threads`), so the substrate's
 //!   parallelism and the kernel pool never compose multiplicatively.
-//! * [`threaded_model`] / [`threaded_gm_pooling`] — one-line constructors
-//!   for a `PartitionModel` on the threaded substrate.
+//! * [`threaded_model`] / [`socket_model`] — one-line constructors for a
+//!   `PartitionModel` on the threaded or socket substrate.
 //!
 //! ```
 //! use dlra_core::prelude::*;
@@ -70,10 +68,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
-pub mod netgate;
 pub mod planner;
 pub mod query;
-pub mod runtime;
 pub mod service;
 
 use dlra_core::functions::EntryFunction;
@@ -85,7 +81,6 @@ pub use dlra_comm::Topology;
 pub use dlra_net::ThreadedCluster;
 pub use planner::{PlanCache, PlanCacheStats, PlanKey};
 pub use query::{Query, QueryBuilder, QueryError, QueryRequest};
-pub use runtime::{QueryHandle, Runtime, RuntimeConfig};
 pub use service::{
     DatasetHandle, PlanUse, QueryOutcome, Service, ServiceConfig, ServiceError, Substrate, Ticket,
 };
@@ -97,15 +92,6 @@ pub fn threaded_model(
     f: EntryFunction,
 ) -> Result<PartitionModel<ThreadedCluster<MatrixServer>>> {
     PartitionModel::with_substrate(locals, f, ThreadedCluster::new)
-}
-
-/// A GM-pooling model on the threaded substrate (the parallel counterpart
-/// of `PartitionModel::gm_pooling`).
-pub fn threaded_gm_pooling(
-    raw: Vec<Matrix>,
-    p: f64,
-) -> Result<PartitionModel<ThreadedCluster<MatrixServer>>> {
-    PartitionModel::gm_pooling_with(raw, p, ThreadedCluster::new)
 }
 
 /// A partition model on the networked substrate: the servers behind real

@@ -18,7 +18,7 @@
 //! matters here, so no epsilon equality), the exact [`ZSamplerParams`],
 //! the prepare seed, and the **residency epoch** of the dataset the plan
 //! was prepared against. The epoch is bumped whenever that dataset's
-//! resident matrices change (`Service::reload` / `Runtime::reload_resident`),
+//! resident matrices change ([`Service::reload`](crate::Service::reload)),
 //! so stale plans can never be served: their keys simply stop matching,
 //! and [`PlanCache::retain_epoch`] drops them eagerly.
 //!

@@ -10,10 +10,7 @@
 //! run at submission, against the addressed dataset, and resolve the
 //! ticket eagerly.
 //!
-//! The raw [`QueryRequest`] remains the wire format between the façade and
-//! the executors (and the compatibility surface of `Runtime::submit`,
-//! which validates nothing up front — exactly as before the builder
-//! existed).
+//! A built query carries a [`QueryRequest`], the form executors run.
 
 use dlra_core::algorithm1::{Algorithm1Config, SamplerKind};
 use dlra_core::functions::EntryFunction;
@@ -31,14 +28,6 @@ pub struct QueryRequest {
 }
 
 impl QueryRequest {
-    /// A query with `f = Identity`.
-    pub fn identity(cfg: Algorithm1Config) -> Self {
-        QueryRequest {
-            f: EntryFunction::Identity,
-            cfg,
-        }
-    }
-
     /// Whether the planner may serve this query from a shared preparation:
     /// a Z-sampled, unboosted query (boosted repetitions re-prepare with
     /// per-repetition seeds on the unplanned path, so sharing one
@@ -56,8 +45,8 @@ impl QueryRequest {
 }
 
 /// Why a query failed validation — at [`QueryBuilder::build`], at
-/// submission (shape-dependent checks), or, for queries that bypassed the
-/// builder, when the protocol itself rejected the configuration.
+/// submission (shape-dependent checks), or when the protocol itself
+/// rejected the configuration at execution time.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryError {
     /// `rank(0)`: the target rank must be ≥ 1.
@@ -80,8 +69,10 @@ pub enum QueryError {
         /// `EntryFunction::name()` of the offending `f`.
         f: &'static str,
     },
-    /// The protocol rejected the configuration at execution time (only
-    /// reachable for raw `QueryRequest`s that bypassed the builder).
+    /// The protocol rejected the configuration at execution time. A built
+    /// query passed every check at submission, so this is reachable only
+    /// when a `Service::reload` narrows the dataset below the `k` of a
+    /// query still queued against it.
     Rejected(String),
 }
 

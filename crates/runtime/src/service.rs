@@ -2,9 +2,10 @@
 //! executor pool, typed queries, and tickets with cancellation and
 //! deadlines.
 //!
-//! A [`Service`] is the front door of the serving system. Where `Runtime`
-//! owns exactly one dataset, a service hosts any number of them by name:
-//! [`Service::load`] makes a dataset resident and returns a
+//! A [`Service`] is the front door of the serving system: the coordinator
+//! that answers Algorithm 1 queries over the `s` servers' resident shares.
+//! It hosts any number of datasets by name: [`Service::load`] makes a
+//! dataset resident and returns a
 //! [`DatasetHandle`], [`Service::reload`] swaps one tenant's data in place
 //! (bumping only **that** dataset's residency epoch), and
 //! [`Service::evict`] removes it. Every dataset owns a private plan-cache
@@ -12,7 +13,7 @@
 //! another tenant's prepared plans or in-flight queries — the isolation is
 //! stats-assertable per dataset through [`DatasetHandle::plan_stats`].
 //!
-//! Queries are built through the typed [`Query`](crate::query::Query)
+//! Queries are built through the typed [`Query`]
 //! builder (validated at construction, see [`crate::query`]) and submitted
 //! to a handle; [`DatasetHandle::submit`] returns a [`Ticket`]:
 //!
@@ -68,21 +69,53 @@
 //! the live-thread watermark). Thread counts never change results: kernels
 //! are bit-identical across thread counts.
 //!
-//! ## Relation to `Runtime`
+//! ## Query planning
 //!
-//! The single-dataset [`Runtime`](crate::runtime::Runtime) is now a thin
-//! shim over a one-dataset `Service`: same executors, same planner, same
-//! copy-on-write dispatch, bit- and ledger-identical outputs (the whole
-//! pre-façade equivalence suite runs through this layer).
+//! The expensive distributed phase of a Z-sampled query — two estimator
+//! passes plus coordinate injection — is `k`-independent and deterministic
+//! in `(resident data, f, sampler parameters, prepare seed)`. Each dataset
+//! therefore keeps a bounded LRU [`PlanCache`]: unboosted Z queries whose
+//! [`PlanKey`]s collide share one `Arc`-backed prepared sampler, prepared
+//! **exactly once** (concurrent executors block on the in-flight
+//! preparation instead of redoing it). B such queries submitted back to
+//! back pay one preparation plus B draw/fetch phases.
+//!
+//! Per-query accounting stays exact: a planned query's reported
+//! `Algorithm1Output::comm` is the preparation delta plus its own
+//! draw/fetch delta — bit-identical to what an unplanned run would have
+//! charged — while [`QueryOutcome::plan`] reports the shared preparation
+//! cost and whether this query was the one that physically paid it. Per
+//! distinct key, at most one delivered outcome carries
+//! `cache_hit == false`; a warm cache may serve a whole batch as hits, so
+//! total a batch's physical cost from the payers actually observed.
+//!
+//! ## Copy-on-write residency
+//!
+//! Resident matrices are loaded **once**, sharing the caller's storage;
+//! query dispatch copies no entry data. Each per-query model is built from
+//! O(1) handle clones of the shared copy-on-write [`Matrix`] storage (per
+//! server: one `Arc` bump), and the query-local state — the
+//! injected-coordinate scratch and residual sampling views — lives in the
+//! model's `MatrixServer` scratch half, so concurrent queries cannot
+//! interfere. Submit cost is O(s), flat in the dataset size `n·d`.
+//!
+//! ## Failure paths
+//!
+//! [`DatasetHandle::submit`] never panics: if the executor pool has died
+//! (every executor panicked) or the service was [`Service::shutdown`],
+//! every ticket resolves to [`ServiceError::RuntimeUnavailable`], which is
+//! distinct from per-query errors like [`ServiceError::InvalidQuery`] —
+//! callers can tell "my query was bad" apart from "the pool is gone, retry
+//! elsewhere".
 
 use crate::planner::{PlanCache, PlanCacheStats, PlanKey};
 use crate::query::{Query, QueryError, QueryRequest};
-use dlra_comm::{LedgerSnapshot, Topology};
+use dlra_comm::{Collectives, LedgerSnapshot, Topology};
 use dlra_core::algorithm1::{
     prepare_z_plan, run_algorithm1_interruptible, run_algorithm1_with_plan_interruptible,
     Algorithm1Output, SamplerKind,
 };
-use dlra_core::model::PartitionModel;
+use dlra_core::model::{MatrixServer, PartitionModel};
 use dlra_core::{CoreError, InterruptReason};
 use dlra_linalg::Matrix;
 use dlra_obs::metrics::{
@@ -741,7 +774,6 @@ impl Drop for AdmissionGuard {
         // RMW atomicity alone keeps them exact, so Relaxed suffices.
         self.dataset.pending.fetch_sub(1, Ordering::Relaxed);
         self.shared.pressure.release();
-        self.shared.drained.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -773,25 +805,6 @@ struct Shared {
     max_queue_depth: Option<u64>,
     /// Resident-byte budget ([`ServiceConfig::memory_budget`]).
     memory_budget: Option<u64>,
-    /// Admitted queries that reached a terminal resolution — the drain
-    /// side of the admission gauge. Together with [`Shared::started`] it
-    /// yields the service's observed drain rate, from which the network
-    /// gate derives the retry-after hint it attaches to shed queries (see
-    /// [`crate::netgate`]).
-    drained: AtomicU64,
-    /// When the service started; denominator of the drain rate.
-    started: Instant,
-}
-
-impl Shared {
-    /// Mean time between admitted-query resolutions so far, in
-    /// microseconds. Before anything has drained there is no evidence, so
-    /// the uptime itself is the (pessimistic) estimate.
-    pub(crate) fn mean_drain_micros(&self) -> u64 {
-        let elapsed = self.started.elapsed().as_micros() as u64;
-        let drained = self.drained.load(Ordering::Relaxed);
-        elapsed / drained.max(1)
-    }
 }
 
 /// A multi-dataset serving front door: named copy-on-write resident
@@ -842,8 +855,6 @@ impl Service {
             lru_tick: AtomicU64::new(0),
             max_queue_depth: config.max_queue_depth.map(|n| n as u64),
             memory_budget: config.memory_budget,
-            drained: AtomicU64::new(0),
-            started: Instant::now(),
         });
         if config.metrics {
             // Process-global (the kernel pool is process-global too): a
@@ -1032,13 +1043,6 @@ impl Service {
         self.substrate
     }
 
-    /// Mean time between admitted-query resolutions so far (µs): the
-    /// observed drain rate of the admission gauge, used by
-    /// [`crate::netgate`] to derive retry-after hints for shed queries.
-    pub(crate) fn mean_drain_micros(&self) -> u64 {
-        self.shared.mean_drain_micros()
-    }
-
     /// The collective routing topology queries run with.
     pub fn topology(&self) -> Topology {
         self.topology
@@ -1185,13 +1189,6 @@ impl DatasetHandle {
             );
         }
         self.dispatch(query.request.clone(), shared)
-    }
-
-    /// The compatibility path behind `Runtime::submit`: a raw, unvalidated
-    /// [`QueryRequest`] with no deadline. Malformed configurations surface
-    /// from the protocol itself, exactly as before the builder existed.
-    pub(crate) fn submit_request(&self, request: QueryRequest) -> Ticket {
-        self.dispatch(request, Arc::new(TicketShared::new(None)))
     }
 
     /// Records a submission-time rejection (metrics + trace).
@@ -1623,35 +1620,22 @@ fn execute(
     ticket: &TicketShared,
 ) -> Result<QueryOutcome, ServiceError> {
     // O(s) handle clones of the shared payload: each `Matrix` clone bumps a
-    // refcount, no entry data moves. The model's query-local scratch
-    // (injected coordinates, residual views) is freshly allocated per query.
-    let (parts, epoch, d) = {
+    // refcount, no entry data moves.
+    let (parts, epoch) = {
         let resident = dataset.resident.read_recover();
         let parts: Vec<Matrix> = resident.locals.iter().cloned().collect();
-        (parts, resident.epoch, resident.shape.1)
+        (parts, resident.epoch)
     };
     let result = match substrate {
-        Substrate::Sequential => {
-            let mut model = PartitionModel::with_substrate(parts, request.f, move |locals| {
-                dlra_comm::Cluster::with_topology(locals, topology)
-            })
-            .map_err(map_execution)?;
-            execute_on(&mut model, dataset, request, epoch, d, ticket)
-        }
-        Substrate::Threaded => {
-            let mut model = PartitionModel::with_substrate(parts, request.f, move |locals| {
-                dlra_net::ThreadedCluster::with_topology(locals, topology)
-            })
-            .map_err(map_execution)?;
-            execute_on(&mut model, dataset, request, epoch, d, ticket)
-        }
-        Substrate::Socket => {
-            let mut model = PartitionModel::with_substrate(parts, request.f, move |locals| {
-                dlra_net::SocketCluster::with_topology(locals, topology)
-            })
-            .map_err(map_execution)?;
-            execute_on(&mut model, dataset, request, epoch, d, ticket)
-        }
+        Substrate::Sequential => execute_on(parts, epoch, dataset, request, ticket, |l| {
+            dlra_comm::Cluster::with_topology(l, topology)
+        }),
+        Substrate::Threaded => execute_on(parts, epoch, dataset, request, ticket, |l| {
+            dlra_net::ThreadedCluster::with_topology(l, topology)
+        }),
+        Substrate::Socket => execute_on(parts, epoch, dataset, request, ticket, |l| {
+            dlra_net::SocketCluster::with_topology(l, topology)
+        }),
     };
     // A reload (or eviction) may have landed between our epoch snapshot and
     // any plan this query inserted: its `retain_epoch` ran before the
@@ -1687,14 +1671,22 @@ fn interrupt_reason(ticket: &TicketShared) -> Option<InterruptReason> {
     }
 }
 
-fn execute_on<C: dlra_comm::Collectives<dlra_core::model::MatrixServer>>(
-    model: &mut PartitionModel<C>,
+/// Builds the query's private model over `parts` (the dataset's payload at
+/// `epoch`) on the cluster `cluster` constructs, and runs it — from the
+/// dataset's shared plan when the query is eligible. The model's
+/// query-local scratch (injected coordinates, residual views) is freshly
+/// allocated per query.
+fn execute_on<C: Collectives<MatrixServer>>(
+    parts: Vec<Matrix>,
+    epoch: u64,
     dataset: &Dataset,
     request: &QueryRequest,
-    epoch: u64,
-    d: usize,
     ticket: &TicketShared,
+    cluster: impl FnOnce(Vec<MatrixServer>) -> C,
 ) -> Result<QueryOutcome, ServiceError> {
+    let model =
+        &mut PartitionModel::with_substrate(parts, request.f, cluster).map_err(map_execution)?;
+    let d = model.shape().1;
     if let (Some(cache), SamplerKind::Z(params)) =
         (dataset.planner.as_deref(), &request.cfg.sampler)
     {
@@ -1767,7 +1759,9 @@ fn execute_on<C: dlra_comm::Collectives<dlra_core::model::MatrixServer>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlra_core::algorithm1::Algorithm1Config;
+    use dlra_core::algorithm1::run_algorithm1;
+    use dlra_core::functions::EntryFunction;
+    use dlra_sampler::ZSamplerParams;
     use dlra_util::Rng;
 
     fn locals(s: usize, n: usize, d: usize, seed: u64) -> Vec<Matrix> {
@@ -1932,20 +1926,115 @@ mod tests {
     }
 
     #[test]
-    fn raw_requests_defer_validation_to_the_protocol() {
-        // The Runtime compatibility path: a malformed raw request surfaces
-        // as a protocol rejection, not an eager builder error.
-        let service = Service::new(config(1, 0));
-        let handle = service.load("a", locals(2, 10, 4, 1)).unwrap();
-        let bad = QueryRequest::identity(Algorithm1Config {
-            k: 0,
-            r: 10,
-            sampler: SamplerKind::Uniform,
-            ..Default::default()
+    fn submit_survives_total_executor_death() {
+        let mut service = Service::new(config(2, 0));
+        let handle = service.load("a", locals(2, 10, 4, 2)).unwrap();
+        // Kill the whole pool: one poison task per executor, joined so the
+        // death is fully observable before the next submit.
+        service.poison_executors();
+        // Every new ticket resolves typed, naming what is gone, instead of
+        // panicking on the dead queue.
+        for seed in 0..3 {
+            match handle.submit(&uniform_query(2, 10, seed)).wait() {
+                Err(ServiceError::RuntimeUnavailable(msg)) => {
+                    assert!(msg.contains("executor pool"), "unhelpful message: {msg}")
+                }
+                other => panic!("expected RuntimeUnavailable, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn drop_completes_in_flight_queries() {
+        let service = Service::new(ServiceConfig {
+            substrate: Substrate::Threaded,
+            ..config(2, 0)
         });
-        assert!(matches!(
-            handle.submit_request(bad).wait(),
-            Err(ServiceError::InvalidQuery(QueryError::Rejected(_)))
-        ));
+        let handle = service.load("a", locals(2, 40, 6, 5)).unwrap();
+        let ticket = handle.submit(&uniform_query(2, 15, 9));
+        drop(service);
+        assert!(ticket.wait().is_ok());
+    }
+
+    #[test]
+    fn reload_resident_swaps_data_and_epoch() {
+        let old = locals(2, 30, 6, 40);
+        let new = locals(2, 24, 5, 41);
+        let service = Service::new(config(2, 8));
+        let handle = service.load("a", old.clone()).unwrap();
+        assert_eq!((handle.epoch(), handle.shape()), (0, (30, 6)));
+
+        service.reload("a", new.clone()).unwrap();
+        assert_eq!((handle.epoch(), handle.shape()), (1, (24, 5)));
+        for (mine, theirs) in new.iter().zip(handle.resident().iter()) {
+            assert!(mine.shares_storage(theirs), "reload copied matrix data");
+        }
+        // The service released the old payload entirely.
+        for m in &old {
+            assert_eq!(m.storage_refcount(), 1);
+        }
+
+        // Queries now answer against the new data.
+        let query = uniform_query(2, 12, 42);
+        let got = handle.submit(&query).wait().unwrap();
+        let mut direct = PartitionModel::new(new, EntryFunction::Identity).unwrap();
+        let want = run_algorithm1(&mut direct, &query.request().cfg).unwrap();
+        assert_eq!(
+            got.output.projection.basis().as_slice(),
+            want.projection.basis().as_slice()
+        );
+
+        // A bad reload leaves the dataset untouched.
+        assert!(service.reload("a", vec![]).is_err());
+        assert_eq!(handle.epoch(), 1);
+    }
+
+    #[test]
+    fn boosted_and_non_z_queries_bypass_the_planner() {
+        let service = Service::new(config(1, 8));
+        let handle = service.load("a", locals(2, 40, 6, 33)).unwrap();
+        let boosted = Query::rank(2)
+            .samples(15)
+            .boosted(2)
+            .sampler(SamplerKind::Z(ZSamplerParams::default()))
+            .seed(1)
+            .build()
+            .unwrap();
+        assert!(handle.submit(&boosted).wait().unwrap().plan.is_none());
+        let uniform = uniform_query(2, 15, 2);
+        assert!(handle.submit(&uniform).wait().unwrap().plan.is_none());
+        assert_eq!(handle.plan_cache_len(), 0);
+    }
+
+    #[test]
+    fn reload_narrowing_below_a_queued_rank_is_rejected() {
+        let service = Service::new(config(1, 0));
+        let busy = service.load("busy", locals(2, 512, 16, 60)).unwrap();
+        let narrow = service.load("narrow", locals(2, 30, 6, 61)).unwrap();
+        // Park the single executor on a long boosted query, so the rank-6
+        // query below is still queued when the reload lands.
+        let blocker = busy.submit(
+            &Query::rank(2)
+                .samples(20)
+                .sampler(SamplerKind::Uniform)
+                .boosted(50_000)
+                .seed(8)
+                .build()
+                .unwrap(),
+        );
+        while !blocker.started() {
+            std::thread::yield_now();
+        }
+        // Valid at submission (k = d = 6), too wide by the time it runs.
+        let queued = narrow.submit(&uniform_query(6, 12, 3));
+        service.reload("narrow", locals(2, 30, 4, 62)).unwrap();
+        blocker.cancel();
+        assert!(matches!(blocker.wait(), Err(ServiceError::Cancelled)));
+        match queued.wait() {
+            Err(ServiceError::InvalidQuery(QueryError::Rejected(m))) => {
+                assert!(m.contains("d = 4"), "{m}")
+            }
+            other => panic!("expected a protocol rejection, got {other:?}"),
+        }
     }
 }

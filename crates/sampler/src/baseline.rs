@@ -1,5 +1,5 @@
 //! Baseline samplers: the exact-probability oracle (the sampler assumed by
-//! Frieze–Kannan–Vempala [11], which the paper points out is *not*
+//! Frieze–Kannan–Vempala \[11\], which the paper points out is *not*
 //! implementable cheaply in a distributed setting) and the uniform sampler
 //! (sufficient for Gaussian random Fourier features, §VI-A).
 

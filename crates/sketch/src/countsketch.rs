@@ -1,4 +1,4 @@
-//! CountSketch (Charikar–Chen–Farach-Colton [21]) with median point queries.
+//! CountSketch (Charikar–Chen–Farach-Colton \[21\]) with median point queries.
 //!
 //! A CountSketch is a `depth × width` table; coordinate `j` of the input
 //! vector is added into bucket `hᵣ(j)` of each row `r` with sign `σᵣ(j)`.

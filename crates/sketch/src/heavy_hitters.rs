@@ -5,7 +5,7 @@
 //! from a broadcast seed), from which the coordinator recovers all
 //! sufficiently heavy coordinates by point-querying candidates and comparing
 //! against the sketch's own `F₂` estimate. Setting the width to `Θ(B)` and
-//! depth to `Θ(log(1/δ))` yields the guarantee of [21]: with probability
+//! depth to `Θ(log(1/δ))` yields the guarantee of \[21\]: with probability
 //! `1 − δ` every `1/B`-heavy coordinate is reported.
 
 use crate::countsketch::CountSketch;

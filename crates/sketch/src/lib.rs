@@ -4,7 +4,7 @@
 //! `v = Σₜ vᵗ` is obtained by having each server sketch its local `vᵗ` with
 //! the **same seeds** (broadcast by the coordinator) and summing the sketch
 //! tables — which is exactly how the paper turns the streaming
-//! CountSketch-based `HeavyHitters` of Charikar–Chen–Farach-Colton [21] into
+//! CountSketch-based `HeavyHitters` of Charikar–Chen–Farach-Colton \[21\] into
 //! a distributed protocol (§V-B).
 //!
 //! * [`hashing`] — k-wise independent polynomial hashing over the Mersenne

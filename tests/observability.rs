@@ -225,3 +225,98 @@ fn snapshot_counters_and_exports_are_coherent() {
     }
     service.shutdown();
 }
+
+/// Decodes every string literal of a JSON document, panicking on an
+/// unterminated literal or a raw control character inside one.
+fn json_strings(json: &str) -> Vec<String> {
+    let mut strings = Vec::new();
+    let mut chars = json.chars();
+    while let Some(c) = chars.next() {
+        if c != '"' {
+            continue;
+        }
+        let mut s = String::new();
+        loop {
+            match chars.next().expect("unterminated JSON string") {
+                '"' => break,
+                '\\' => match chars.next().expect("dangling escape") {
+                    'u' => {
+                        let hex: String = chars.by_ref().take(4).collect();
+                        let code = u32::from_str_radix(&hex, 16).expect("\\u escape");
+                        s.push(char::from_u32(code).expect("scalar value"));
+                    }
+                    'n' => s.push('\n'),
+                    't' => s.push('\t'),
+                    e @ ('"' | '\\' | '/') => s.push(e),
+                    e => panic!("unknown JSON escape \\{e}"),
+                },
+                c if c < ' ' => panic!("raw control character {c:?} in a JSON string"),
+                c => s.push(c),
+            }
+        }
+        strings.push(s);
+    }
+    strings
+}
+
+/// The decoded value of label `key` in a Prometheus label set
+/// (`k="v",k2="v2"`), panicking on malformed syntax.
+fn prom_label(labels: &str, key: &str) -> Option<String> {
+    let mut rest = labels;
+    while !rest.is_empty() {
+        let (k, tail) = rest
+            .split_once("=\"")
+            .expect("label without a quoted value");
+        let mut value = String::new();
+        let mut chars = tail.char_indices();
+        let end = loop {
+            match chars.next().expect("unterminated label value") {
+                (i, '"') => break i,
+                (_, '\\') => match chars.next().expect("dangling escape").1 {
+                    'n' => value.push('\n'),
+                    e @ ('"' | '\\') => value.push(e),
+                    e => panic!("unknown label escape \\{e}"),
+                },
+                (_, c) => value.push(c),
+            }
+        };
+        if k == key {
+            return Some(value);
+        }
+        rest = tail[end + 1..].trim_start_matches(',');
+    }
+    None
+}
+
+/// `Service::load` accepts any name, so both exports must stay well formed
+/// when it holds a quote, a backslash, a newline or another control
+/// character — and must carry the name back out unchanged.
+#[test]
+fn exports_escape_dataset_names() {
+    let name = "we\"ird\\name\nwith\ttab\u{1}";
+    let service = Service::new(config(8, true));
+    let handle = service.load(name, shares(2, 40, 6, 2, 9)).unwrap();
+    handle.submit(&z_query(2, 12, 3)).wait().unwrap();
+    let metrics = service.metrics().unwrap();
+
+    let json = metrics.to_json();
+    assert!(
+        json_strings(&json).iter().any(|s| s == name),
+        "the name does not decode back out of {json}"
+    );
+
+    // Every sample line parses as `metric{labels} value`, and every
+    // dataset label decodes back to the name.
+    let prom = metrics.to_prometheus();
+    let mut labelled = 0;
+    for line in prom.lines().filter(|l| !l.starts_with('#')) {
+        let (series, value) = line.rsplit_once(' ').expect(line);
+        assert!(value.parse::<f64>().is_ok(), "bad sample line {line:?}");
+        if let Some((_, labels)) = series.split_once('{') {
+            let labels = labels.strip_suffix('}').expect(line);
+            assert_eq!(prom_label(labels, "dataset").as_deref(), Some(name));
+            labelled += 1;
+        }
+    }
+    assert!(labelled > 0, "no dataset-labelled samples in {prom}");
+}

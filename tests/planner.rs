@@ -1,6 +1,6 @@
 //! Plan-cache semantics and the batched-submission guarantee:
 //!
-//! * `Runtime::submit_batch` of B queries sharing one `f` runs
+//! * B queries sharing one `f`, submitted back to back, run
 //!   `ZSampler::prepare` **exactly once** — the ledger shows one
 //!   prepare-phase cost plus B draw/fetch phases — and every query's
 //!   output is bit-identical to a sequential run reusing the same
@@ -13,7 +13,7 @@
 //!   delivers to its waiters but is never left cached.
 
 use dlra::prelude::*;
-use dlra::runtime::{QueryRequest, Runtime, RuntimeConfig, Substrate};
+use dlra::runtime::Substrate;
 use dlra::util::Rng;
 
 fn shares(s: usize, n: usize, d: usize, k: usize, seed: u64) -> Vec<dlra::linalg::Matrix> {
@@ -22,24 +22,11 @@ fn shares(s: usize, n: usize, d: usize, k: usize, seed: u64) -> Vec<dlra::linalg
     dlra::data::split_with_noise_shares(&global, s, 0.3, &mut rng)
 }
 
-fn config(executors: usize, plan_cache: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        executors,
-        substrate: Substrate::Threaded,
-        plan_cache,
-        metrics: true,
-        ..Default::default()
-    }
-}
-
-fn z_request(k: usize, r: usize, seed: u64) -> QueryRequest {
-    QueryRequest::identity(Algorithm1Config {
-        k,
-        r,
-        sampler: SamplerKind::Z(ZSamplerParams::default()),
-        seed,
-        ..Default::default()
-    })
+/// A service built from `config`, holding `parts` as its only dataset.
+fn resident(parts: Vec<dlra::linalg::Matrix>, config: ServiceConfig) -> (Service, DatasetHandle) {
+    let service = Service::new(config);
+    let dataset = service.load("resident", parts).unwrap();
+    (service, dataset)
 }
 
 /// The tentpole acceptance test: one preparation for the whole batch,
@@ -48,16 +35,13 @@ fn z_request(k: usize, r: usize, seed: u64) -> QueryRequest {
 fn submit_batch_prepares_once_with_bit_identical_outputs() {
     let parts = shares(4, 160, 12, 3, 21);
     let batch_seed = 77;
-    let requests: Vec<QueryRequest> = (0..6)
-        .map(|i| z_request(1 + i % 3, 25 + 5 * i, batch_seed))
+    let queries: Vec<Query> = (0..6)
+        .map(|i| z_query(1 + i % 3, 25 + 5 * i, batch_seed))
         .collect();
 
-    let runtime = Runtime::new(parts.clone(), config(4, 16)).unwrap();
-    let outcomes: Vec<_> = runtime
-        .submit_batch(requests.clone())
-        .into_iter()
-        .map(|h| h.wait_outcome().unwrap())
-        .collect();
+    let (_service, dataset) = resident(parts.clone(), service_config(4));
+    let tickets: Vec<Ticket> = queries.iter().map(|q| dataset.submit(q)).collect();
+    let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
 
     // Exactly one query physically paid the preparation; every outcome
     // reports the same (deterministic) prepare cost.
@@ -66,9 +50,9 @@ fn submit_batch_prepares_once_with_bit_identical_outputs() {
         .filter(|o| !o.plan.as_ref().unwrap().cache_hit)
         .count();
     assert_eq!(payers, 1, "preparation ran {payers} times for one plan key");
-    let stats = runtime.plan_cache_stats().unwrap();
+    let stats = dataset.plan_stats().unwrap();
     assert_eq!(stats.misses, 1);
-    assert_eq!(stats.hits, requests.len() as u64 - 1);
+    assert_eq!(stats.hits, queries.len() as u64 - 1);
     let prepare_comm = outcomes[0].plan.as_ref().unwrap().prepare_comm;
     assert!(prepare_comm.total_words() > 0);
     for o in &outcomes {
@@ -77,16 +61,16 @@ fn submit_batch_prepares_once_with_bit_identical_outputs() {
 
     // Reference: a sequential run that prepares once and reuses the same
     // PreparedSampler for every query of the batch — built under the
-    // runtime's (possibly env-driven) topology so ledger shapes match.
-    let topology = RuntimeConfig::default().topology;
+    // service's (possibly env-driven) topology so ledger shapes match.
+    let topology = ServiceConfig::default().topology;
     let mut model = PartitionModel::with_substrate(parts, EntryFunction::Identity, |l| {
         dlra::comm::Cluster::with_topology(l, topology)
     })
     .unwrap();
     let plan = prepare_z_plan(&mut model, &ZSamplerParams::default(), batch_seed).unwrap();
     assert_eq!(plan.prepare_comm, prepare_comm, "prepare ledger diverged");
-    for (request, outcome) in requests.iter().zip(&outcomes) {
-        let want = run_algorithm1_with_plan(&mut model, &request.cfg, &plan).unwrap();
+    for (query, outcome) in queries.iter().zip(&outcomes) {
+        let want = run_algorithm1_with_plan(&mut model, &query.request().cfg, &plan).unwrap();
         assert_eq!(
             outcome.output.projection.basis().as_slice(),
             want.projection.basis().as_slice(),
@@ -94,7 +78,7 @@ fn submit_batch_prepares_once_with_bit_identical_outputs() {
         );
         assert_eq!(outcome.output.rows, want.rows);
         assert_eq!(outcome.output.captured.to_bits(), want.captured.to_bits());
-        // Batch ledger decomposition: the runtime reports prepare + own
+        // Batch ledger decomposition: the service reports prepare + own
         // draw/fetch per query; subtracting the shared prepare leaves
         // exactly the reference execution delta.
         assert_eq!(outcome.output.comm, plan.prepare_comm + want.comm);
@@ -110,92 +94,91 @@ fn submit_batch_prepares_once_with_bit_identical_outputs() {
     let unbatched: u64 = outcomes.iter().map(|o| o.output.comm.total_words()).sum();
     assert_eq!(
         unbatched - physical,
-        (requests.len() as u64 - 1) * prepare_comm.total_words()
+        (queries.len() as u64 - 1) * prepare_comm.total_words()
     );
 }
 
 #[test]
 fn plan_cache_misses_on_params_seed_and_f() {
     let parts = shares(3, 80, 8, 2, 5);
-    let runtime = Runtime::new(parts, config(1, 16)).unwrap();
+    let (_service, dataset) = resident(parts, service_config(1));
 
-    runtime.submit(z_request(2, 20, 1)).wait().unwrap();
-    let s0 = runtime.plan_cache_stats().unwrap();
+    dataset.submit(&z_query(2, 20, 1)).wait().unwrap();
+    let s0 = dataset.plan_stats().unwrap();
     assert_eq!((s0.misses, s0.hits), (1, 0));
 
     // Same key: hit.
-    runtime.submit(z_request(3, 25, 1)).wait().unwrap();
-    let s1 = runtime.plan_cache_stats().unwrap();
+    dataset.submit(&z_query(3, 25, 1)).wait().unwrap();
+    let s1 = dataset.plan_stats().unwrap();
     assert_eq!((s1.misses, s1.hits), (1, 1));
 
     // Different protocol seed: different prepare seed, miss.
-    runtime.submit(z_request(2, 20, 2)).wait().unwrap();
-    assert_eq!(runtime.plan_cache_stats().unwrap().misses, 2);
+    dataset.submit(&z_query(2, 20, 2)).wait().unwrap();
+    assert_eq!(dataset.plan_stats().unwrap().misses, 2);
 
     // Different ZSamplerParams: miss.
     let other_params = ZSamplerParams {
         hh_width: 64,
         ..ZSamplerParams::default()
     };
-    runtime
-        .submit(QueryRequest::identity(Algorithm1Config {
-            k: 2,
-            r: 20,
-            sampler: SamplerKind::Z(other_params),
-            seed: 1,
-            ..Default::default()
-        }))
-        .wait()
+    let other = Query::rank(2)
+        .samples(20)
+        .sampler(SamplerKind::Z(other_params))
+        .seed(1)
+        .build()
         .unwrap();
-    assert_eq!(runtime.plan_cache_stats().unwrap().misses, 3);
+    dataset.submit(&other).wait().unwrap();
+    assert_eq!(dataset.plan_stats().unwrap().misses, 3);
 
     // Different f: miss (and a different prepared structure entirely).
-    runtime
-        .submit(QueryRequest {
-            f: EntryFunction::Huber { k: 2.0 },
-            cfg: z_request(2, 20, 1).cfg,
-        })
-        .wait()
+    let huber = Query::rank(2)
+        .samples(20)
+        .function(EntryFunction::Huber { k: 2.0 })
+        .sampler(SamplerKind::Z(ZSamplerParams::default()))
+        .seed(1)
+        .build()
         .unwrap();
-    let s4 = runtime.plan_cache_stats().unwrap();
+    dataset.submit(&huber).wait().unwrap();
+    let s4 = dataset.plan_stats().unwrap();
     assert_eq!(s4.misses, 4);
     assert_eq!(s4.hits, 1);
-    assert_eq!(runtime.plan_cache_len(), 4);
+    assert_eq!(dataset.plan_cache_len(), 4);
 }
 
 #[test]
 fn residency_reload_invalidates_cached_plans() {
     let old = shares(3, 96, 10, 3, 31);
     let new = shares(3, 96, 10, 3, 32);
-    let runtime = Runtime::new(old, config(2, 16)).unwrap();
+    let (service, dataset) = resident(old, service_config(2));
+    let query = z_query(2, 20, 9);
 
-    let before = runtime.submit(z_request(2, 20, 9)).wait().unwrap();
-    runtime.submit(z_request(2, 20, 9)).wait().unwrap();
-    let warm = runtime.plan_cache_stats().unwrap();
+    let before = dataset.submit(&query).wait().unwrap().output;
+    dataset.submit(&query).wait().unwrap();
+    let warm = dataset.plan_stats().unwrap();
     assert_eq!((warm.misses, warm.hits), (1, 1));
-    assert_eq!(runtime.plan_cache_len(), 1);
+    assert_eq!(dataset.plan_cache_len(), 1);
 
     // Reload: epoch bumps, the cached plan is dropped, and the same query
     // re-prepares against (and answers from) the new data.
-    runtime.reload_resident(new.clone()).unwrap();
-    assert_eq!(runtime.resident_epoch(), 1);
-    assert_eq!(runtime.plan_cache_len(), 0);
-    assert_eq!(runtime.plan_cache_stats().unwrap().invalidations, 1);
+    service.reload(dataset.name(), new.clone()).unwrap();
+    assert_eq!(dataset.epoch(), 1);
+    assert_eq!(dataset.plan_cache_len(), 0);
+    assert_eq!(dataset.plan_stats().unwrap().invalidations, 1);
 
-    let after = runtime.submit(z_request(2, 20, 9)).wait().unwrap();
-    let cold = runtime.plan_cache_stats().unwrap();
+    let after = dataset.submit(&query).wait().unwrap().output;
+    let cold = dataset.plan_stats().unwrap();
     assert_eq!((cold.misses, cold.hits), (2, 1), "stale plan was served");
     assert_ne!(
         after.projection.basis().as_slice(),
         before.projection.basis().as_slice(),
         "query after reload must see the new data"
     );
-    let topology = RuntimeConfig::default().topology;
+    let topology = ServiceConfig::default().topology;
     let mut direct = PartitionModel::with_substrate(new, EntryFunction::Identity, |l| {
         dlra::comm::Cluster::with_topology(l, topology)
     })
     .unwrap();
-    let want = run_algorithm1(&mut direct, &z_request(2, 20, 9).cfg).unwrap();
+    let want = run_algorithm1(&mut direct, &query.request().cfg).unwrap();
     assert_eq!(
         after.projection.basis().as_slice(),
         want.projection.basis().as_slice()

@@ -13,9 +13,7 @@ use dlra::core::adaptive::{run_adaptive, AdaptiveConfig};
 use dlra::net::SocketCluster;
 use dlra::prelude::*;
 use dlra::runtime::ThreadedCluster;
-use dlra::runtime::{
-    socket_model, threaded_model, QueryRequest, Runtime, RuntimeConfig, Substrate,
-};
+use dlra::runtime::{socket_model, threaded_model, Substrate};
 use dlra::util::Rng;
 
 const SEEDS: [u64; 3] = [1, 7, 42];
@@ -25,6 +23,24 @@ fn shares(s: usize, n: usize, d: usize, k: usize, seed: u64) -> Vec<dlra::linalg
     let mut rng = Rng::new(seed);
     let global = dlra::data::noisy_low_rank(n, d, k, 0.1, &mut rng);
     dlra::data::split_with_noise_shares(&global, s, 0.3, &mut rng)
+}
+
+/// The query `cfg` describes, built through the typed builder.
+fn query(cfg: &Algorithm1Config) -> Query {
+    Query::rank(cfg.k)
+        .samples(cfg.r)
+        .boosted(cfg.boost)
+        .sampler(cfg.sampler.clone())
+        .seed(cfg.seed)
+        .build()
+        .unwrap()
+}
+
+/// A service built from `config`, holding `parts` as its only dataset.
+fn service_with(parts: &[dlra::linalg::Matrix], config: ServiceConfig) -> (Service, DatasetHandle) {
+    let service = Service::new(config);
+    let dataset = service.load("resident", parts.to_vec()).unwrap();
+    (service, dataset)
 }
 
 /// Runs one config on all three substrates — sequential simulator,
@@ -158,10 +174,10 @@ fn runtime_submit_matches_both_substrates() {
         ..Default::default()
     };
 
-    // The reference runs under the runtime's (possibly env-driven)
+    // The reference runs under the service's (possibly env-driven)
     // topology so the ledger comparison holds when CI plumbs
     // `DLRA_TOPOLOGY`.
-    let topology = RuntimeConfig::default().topology;
+    let topology = ServiceConfig::default().topology;
     let mut direct = PartitionModel::with_substrate(parts.clone(), EntryFunction::Identity, |l| {
         Cluster::with_topology(l, topology)
     })
@@ -173,19 +189,15 @@ fn runtime_submit_matches_both_substrates() {
         Substrate::Threaded,
         Substrate::Socket,
     ] {
-        let runtime = Runtime::new(
-            parts.clone(),
-            RuntimeConfig {
+        let (_service, dataset) = service_with(
+            &parts,
+            ServiceConfig {
                 executors: 2,
                 substrate,
                 ..Default::default()
             },
-        )
-        .unwrap();
-        let got = runtime
-            .submit(QueryRequest::identity(cfg.clone()))
-            .wait()
-            .unwrap();
+        );
+        let got = dataset.submit(&query(&cfg)).wait().unwrap().output;
         assert_eq!(
             got.projection.basis().as_slice(),
             want.projection.basis().as_slice(),
@@ -197,7 +209,7 @@ fn runtime_submit_matches_both_substrates() {
 }
 
 /// The plan cache is an optimization, never a semantic: the same Z query
-/// submitted through a cache-enabled and a cache-disabled runtime delivers
+/// submitted through a cache-enabled and a cache-disabled service delivers
 /// bit-identical outputs and identical per-query ledger totals, both equal
 /// to a direct sequential run. (CI additionally runs this whole suite with
 /// `DLRA_PLAN_CACHE=0` and `=32`, toggling the default-config path.)
@@ -211,7 +223,7 @@ fn plan_cache_on_and_off_stay_ledger_and_bit_identical() {
         seed: 3,
         ..Default::default()
     };
-    let topology = RuntimeConfig::default().topology;
+    let topology = ServiceConfig::default().topology;
     let mut direct = PartitionModel::with_substrate(parts.clone(), EntryFunction::Identity, |l| {
         Cluster::with_topology(l, topology)
     })
@@ -224,21 +236,23 @@ fn plan_cache_on_and_off_stay_ledger_and_bit_identical() {
         Substrate::Socket,
     ] {
         for plan_cache in [0usize, 8] {
-            let runtime = Runtime::new(
-                parts.clone(),
-                RuntimeConfig {
+            let (_service, dataset) = service_with(
+                &parts,
+                ServiceConfig {
                     executors: 2,
                     substrate,
                     plan_cache,
                     metrics: true,
                     ..Default::default()
                 },
-            )
-            .unwrap();
-            let got = runtime
-                .submit(QueryRequest::identity(cfg.clone()))
-                .wait()
-                .unwrap();
+            );
+            let outcome = dataset.submit(&query(&cfg)).wait().unwrap();
+            assert_eq!(
+                outcome.plan.is_some(),
+                plan_cache > 0,
+                "plan provenance ({substrate:?}, plan_cache = {plan_cache})"
+            );
+            let got = outcome.output;
             assert_eq!(
                 got.projection.basis().as_slice(),
                 want.projection.basis().as_slice(),
@@ -355,12 +369,12 @@ fn topology_matrix_bit_identical_with_smaller_tree_root_inbox() {
     }
 }
 
-/// Copy-on-write residency: loading a `Runtime` and dispatching queries
-/// shares the resident matrix storage — no query ever copies the entry
-/// data. Observed through the `Arc` refcount of each resident matrix: it
-/// is `2` at rest (this test + the runtime), rises **above** `2` while a
-/// query's model is alive (a deep copy would never raise it), and falls
-/// back to `1` once the runtime is dropped.
+/// Copy-on-write residency: loading a dataset into a `Service` and
+/// dispatching queries shares the resident matrix storage — no query ever
+/// copies the entry data. Observed through the `Arc` refcount of each
+/// resident matrix: it is `2` at rest (this test + the service), rises
+/// **above** `2` while a query's model is alive (a deep copy would never
+/// raise it), and falls back to `1` once the service is dropped.
 #[test]
 fn query_dispatch_copies_no_resident_matrix_data() {
     let parts = shares(3, 4096, 16, 3, 5);
@@ -372,21 +386,20 @@ fn query_dispatch_copies_no_resident_matrix_data() {
         ..Default::default()
     };
     for substrate in [Substrate::Sequential, Substrate::Threaded] {
-        let runtime = Runtime::new(
-            parts.clone(),
-            RuntimeConfig {
+        let (service, dataset) = service_with(
+            &parts,
+            ServiceConfig {
                 executors: 2,
                 substrate,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         // Loading shared, did not copy: each matrix is held exactly by
-        // this test and by the runtime's resident payload.
-        for (mine, resident) in parts.iter().zip(runtime.resident().iter()) {
+        // this test and by the service's resident payload.
+        for (mine, resident) in parts.iter().zip(dataset.resident().iter()) {
             assert!(
                 mine.shares_storage(resident),
-                "loading the runtime copied matrix data ({substrate:?})"
+                "loading the dataset copied matrix data ({substrate:?})"
             );
             assert_eq!(mine.storage_refcount(), 2);
         }
@@ -394,7 +407,7 @@ fn query_dispatch_copies_no_resident_matrix_data() {
         // While a query is in flight its model shares the payload too, so
         // the refcount must exceed 2 at some point. A dispatch that deep-
         // copied would leave it pinned at 2 for the whole run.
-        let handle = runtime.submit(QueryRequest::identity(cfg.clone()));
+        let ticket = dataset.submit(&query(&cfg));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let mut observed_shared_dispatch = false;
         while std::time::Instant::now() < deadline {
@@ -408,11 +421,11 @@ fn query_dispatch_copies_no_resident_matrix_data() {
             observed_shared_dispatch,
             "in-flight query never shared the resident payload ({substrate:?})"
         );
-        handle.wait().unwrap();
+        ticket.wait().unwrap();
 
-        // Query completion releases the shares; dropping the runtime leaves
+        // Query completion releases the shares; dropping the service leaves
         // this test as the sole owner — nothing leaked, nothing copied.
-        drop(runtime);
+        drop((service, dataset));
         for mine in &parts {
             assert_eq!(mine.storage_refcount(), 1, "{substrate:?}");
         }

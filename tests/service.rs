@@ -2,7 +2,7 @@
 //!
 //! * A [`Service`] hosting two named datasets serves **interleaved
 //!   concurrent queries** whose outputs and per-query ledgers are
-//!   bit-identical to single-`Runtime` runs of the same queries.
+//!   bit-identical to one-dataset services answering the same queries.
 //! * `reload`/`evict` of one dataset provably leaves the other's cached
 //!   plans live (stats-asserted per dataset) and never touches its
 //!   in-flight queries.
@@ -16,7 +16,7 @@
 //! plan-stats assertions guard on planning being enabled.
 
 use dlra::prelude::*;
-use dlra::runtime::{Runtime, RuntimeConfig, ServiceConfig, Substrate, Ticket};
+use dlra::runtime::Substrate;
 use dlra::util::Rng;
 use std::time::Duration;
 
@@ -83,14 +83,13 @@ fn uniform_query(k: usize, r: usize, seed: u64) -> Query {
 
 /// The tentpole acceptance test: two resident datasets, interleaved
 /// concurrent queries, per-dataset plan caches — outputs and per-query
-/// ledgers bit-identical to single-`Runtime` runs of the same queries.
+/// ledgers bit-identical to one-dataset services answering the same
+/// queries.
 #[test]
 fn two_datasets_interleaved_match_single_runtime_runs_bit_for_bit() {
     let parts_a = shares(3, 120, 10, 3, 101);
     let parts_b = shares(4, 96, 8, 2, 202);
-    let config = service_config(4);
-
-    let service = Service::new(config.clone());
+    let service = Service::new(service_config(4));
     let a = service.load("tenant-a", parts_a.clone()).unwrap();
     let b = service.load("tenant-b", parts_b.clone()).unwrap();
     assert_eq!(a.shape(), (120, 10));
@@ -119,33 +118,26 @@ fn two_datasets_interleaved_match_single_runtime_runs_bit_for_bit() {
         }
     }
 
-    // Reference: single-dataset runtimes with the same plan-cache setting,
-    // one per tenant, answering the same queries.
-    let runtime_config = |executors| RuntimeConfig {
-        executors,
-        substrate: config.substrate,
-        plan_cache: config.plan_cache,
-        metrics: config.metrics,
-        topology: config.topology,
-        // The references answer every query; only the service under test
-        // runs with the (possibly env-forced) admission bound.
-        max_queue_depth: None,
-        memory_budget: None,
-    };
-    let runtime_a = Runtime::new(parts_a, runtime_config(4)).unwrap();
-    let runtime_b = Runtime::new(parts_b, runtime_config(4)).unwrap();
+    // Reference: one-dataset services with the same plan-cache setting,
+    // one per tenant, answering the same queries. The references answer
+    // every query; only the service under test runs with the (possibly
+    // env-forced) admission bound.
+    let reference_a = Service::new(unbounded_config(4));
+    let reference_b = Service::new(unbounded_config(4));
+    let ref_a = reference_a.load("tenant-a", parts_a).unwrap();
+    let ref_b = reference_b.load("tenant-b", parts_b).unwrap();
 
     for (i, is_a, ticket) in tickets {
         let got = ticket.wait().expect("service query failed");
-        let (runtime, queries) = if is_a {
-            (&runtime_a, &queries_a)
+        let (reference, queries) = if is_a {
+            (&ref_a, &queries_a)
         } else {
-            (&runtime_b, &queries_b)
+            (&ref_b, &queries_b)
         };
-        let want = runtime
-            .submit(queries[i].request().clone())
-            .wait_outcome()
-            .expect("runtime query failed");
+        let want = reference
+            .submit(&queries[i])
+            .wait()
+            .expect("reference query failed");
         let tenant = if is_a { "a" } else { "b" };
         assert_eq!(
             got.output.projection.basis().as_slice(),
