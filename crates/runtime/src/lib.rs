@@ -103,3 +103,7 @@ pub fn socket_model(
 ) -> Result<PartitionModel<dlra_net::SocketCluster<MatrixServer>>> {
     PartitionModel::with_substrate(locals, f, dlra_net::SocketCluster::new)
 }
+
+#[cfg(test)]
+#[path = "runtime_tests.rs"]
+mod runtime;

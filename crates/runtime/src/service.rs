@@ -1759,9 +1759,6 @@ fn execute_on<C: Collectives<MatrixServer>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlra_core::algorithm1::run_algorithm1;
-    use dlra_core::functions::EntryFunction;
-    use dlra_sampler::ZSamplerParams;
     use dlra_util::Rng;
 
     fn locals(s: usize, n: usize, d: usize, seed: u64) -> Vec<Matrix> {
@@ -1923,87 +1920,6 @@ mod tests {
         };
         let text = err.to_string();
         assert!(text.contains('9') && text.contains('8'), "{text}");
-    }
-
-    #[test]
-    fn submit_survives_total_executor_death() {
-        let mut service = Service::new(config(2, 0));
-        let handle = service.load("a", locals(2, 10, 4, 2)).unwrap();
-        // Kill the whole pool: one poison task per executor, joined so the
-        // death is fully observable before the next submit.
-        service.poison_executors();
-        // Every new ticket resolves typed, naming what is gone, instead of
-        // panicking on the dead queue.
-        for seed in 0..3 {
-            match handle.submit(&uniform_query(2, 10, seed)).wait() {
-                Err(ServiceError::RuntimeUnavailable(msg)) => {
-                    assert!(msg.contains("executor pool"), "unhelpful message: {msg}")
-                }
-                other => panic!("expected RuntimeUnavailable, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn drop_completes_in_flight_queries() {
-        let service = Service::new(ServiceConfig {
-            substrate: Substrate::Threaded,
-            ..config(2, 0)
-        });
-        let handle = service.load("a", locals(2, 40, 6, 5)).unwrap();
-        let ticket = handle.submit(&uniform_query(2, 15, 9));
-        drop(service);
-        assert!(ticket.wait().is_ok());
-    }
-
-    #[test]
-    fn reload_resident_swaps_data_and_epoch() {
-        let old = locals(2, 30, 6, 40);
-        let new = locals(2, 24, 5, 41);
-        let service = Service::new(config(2, 8));
-        let handle = service.load("a", old.clone()).unwrap();
-        assert_eq!((handle.epoch(), handle.shape()), (0, (30, 6)));
-
-        service.reload("a", new.clone()).unwrap();
-        assert_eq!((handle.epoch(), handle.shape()), (1, (24, 5)));
-        for (mine, theirs) in new.iter().zip(handle.resident().iter()) {
-            assert!(mine.shares_storage(theirs), "reload copied matrix data");
-        }
-        // The service released the old payload entirely.
-        for m in &old {
-            assert_eq!(m.storage_refcount(), 1);
-        }
-
-        // Queries now answer against the new data.
-        let query = uniform_query(2, 12, 42);
-        let got = handle.submit(&query).wait().unwrap();
-        let mut direct = PartitionModel::new(new, EntryFunction::Identity).unwrap();
-        let want = run_algorithm1(&mut direct, &query.request().cfg).unwrap();
-        assert_eq!(
-            got.output.projection.basis().as_slice(),
-            want.projection.basis().as_slice()
-        );
-
-        // A bad reload leaves the dataset untouched.
-        assert!(service.reload("a", vec![]).is_err());
-        assert_eq!(handle.epoch(), 1);
-    }
-
-    #[test]
-    fn boosted_and_non_z_queries_bypass_the_planner() {
-        let service = Service::new(config(1, 8));
-        let handle = service.load("a", locals(2, 40, 6, 33)).unwrap();
-        let boosted = Query::rank(2)
-            .samples(15)
-            .boosted(2)
-            .sampler(SamplerKind::Z(ZSamplerParams::default()))
-            .seed(1)
-            .build()
-            .unwrap();
-        assert!(handle.submit(&boosted).wait().unwrap().plan.is_none());
-        let uniform = uniform_query(2, 15, 2);
-        assert!(handle.submit(&uniform).wait().unwrap().plan.is_none());
-        assert_eq!(handle.plan_cache_len(), 0);
     }
 
     #[test]
