@@ -1,8 +1,13 @@
-//! Linear-algebra kernel benchmarks: the one-sided Jacobi SVD at the sizes
-//! Algorithm 1 actually uses (`B ∈ ℝʳˣᵈ` with `r = Θ(k²/ε²)`), the
-//! symmetric eigensolver, QR, and the dense matmul backbone.
+//! Linear-algebra kernel benchmarks: the one-sided Jacobi SVD on Gaussian
+//! matrices, the coordinator's FKV step (Algorithm 1 lines 7–8) at the
+//! shapes the service runs, best rank-k, QR, and the dense matmul backbone.
+//!
+//! The FKV step's `B` has one row per distinct sampled index, so its SVD
+//! runs on `m × d` with `m ≤ r = Θ(k²/ε²)` draws; `fkv_step` times
+//! `build_b_matrix` + `fkv_projection` from the `r` per-draw rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dlra_core::{build_b_matrix, fkv_projection, SampledRow};
 use dlra_linalg::{best_rank_k, householder_qr, svd, Matrix};
 use dlra_util::Rng;
 use std::hint::black_box;
@@ -18,6 +23,45 @@ fn bench_svd(c: &mut Criterion) {
                 let mut rng = Rng::new(1);
                 let a = Matrix::gaussian(r, d, &mut rng);
                 b.iter(|| black_box(svd(&a).unwrap().s[0]));
+            },
+        );
+    }
+    group.finish();
+}
+
+/// `r` draws over `m` distinct rows of a Gaussian `m × d` matrix, every row
+/// drawn at least once, with length-squared probabilities.
+fn draws(r: usize, m: usize, d: usize, rng: &mut Rng) -> Vec<SampledRow> {
+    let a = Matrix::gaussian(m, d, rng);
+    let weights = a.row_norms_sq();
+    let total: f64 = weights.iter().sum();
+    let mut indices: Vec<usize> = (0..m).chain((m..r).map(|_| rng.index(m))).collect();
+    rng.shuffle(&mut indices);
+    indices
+        .into_iter()
+        .map(|i| SampledRow {
+            index: i,
+            values: a.row(i).to_vec(),
+            q_hat: weights[i] / total,
+        })
+        .collect()
+}
+
+fn bench_fkv_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fkv_step");
+    group.sample_size(10);
+    let (k, d) = (12, 256);
+    // warm_svd's measured shape, then cold_prepare's.
+    for &(r, m) in &[(500usize, 150usize), (200, 90)] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("r{r}_m{m}_d{d}_k{k}")),
+            &(r, m),
+            |b, &(r, m)| {
+                let rows = draws(r, m, d, &mut Rng::new(6));
+                b.iter(|| {
+                    let b = build_b_matrix(&rows).unwrap();
+                    black_box(fkv_projection(&b, k).unwrap().1)
+                });
             },
         );
     }
@@ -64,6 +108,7 @@ fn bench_gram(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_svd,
+    bench_fkv_step,
     bench_rank_k,
     bench_qr,
     bench_matmul,

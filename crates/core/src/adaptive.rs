@@ -18,12 +18,12 @@
 //! stops at one-shot sampling — we document the boundary with a runtime
 //! check.
 
-use crate::fkv::{build_b_matrix, SampledRow};
+use crate::fkv::{build_b_matrix, fkv_projection, SampledRow};
 use crate::functions::EntryFunction;
 use crate::model::{MatrixServer, PartitionModel};
 use crate::{CoreError, Result};
 use dlra_comm::{Collectives, LedgerSnapshot};
-use dlra_linalg::{orthonormalize_columns, svd, Projector};
+use dlra_linalg::{orthonormalize_columns, Projector};
 use dlra_sampler::{Square, ZSampler, ZSamplerParams};
 use dlra_util::Rng;
 
@@ -68,7 +68,7 @@ pub fn run_adaptive<C: Collectives<MatrixServer>>(
                 .into(),
         ));
     }
-    let (n, d) = model.shape();
+    let d = model.shape().1;
     if cfg.k == 0 || cfg.k > d {
         return Err(CoreError::InvalidConfig(format!(
             "k = {} out of range for d = {d}",
@@ -139,9 +139,8 @@ pub fn run_adaptive<C: Collectives<MatrixServer>>(
 
         // 4. Extend the basis with the top directions of the sampled rows.
         let b = build_b_matrix(&all_rows)?;
-        let dec = svd(&b)?;
-        let take = cfg.k.min(dec.s.len());
-        let mut candidate = dec.top_right_vectors(take);
+        let (top, _) = fkv_projection(&b, cfg.k)?;
+        let mut candidate = top.basis().clone();
         if let Some(p) = &basis {
             candidate = p.basis().hstack(&candidate)?;
         }
@@ -163,9 +162,7 @@ pub fn run_adaptive<C: Collectives<MatrixServer>>(
         return Err(CoreError::SamplerExhausted);
     }
     let b = build_b_matrix(&all_rows)?;
-    let dec = svd(&b)?;
-    let projection = dec.top_right_projector(cfg.k.min(dec.s.len()));
-    let _ = n;
+    let (projection, _) = fkv_projection(&b, cfg.k)?;
     Ok(AdaptiveOutput {
         projection,
         comm: model.cluster().comm().since(&before),

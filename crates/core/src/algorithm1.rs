@@ -9,6 +9,12 @@
 //! 8:   P = VVᵀ from B's top-k right singular vectors
 //! ```
 //!
+//! Line 7's `B` has one row per draw. Here `B` has one row per distinct
+//! sampled index `i` instead, `Aᵢ·√(Σ 1/(r·Q̂))` over `i`'s draws: every
+//! repeat of `i` adds the same `AᵢᵀAᵢ` to `BᵀB`, only with its own weight,
+//! so the sums agree, and line 8 reads `B` only through `BᵀB` (see
+//! [`build_b_matrix`]).
+//!
 //! Success boosting (§IV): repeat the protocol `O(log 1/δ)` times and keep
 //! the `P` with maximum `‖BP‖²_F`.
 
@@ -108,7 +114,11 @@ fn validate_config(cfg: &Algorithm1Config, d: usize) -> Result<()> {
 
 /// The boosting loop shared by the planned and unplanned entry points:
 /// `sample` produces the rep's rows (lines 4–7), the body builds `B`, takes
-/// the top-k right singular space, and keeps the best `‖BP‖²_F`.
+/// the top-k right singular space, and keeps the best `‖BP‖²_F`. `B` has
+/// one row per distinct sampled index; merging repeats keeps `BᵀB`, so the
+/// projection and the score `‖BP‖²_F = tr(P·BᵀB·P)` are the per-draw
+/// matrix's, while the SVD runs on `m ≤ r` rows. The output's `rows`
+/// keep every draw.
 ///
 /// `check` is consulted at the start of every repetition and again between
 /// the draw/fetch phase and the local SVD, so a caller-imposed deadline or

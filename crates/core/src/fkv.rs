@@ -1,10 +1,16 @@
 //! The Frieze–Kannan–Vempala sampling-based low-rank step (§III).
 //!
 //! Given `r` sampled rows of the global matrix with (approximately) reported
-//! probabilities `Q̂`, build `B ∈ ℝʳˣᵈ` with `Bᵢ′ = Aᵢ / √(r·Q̂ᵢ)` and take
-//! the projection onto `B`'s top-k right singular space. Lemmas 1–3 of the
-//! paper bound `‖AᵀA − BᵀB‖_F` and turn that into the additive-error
-//! guarantee; the unit tests here exercise those lemmas numerically.
+//! probabilities `Q̂`, the paper's `B ∈ ℝʳˣᵈ` has one row `Aᵢ / √(r·Q̂)` per
+//! draw, and the output is the projection onto `B`'s top-k right singular
+//! space. That space, the singular values and every bound of Lemmas 1–3
+//! depend on `B` only through `BᵀB = Σ over draws of AᵢᵀAᵢ / (r·Q̂)`, so
+//! draws of the same index `i` merge into one term `wᵢ·AᵢᵀAᵢ` with
+//! `wᵢ = Σ over i's draws of 1/(r·Q̂)`. [`build_b_matrix`] therefore
+//! returns one row `√wᵢ·Aᵢ` per *distinct* sampled index: the same `BᵀB`
+//! in exact arithmetic, with `m ≤ r` rows to decompose instead of `r`. The
+//! unit tests here exercise those lemmas numerically and check the
+//! collapsed `B` against the one-row-per-draw one.
 
 use crate::{CoreError, Result};
 use dlra_linalg::{svd, Matrix, Projector};
@@ -20,14 +26,21 @@ pub struct SampledRow {
     pub q_hat: f64,
 }
 
-/// Builds the rescaled sample matrix `B` (Algorithm 1 line 7).
+/// Builds the rescaled sample matrix `B` (Algorithm 1 line 7) from the
+/// draws `rows`, repeats included.
+///
+/// `B` has one row per distinct [`SampledRow::index`], in ascending index
+/// order: `Aᵢ·√wᵢ` with `wᵢ = Σ 1/(r·Q̂)` over that index's draws, summed
+/// in draw order, where `r = rows.len()`. Its `BᵀB` is the one-row-per-draw
+/// matrix's (see the module docs), while the SVD that follows runs on
+/// `m ≤ r` rows. Draws of one index must carry bitwise-equal `values`;
+/// their `Q̂` may differ.
 pub fn build_b_matrix(rows: &[SampledRow]) -> Result<Matrix> {
     if rows.is_empty() {
         return Err(CoreError::SamplerExhausted);
     }
     let d = rows[0].values.len();
-    let r = rows.len();
-    let mut b = Matrix::zeros(r, d);
+    let r = rows.len() as f64;
     for (i, row) in rows.iter().enumerate() {
         if row.values.len() != d {
             return Err(CoreError::InvalidModel(format!(
@@ -41,9 +54,41 @@ pub fn build_b_matrix(rows: &[SampledRow]) -> Result<Matrix> {
                 row.q_hat
             )));
         }
-        let scale = 1.0 / (r as f64 * row.q_hat).sqrt();
-        for (j, &v) in row.values.iter().enumerate() {
-            b[(i, j)] = v * scale;
+    }
+    // A stable sort keeps each index's draws in draw order.
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by_key(|&i| rows[i].index);
+    let groups: Vec<&[usize]> = order
+        .chunk_by(|&a, &b| rows[a].index == rows[b].index)
+        .collect();
+    let mut b = Matrix::zeros(groups.len(), d);
+    for (g, draws) in groups.into_iter().enumerate() {
+        let first = &rows[draws[0]];
+        let mut weight = 0.0;
+        for &i in draws {
+            let row = &rows[i];
+            if !row
+                .values
+                .iter()
+                .zip(&first.values)
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+            {
+                return Err(CoreError::InvalidModel(format!(
+                    "sampled row {i} repeats index {} with other values",
+                    row.index
+                )));
+            }
+            weight += 1.0 / (r * row.q_hat);
+        }
+        if !weight.is_finite() {
+            return Err(CoreError::InvalidModel(format!(
+                "sampled index {} has an overflowing weight (probability too small)",
+                first.index
+            )));
+        }
+        let scale = weight.sqrt();
+        for (dst, &v) in b.row_mut(g).iter_mut().zip(&first.values) {
+            *dst = v * scale;
         }
     }
     Ok(b)
@@ -52,7 +97,8 @@ pub fn build_b_matrix(rows: &[SampledRow]) -> Result<Matrix> {
 /// Top-k right singular projection of `B` (Algorithm 1 line 8): returns
 /// the factored `P = VVᵀ` and `‖BP‖²_F`; the captured energy drives the
 /// boosting comparison of §IV. The `d × d` matrix is never materialized —
-/// `V` itself is what protocols ship and apply.
+/// `V` itself is what protocols ship and apply. For an `m × d` `B`, `V` has
+/// `min(k, m, d)` columns.
 pub fn fkv_projection(b: &Matrix, k: usize) -> Result<(Projector, f64)> {
     if k == 0 {
         return Err(CoreError::InvalidConfig("k must be positive".into()));
@@ -66,7 +112,7 @@ pub fn fkv_projection(b: &Matrix, k: usize) -> Result<(Projector, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlra_linalg::best_rank_k;
+    use dlra_linalg::{best_rank_k, orthonormalize_columns};
     use dlra_util::Rng;
 
     fn exact_row_sampler(a: &Matrix, r: usize, rng: &mut Rng) -> Vec<SampledRow> {
@@ -84,6 +130,154 @@ mod tests {
             .collect()
     }
 
+    fn row(index: usize, values: &[f64], q_hat: f64) -> SampledRow {
+        SampledRow {
+            index,
+            values: values.to_vec(),
+            q_hat,
+        }
+    }
+
+    /// The paper's one-row-per-draw `B`, `Aᵢ / √(r·Q̂)` for every draw with
+    /// repeats kept: the reference the collapsed [`build_b_matrix`] must
+    /// match through `BᵀB`.
+    fn per_draw_b_matrix(rows: &[SampledRow]) -> Matrix {
+        let d = rows[0].values.len();
+        let r = rows.len();
+        let mut b = Matrix::zeros(r, d);
+        for (i, row) in rows.iter().enumerate() {
+            let scale = 1.0 / (r as f64 * row.q_hat).sqrt();
+            for (j, &v) in row.values.iter().enumerate() {
+                b[(i, j)] = v * scale;
+            }
+        }
+        b
+    }
+
+    /// Checks the collapsed `B` against the per-draw one: one row per
+    /// distinct index, the same `BᵀB`, the same captured energy at every k,
+    /// and the same projector `VVᵀ` at every k ≤ m whose eigengap
+    /// `σₖ² − σₖ₊₁²` is at least 1e-3 of `σ₁²` (the projector is only
+    /// well-defined across a gap). All to 1e-12 relative. Returns the k
+    /// whose projector was compared.
+    fn assert_collapse_matches_per_draw(rows: &[SampledRow]) -> Vec<usize> {
+        let collapsed = build_b_matrix(rows).unwrap();
+        let per_draw = per_draw_b_matrix(rows);
+        let mut distinct: Vec<usize> = rows.iter().map(|r| r.index).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(collapsed.rows(), distinct.len());
+
+        let gram = per_draw.gram();
+        let gram_err =
+            collapsed.gram().sub(&gram).unwrap().frobenius_norm() / gram.frobenius_norm();
+        assert!(gram_err < 1e-12, "BᵀB differs by {gram_err}");
+
+        let sigma_sq: Vec<f64> = svd(&per_draw).unwrap().s.iter().map(|x| x * x).collect();
+        let mut compared = Vec::new();
+        for k in 1..=per_draw.cols() {
+            let (p, captured) = fkv_projection(&collapsed, k).unwrap();
+            let (p_ref, captured_ref) = fkv_projection(&per_draw, k).unwrap();
+            let energy_err = (captured - captured_ref).abs() / captured_ref;
+            assert!(
+                energy_err < 1e-12,
+                "k = {k}: captured energy differs by {energy_err}"
+            );
+            let gap = sigma_sq[k - 1] - sigma_sq.get(k).copied().unwrap_or(0.0);
+            if k <= distinct.len() && gap >= 1e-3 * sigma_sq[0] {
+                let want = p_ref.to_dense();
+                let err = p.to_dense().sub(&want).unwrap().frobenius_norm() / want.frobenius_norm();
+                assert!(err < 1e-12, "k = {k}: projector differs by {err}");
+                compared.push(k);
+            }
+        }
+        compared
+    }
+
+    #[test]
+    fn collapse_matches_per_draw_on_gaussian() {
+        // 80 draws over 60 rows repeat indices; m ≥ d, so both builders'
+        // SVDs take the tall branch.
+        let mut rng = Rng::new(21);
+        let a = Matrix::gaussian(60, 12, &mut rng);
+        let rows = exact_row_sampler(&a, 80, &mut rng);
+        let b = build_b_matrix(&rows).unwrap();
+        assert!(b.rows() < rows.len() && b.rows() >= 12);
+        assert!(!assert_collapse_matches_per_draw(&rows).is_empty());
+    }
+
+    #[test]
+    fn collapse_matches_per_draw_when_m_falls_below_d() {
+        // 60 draws over 16 rows with d = 24: the per-draw B (60 × 24) takes
+        // the tall SVD branch, the collapsed one (≤ 16 × 24) the wide one.
+        let mut rng = Rng::new(22);
+        let a = Matrix::gaussian(16, 24, &mut rng);
+        let rows = exact_row_sampler(&a, 60, &mut rng);
+        let b = build_b_matrix(&rows).unwrap();
+        assert!(b.rows() < b.cols() && rows.len() >= b.cols());
+        assert!(!assert_collapse_matches_per_draw(&rows).is_empty());
+    }
+
+    #[test]
+    fn collapse_matches_per_draw_on_ill_conditioned_input() {
+        // Distinct rows M = U·diag(σ)·Vᵀ with σ from 1 down to 1e-8 and a
+        // gap after k = 3. Row i is drawn cᵢ ∈ {1, 2, 3} times, interleaved,
+        // with Q̂ = cᵢ/r, so the collapsed B is M up to rounding.
+        let (m, d, k) = (20, 8, 3);
+        let sigma = [1.0, 0.7, 0.5, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8];
+        let mut rng = Rng::new(23);
+        let u = orthonormalize_columns(&Matrix::gaussian(m, d, &mut rng));
+        let v = orthonormalize_columns(&Matrix::gaussian(d, d, &mut rng));
+        let us = Matrix::from_fn(m, d, |i, j| u[(i, j)] * sigma[j]);
+        let a = us.matmul(&v.transpose()).unwrap();
+        let copies = |i: usize| 1 + i % 3;
+        let r: usize = (0..m).map(copies).sum();
+        let rows: Vec<SampledRow> = (0..3)
+            .flat_map(|pass| (0..m).filter(move |&i| pass < copies(i)))
+            .map(|i| row(i, a.row(i), copies(i) as f64 / r as f64))
+            .collect();
+        assert_eq!(rows.len(), r);
+        // The input really is ill-conditioned (σ_min is resolved only to
+        // the SVD's absolute accuracy) with a gap at k.
+        let s = svd(&build_b_matrix(&rows).unwrap()).unwrap().s;
+        assert!((s[0] - 1.0).abs() < 1e-12, "σ₁ = {}", s[0]);
+        assert!(s[d - 1] < 2e-8, "σ_min = {}", s[d - 1]);
+        assert!(s[k - 1] > 1e3 * s[k], "no gap at k: {s:?}");
+        assert!(assert_collapse_matches_per_draw(&rows).contains(&k));
+    }
+
+    #[test]
+    fn collapse_matches_per_draw_with_approximate_probabilities() {
+        // Each draw's Q̂ is off by its own (1±γ) factor, as in adaptive
+        // sampling, where one index drawn in two rounds carries two Q̂.
+        let mut rng = Rng::new(24);
+        let a = Matrix::gaussian(40, 10, &mut rng);
+        let mut rows = exact_row_sampler(&a, 70, &mut rng);
+        for row in rows.iter_mut() {
+            row.q_hat *= 1.0 + rng.range_f64(-0.15, 0.15);
+        }
+        assert!(rows.iter().enumerate().any(|(i, x)| rows[..i]
+            .iter()
+            .any(|y| y.index == x.index && y.q_hat != x.q_hat)));
+        assert!(!assert_collapse_matches_per_draw(&rows).is_empty());
+    }
+
+    #[test]
+    fn collapse_matches_per_draw_on_distinct_draws() {
+        // m = r: no index repeats, so the collapse only reorders rows into
+        // ascending index order.
+        let mut rng = Rng::new(25);
+        let a = Matrix::gaussian(200, 10, &mut rng);
+        let weights = a.row_norms_sq();
+        let total: f64 = weights.iter().sum();
+        let rows: Vec<SampledRow> = (0..30)
+            .map(|j| (7 * j + 3) % 200)
+            .map(|i| row(i, a.row(i), weights[i] / total))
+            .collect();
+        assert_eq!(build_b_matrix(&rows).unwrap().rows(), rows.len());
+        assert!(!assert_collapse_matches_per_draw(&rows).is_empty());
+    }
+
     #[test]
     fn b_matrix_scaling() {
         let rows = vec![
@@ -99,9 +293,24 @@ mod tests {
             },
         ];
         let b = build_b_matrix(&rows).unwrap();
-        // scale = 1/sqrt(2 * 0.5) = 1.
+        // scale = √(1/(2 · 0.5)) = 1.
         assert_eq!(b[(0, 0)], 2.0);
         assert_eq!(b[(1, 1)], 3.0);
+
+        // Index 1 drawn twice (with two Q̂) and index 0 once: one row per
+        // index, ascending, each scaled by √(Σ 1/(r·Q̂)) over its draws.
+        let rows = vec![
+            row(1, &[0.0, 3.0], 0.25),
+            row(0, &[2.0, 0.0], 0.5),
+            row(1, &[0.0, 3.0], 0.5),
+        ];
+        let b = build_b_matrix(&rows).unwrap();
+        assert_eq!(b.shape(), (2, 2));
+        let once = (1.0 / (3.0 * 0.5f64)).sqrt();
+        let twice = (1.0 / (3.0 * 0.25) + 1.0 / (3.0 * 0.5f64)).sqrt();
+        assert!((twice - 2f64.sqrt()).abs() < 1e-15);
+        assert_eq!(b.row(0), [2.0 * once, 0.0]);
+        assert_eq!(b.row(1), [0.0, 3.0 * twice]);
     }
 
     #[test]
@@ -129,6 +338,24 @@ mod tests {
             },
         ];
         assert!(build_b_matrix(&ragged).is_err());
+        // A repeated index must repeat its values bit for bit: −0.0 is not
+        // 0.0.
+        let mut repeated = vec![
+            row(4, &[1.0, 0.0], 0.5),
+            row(2, &[1.0, 1.0], 0.5),
+            row(4, &[1.0, -0.0], 0.5),
+        ];
+        assert!(matches!(
+            build_b_matrix(&repeated),
+            Err(CoreError::InvalidModel(_))
+        ));
+        repeated[2].values[1] = 0.0;
+        assert_eq!(build_b_matrix(&repeated).unwrap().rows(), 2);
+        // A subnormal Q̂ overflows the weight 1/(r·Q̂).
+        assert!(matches!(
+            build_b_matrix(&[row(0, &[1.0], 1e-320)]),
+            Err(CoreError::InvalidModel(_))
+        ));
     }
 
     #[test]

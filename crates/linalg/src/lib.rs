@@ -33,7 +33,6 @@ pub mod lowrank;
 pub mod matrix;
 pub mod projector;
 pub mod qr;
-pub mod randomized;
 pub mod svd;
 pub mod threads;
 
@@ -44,7 +43,6 @@ pub use lowrank::{
 pub use matrix::Matrix;
 pub use projector::Projector;
 pub use qr::{householder_qr, orthonormalize_columns};
-pub use randomized::{randomized_svd, RandomizedSvdConfig};
 pub use svd::{svd, Svd};
 pub use threads::{
     parallelism_watermark, pool_profile, pool_profiling, reset_parallelism_watermark,

@@ -1,11 +1,11 @@
 //! One-sided Jacobi (Hestenes) singular value decomposition.
 //!
 //! The protocols only ever need the top-k *right* singular vectors of a
-//! small sampled matrix `B ∈ ℝʳˣᵈ` (Algorithm 1 line 8), while the
-//! experiment harness needs a full SVD of the global matrix to measure the
-//! true `‖A − [A]ₖ‖²_F`. One-sided Jacobi serves both: it is simple, robust
-//! for the sizes involved, and delivers singular vectors to near machine
-//! precision.
+//! small sampled matrix `B ∈ ℝᵐˣᵈ` with one row per distinct sampled index
+//! (Algorithm 1 line 8), while the experiment harness needs a full SVD of
+//! the global matrix to measure the true `‖A − [A]ₖ‖²_F`. One-sided Jacobi
+//! serves both: it is simple, robust for the sizes involved, and delivers
+//! singular vectors to near machine precision.
 
 use crate::matrix::{dot, Matrix};
 use crate::{LinalgError, Result};
