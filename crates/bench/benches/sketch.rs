@@ -1,4 +1,4 @@
-//! Microbenchmarks for the sketching substrate: CountSketch / AMS update
+//! Microbenchmarks for the sketching substrate: CountSketch update
 //! throughput, merge (the per-server aggregation cost), point queries,
 //! heavy-hitter recovery, and one Z-estimator pass's two sketch scans
 //! (every server's `SketchBundle::absorb`, the coordinator's `recover`).
@@ -6,9 +6,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dlra_data::isolet_like;
 use dlra_sampler::{DenseServerVec, SampleVector, SketchBundle, ZSamplerParams};
-use dlra_sketch::{AmsF2, CountSketch, HeavyHittersSketch};
+use dlra_sketch::{CountSketch, HeavyHittersSketch};
 use dlra_util::Rng;
 use std::hint::black_box;
+use std::time::Duration;
 
 fn bench_countsketch_update(c: &mut Criterion) {
     let mut group = c.benchmark_group("countsketch_update");
@@ -62,17 +63,6 @@ fn bench_sketch_merge(c: &mut Criterion) {
     });
 }
 
-fn bench_ams_estimate(c: &mut Criterion) {
-    c.bench_function("ams_f2_estimate", |b| {
-        let mut s = AmsF2::new(9, 64, 5);
-        let mut rng = Rng::new(6);
-        for j in 0..5_000u64 {
-            s.update(j, rng.gaussian());
-        }
-        b.iter(|| black_box(s.estimate()));
-    });
-}
-
 fn bench_heavy_hitter_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("heavy_hitter_recover");
     group.sample_size(20);
@@ -121,10 +111,15 @@ fn isolet_bundle_inputs() -> (ZSamplerParams, Vec<DenseServerVec>) {
     (params, shares)
 }
 
+/// Samples and time budget for the two scan groups: 20 samples of a
+/// 30–90 ms scan fit inside 5 s, so the median is comparable run to run.
+const SCAN_SAMPLES: usize = 20;
+const SCAN_TIME: Duration = Duration::from_secs(5);
+
 /// One estimator pass's server side: every server sketches its share.
 fn bench_bundle_absorb(c: &mut Criterion) {
     let mut group = c.benchmark_group("bundle_absorb");
-    group.sample_size(10);
+    group.sample_size(SCAN_SAMPLES).measurement_time(SCAN_TIME);
     let (params, shares) = isolet_bundle_inputs();
     let dim = shares[0].dim();
     group.throughput(Throughput::Elements(dim * shares.len() as u64));
@@ -144,7 +139,7 @@ fn bench_bundle_absorb(c: &mut Criterion) {
 /// coordinate of the merged bundle.
 fn bench_bundle_recover(c: &mut Criterion) {
     let mut group = c.benchmark_group("bundle_recover");
-    group.sample_size(10);
+    group.sample_size(SCAN_SAMPLES).measurement_time(SCAN_TIME);
     let (params, shares) = isolet_bundle_inputs();
     let dim = shares[0].dim();
     let mut merged = SketchBundle::new(&params, 17, dim);
@@ -165,7 +160,6 @@ criterion_group!(
     bench_countsketch_update,
     bench_countsketch_estimate,
     bench_sketch_merge,
-    bench_ams_estimate,
     bench_heavy_hitter_recovery,
     bench_bundle_absorb,
     bench_bundle_recover

@@ -3,7 +3,7 @@
 //! word holds one matrix entry, index, or hash seed.
 
 use dlra_linalg::Matrix;
-use dlra_sketch::{AmsF2, CountMin, CountSketch, HeavyHittersSketch};
+use dlra_sketch::{CountSketch, HeavyHittersSketch};
 
 /// Wire size in 8-byte words of a message payload.
 pub trait Payload {
@@ -95,18 +95,6 @@ impl Payload for CountSketch {
     }
 }
 
-impl Payload for CountMin {
-    fn words(&self) -> u64 {
-        self.size_words()
-    }
-}
-
-impl Payload for AmsF2 {
-    fn words(&self) -> u64 {
-        self.size_words()
-    }
-}
-
 impl Payload for HeavyHittersSketch {
     fn words(&self) -> u64 {
         self.size_words()
@@ -152,7 +140,7 @@ mod tests {
     fn sketch_sizes() {
         let cs = CountSketch::new(4, 32, 0);
         assert_eq!(Payload::words(&cs), 128);
-        let ams = AmsF2::new(2, 8, 0);
-        assert_eq!(Payload::words(&ams), 16);
+        let hh = HeavyHittersSketch::with_dims(4.0, 2, 8, 0);
+        assert_eq!(Payload::words(&hh), 16);
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::payload::Payload;
 use dlra_linalg::Matrix;
-use dlra_sketch::{AmsF2, CountMin, CountSketch, HeavyHittersSketch};
+use dlra_sketch::{CountSketch, HeavyHittersSketch};
 
 /// Upper bound on a single decoded sequence length (elements). Prevents a
 /// corrupt or hostile descriptor from requesting an enormous allocation
@@ -552,56 +552,6 @@ impl WireDecode for CountSketch {
     }
 }
 
-impl WireEncode for CountMin {
-    fn encode(&self, w: &mut WireWriter) {
-        w.desc_u32(self.depth() as u32);
-        w.desc_u32(self.width() as u32);
-        w.desc_u64(self.seed());
-        w.words_f64(self.table());
-    }
-}
-
-impl WireDecode for CountMin {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let (depth, width) = sketch_dims(r, "countmin dims")?;
-        let seed = r.desc_u64("countmin seed")?;
-        let table = r.words_f64((depth * width) as u64, "countmin table")?;
-        let mut cm = CountMin::new(depth, width, seed);
-        if !cm.load_table(&table) {
-            return Err(WireError::BadTag {
-                what: "countmin table",
-                value: table.len() as u64,
-            });
-        }
-        Ok(cm)
-    }
-}
-
-impl WireEncode for AmsF2 {
-    fn encode(&self, w: &mut WireWriter) {
-        w.desc_u32(self.depth() as u32);
-        w.desc_u32(self.width() as u32);
-        w.desc_u64(self.seed());
-        w.words_f64(self.cells());
-    }
-}
-
-impl WireDecode for AmsF2 {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let (depth, width) = sketch_dims(r, "amsf2 dims")?;
-        let seed = r.desc_u64("amsf2 seed")?;
-        let cells = r.words_f64((depth * width) as u64, "amsf2 cells")?;
-        let mut ams = AmsF2::new(depth, width, seed);
-        if !ams.load_cells(&cells) {
-            return Err(WireError::BadTag {
-                what: "amsf2 cells",
-                value: cells.len() as u64,
-            });
-        }
-        Ok(ams)
-    }
-}
-
 impl WireEncode for HeavyHittersSketch {
     fn encode(&self, w: &mut WireWriter) {
         w.desc_f64(self.b());
@@ -686,16 +636,6 @@ mod tests {
         let mut merged = cs.clone();
         merged.merge(&back);
         assert_eq!(merged.estimate(7), 2.0 * cs.estimate(7));
-
-        let mut cm = CountMin::new(2, 8, 7);
-        cm.update(3, 4.0);
-        let back = roundtrip(&cm);
-        assert_eq!(back.estimate(3).to_bits(), cm.estimate(3).to_bits());
-
-        let mut ams = AmsF2::new(3, 4, 9);
-        ams.update(1, 2.0);
-        let back = roundtrip(&ams);
-        assert_eq!(back.estimate().to_bits(), ams.estimate().to_bits());
 
         let mut hh = HeavyHittersSketch::with_dims(8.0, 3, 16, 5);
         hh.update(2, 10.0);

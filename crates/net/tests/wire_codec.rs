@@ -13,7 +13,7 @@ use dlra_net::frame::{
 };
 use dlra_net::{Frame, MsgType, NetError};
 use dlra_sampler::{SketchBundle, ZSamplerParams};
-use dlra_sketch::{AmsF2, CountMin, CountSketch, HeavyHittersSketch};
+use dlra_sketch::{CountSketch, HeavyHittersSketch};
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -108,21 +108,15 @@ proptest! {
     #[test]
     fn sketch_payloads_roundtrip(depth in 1usize..4, width in 2usize..17, seed in 0u64..1000, updates in 0usize..20) {
         let mut cs = CountSketch::new(depth, width, seed);
-        let mut cm = CountMin::new(depth, width, seed);
-        let mut ams = AmsF2::new(depth, width, seed);
         let mut hh = HeavyHittersSketch::with_dims(2.0, depth, width, seed);
         let mut rng = TestRng::from_name("sketch_payloads");
         for _ in 0..updates {
             let j = rng.next_u64() % 512;
             let x = rng.unit_f64() * 4.0 - 2.0;
             cs.update(j, x);
-            cm.update(j, x.abs());
-            ams.update(j, x);
             hh.update(j, x);
         }
         assert_codec_contract(&cs);
-        assert_codec_contract(&cm);
-        assert_codec_contract(&ams);
         assert_codec_contract(&hh);
     }
 

@@ -14,12 +14,27 @@
 //!
 //! The whole bundle is linear, so per-server bundles built from one
 //! broadcast seed merge by addition into the bundle of the aggregate vector.
+//!
+//! # Levels as integer thresholds
+//!
+//! A coordinate's level is defined by an f64 expression of its hash
+//! `h = g(j)`: `⌊−log₂(h/p)⌋`, capped at the level count, with `h = 0` at
+//! every level. Evaluating it costs a divide and a `log2` per coordinate.
+//! The value is non-increasing in `h`, so it is fixed by the largest hash
+//! at each level, found once by bisecting the f64 expression itself (its
+//! rounding, not the real logarithm, decides the boundary hashes). For
+//! `h ≥ 1`, `c = lzcnt(h − 1) − 3` is the exact `⌊−log₂(h/2⁶¹)⌋`, and each
+//! level's largest hash `tₗ` satisfies `2⁶¹⁻ˡ ≤ tₗ < 2⁶²⁻ˡ`. So every level
+//! up to `c` admits `h`, none past `c + 1` does, and the level is `c`, plus
+//! one when `h ≤ t_{c+1}`.
 
 use crate::params::ZSamplerParams;
 use crate::vector::SampleVector;
 use dlra_comm::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use dlra_comm::Payload;
-use dlra_sketch::{HeavyHittersSketch, KWiseHash};
+use dlra_sketch::hashing::MERSENNE_P;
+use dlra_sketch::{HeavyHittersSketch, KWiseHash, Modulus};
+use std::sync::OnceLock;
 
 /// One repetition at one level: group hash + per-group heavy hitters.
 #[derive(Debug, Clone)]
@@ -33,9 +48,76 @@ struct GroupedHh {
 pub struct SketchBundle {
     seed: u64,
     levels: Vec<Vec<GroupedHh>>,
+    /// The group count of every repetition.
+    groups: Modulus,
     sub_hash: KWiseHash,
     num_levels: usize,
     max_candidates_per_level: usize,
+}
+
+/// The shape parameters a bundle holds inside its sketches rather than as
+/// fields. Two bundles merge only when these and the seed, level count and
+/// candidate cap all match, and all of them cross the wire in the
+/// descriptor.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    reps: usize,
+    groups: usize,
+    hh_depth: usize,
+    hh_width: usize,
+    b_threshold: f64,
+    g_independence: usize,
+}
+
+/// The deepest level the f64 formula gives a nonzero hash: `h ≥ 1` means
+/// `h/p ≥ 2⁻⁶¹`.
+const MAX_HASH_LEVEL: usize = 61;
+
+/// A hash's level by the f64 formula, uncapped (`usize::MAX` for `h = 0`,
+/// which survives to every level).
+fn f64_level(h: u64) -> usize {
+    let u = h as f64 / MERSENNE_P as f64;
+    if u <= 0.0 {
+        return usize::MAX;
+    }
+    // `u ∈ (0, 1]`, so `-log2 u ≥ 0` and the truncating cast is its floor.
+    (-u.log2()) as usize
+}
+
+/// Entry `l` is the largest hash at level `l` or deeper by [`f64_level`]
+/// (`0` past [`MAX_HASH_LEVEL`]).
+type LevelThresholds = [u64; MAX_HASH_LEVEL + 2];
+
+/// The one threshold table every bundle shares.
+fn level_thresholds() -> &'static LevelThresholds {
+    static THRESHOLDS: OnceLock<LevelThresholds> = OnceLock::new();
+    THRESHOLDS.get_or_init(|| {
+        std::array::from_fn(|level| {
+            // Invariant: `lo` is at `level` or deeper, `hi` (or p) is not.
+            let (mut lo, mut hi) = (0, MERSENNE_P);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if f64_level(mid) >= level {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        })
+    })
+}
+
+/// The level of hash `h` in a bundle of `num_levels` levels: the f64
+/// formula's value, capped, from one leading-zero count and one threshold
+/// compare (see the module docs).
+#[inline]
+fn level_of_hash(h: u64, num_levels: usize) -> usize {
+    if h == 0 {
+        return num_levels;
+    }
+    let c = (h - 1).leading_zeros() as usize - 3;
+    (c + usize::from(h <= level_thresholds()[c + 1])).min(num_levels)
 }
 
 impl SketchBundle {
@@ -56,6 +138,7 @@ impl SketchBundle {
         SketchBundle {
             seed,
             levels,
+            groups: Modulus::new(params.groups),
             sub_hash,
             num_levels,
             max_candidates_per_level: params.max_candidates_per_level,
@@ -71,12 +154,7 @@ impl SketchBundle {
     /// `l ≤ level_of(j)` (nested subsampling via the shared hash `g`).
     #[inline]
     pub fn level_of(&self, j: u64) -> usize {
-        let u = self.sub_hash.unit(j);
-        if u <= 0.0 {
-            return self.num_levels;
-        }
-        // `u ∈ (0, 1]`, so `-log2 u ≥ 0` and the truncating cast is its floor.
-        ((-u.log2()) as usize).min(self.num_levels)
+        level_of_hash(self.sub_hash.hash(j), self.num_levels)
     }
 
     /// Adds `value` at coordinate `j` into every level it survives to.
@@ -85,9 +163,9 @@ impl SketchBundle {
             return;
         }
         let deepest = self.level_of(j);
-        for level in 0..=deepest {
-            for rep in self.levels[level].iter_mut() {
-                let g = rep.group_hash.bucket(j, rep.groups.len());
+        for level in &mut self.levels[..=deepest] {
+            for rep in level {
+                let g = rep.group_hash.bucket(j, &self.groups);
                 rep.groups[g].update(j, value);
             }
         }
@@ -98,10 +176,47 @@ impl SketchBundle {
         v.for_each_nonzero(&mut |j, x| self.update(j, x));
     }
 
-    /// Merges a bundle built with the same `(params, seed, dim)`.
+    /// The shape parameters held inside the sketches.
+    fn shape(&self) -> Shape {
+        let first = self.levels.first().and_then(|l| l.first());
+        let (b_threshold, hh_depth, hh_width) = first
+            .and_then(|r| r.groups.first())
+            .map_or((1.0, 1, 1), |hh| {
+                (hh.b(), hh.countsketch().depth(), hh.countsketch().width())
+            });
+        Shape {
+            reps: self.levels.first().map_or(0, Vec::len),
+            groups: first.map_or(0, |r| r.groups.len()),
+            hh_depth,
+            hh_width,
+            b_threshold,
+            g_independence: self.sub_hash.independence(),
+        }
+    }
+
+    /// Merges a bundle built with the same `(params, seed, dim)`. Panics,
+    /// naming the field, if any shape parameter differs.
     pub fn merge(&mut self, other: &SketchBundle) {
+        let (a, b) = (self.shape(), other.shape());
         assert_eq!(self.seed, other.seed, "bundle seed mismatch");
         assert_eq!(self.num_levels, other.num_levels, "bundle level mismatch");
+        assert_eq!(a.reps, b.reps, "bundle reps mismatch");
+        assert_eq!(a.groups, b.groups, "bundle groups mismatch");
+        assert_eq!(a.hh_depth, b.hh_depth, "bundle hh depth mismatch");
+        assert_eq!(a.hh_width, b.hh_width, "bundle hh width mismatch");
+        assert_eq!(
+            a.b_threshold.to_bits(),
+            b.b_threshold.to_bits(),
+            "bundle threshold mismatch"
+        );
+        assert_eq!(
+            a.g_independence, b.g_independence,
+            "bundle g independence mismatch"
+        );
+        assert_eq!(
+            self.max_candidates_per_level, other.max_candidates_per_level,
+            "bundle candidate cap mismatch"
+        );
         for (la, lb) in self.levels.iter_mut().zip(&other.levels) {
             for (ra, rb) in la.iter_mut().zip(lb) {
                 for (ga, gb) in ra.groups.iter_mut().zip(&rb.groups) {
@@ -144,13 +259,15 @@ impl SketchBundle {
             })
             .collect();
         let mut scored: Vec<Vec<(f64, u64)>> = vec![Vec::new(); self.num_levels + 1];
-        for j in 0..dim {
-            let deepest = self.level_of(j);
+        // The scan visits 0, 1, 2, …, so the level hash walks by forward
+        // differences.
+        for (j, h) in (0..dim).zip(self.sub_hash.consecutive(0)) {
+            let deepest = level_of_hash(h, self.num_levels);
             for level in 0..=deepest {
                 let mut best = 0.0f64;
                 let mut hit = false;
                 for (rep, thr) in self.levels[level].iter().zip(&thresholds[level]) {
-                    let g = rep.group_hash.bucket(j, rep.groups.len());
+                    let g = rep.group_hash.bucket(j, &self.groups);
                     let t = thr[g];
                     if t <= 0.0 {
                         continue;
@@ -242,28 +359,15 @@ const MAX_BUNDLE_CANDIDATES: u64 = 1 << 24;
 /// words, keeping wire bytes proportional to ledger words.
 impl WireEncode for SketchBundle {
     fn encode(&self, w: &mut WireWriter) {
+        let shape = self.shape();
         w.desc_u64(self.seed);
         w.desc_u32(self.num_levels as u32);
-        let reps = self.levels.first().map_or(0, Vec::len);
-        let (b, depth, width) = self
-            .levels
-            .first()
-            .and_then(|l| l.first())
-            .and_then(|r| r.groups.first())
-            .map_or((1.0, 1, 1), |hh| {
-                (hh.b(), hh.countsketch().depth(), hh.countsketch().width())
-            });
-        let groups = self
-            .levels
-            .first()
-            .and_then(|l| l.first())
-            .map_or(0, |r| r.groups.len());
-        w.desc_u32(reps as u32);
-        w.desc_u32(groups as u32);
-        w.desc_u32(depth as u32);
-        w.desc_u32(width as u32);
-        w.desc_f64(b);
-        w.desc_u32(self.sub_hash.independence() as u32);
+        w.desc_u32(shape.reps as u32);
+        w.desc_u32(shape.groups as u32);
+        w.desc_u32(shape.hh_depth as u32);
+        w.desc_u32(shape.hh_width as u32);
+        w.desc_f64(shape.b_threshold);
+        w.desc_u32(shape.g_independence as u32);
         w.desc_u32(self.max_candidates_per_level as u32);
         for level in &self.levels {
             for rep in level {
@@ -369,6 +473,7 @@ impl WireDecode for SketchBundle {
         Ok(SketchBundle {
             seed,
             levels,
+            groups: Modulus::new(groups as usize),
             sub_hash,
             num_levels: num_levels as usize,
             max_candidates_per_level: max_candidates as usize,
@@ -450,6 +555,129 @@ mod tests {
         a.merge(&b);
     }
 
+    /// Merges a bundle built from `small_params()` with one built from
+    /// `other`, same seed and dimension.
+    fn merge_with(other: ZSamplerParams) {
+        let mut a = SketchBundle::new(&small_params(), 1, 1000);
+        a.merge(&SketchBundle::new(&other, 1, 1000));
+    }
+
+    #[test]
+    #[should_panic(expected = "level mismatch")]
+    fn merge_rejects_different_levels() {
+        merge_with(ZSamplerParams {
+            max_levels: 7,
+            ..small_params()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "reps mismatch")]
+    fn merge_rejects_different_reps() {
+        merge_with(ZSamplerParams {
+            reps: 1,
+            ..small_params()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "groups mismatch")]
+    fn merge_rejects_different_groups() {
+        merge_with(ZSamplerParams {
+            groups: 1,
+            ..small_params()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "hh depth mismatch")]
+    fn merge_rejects_different_hh_depth() {
+        merge_with(ZSamplerParams {
+            hh_depth: 3,
+            ..small_params()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "hh width mismatch")]
+    fn merge_rejects_different_hh_width() {
+        merge_with(ZSamplerParams {
+            hh_width: 32,
+            ..small_params()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold mismatch")]
+    fn merge_rejects_different_threshold() {
+        merge_with(ZSamplerParams {
+            b_threshold: 8.0,
+            ..small_params()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "g independence mismatch")]
+    fn merge_rejects_different_g_independence() {
+        merge_with(ZSamplerParams {
+            g_independence: 8,
+            ..small_params()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate cap mismatch")]
+    fn merge_rejects_different_candidate_cap() {
+        merge_with(ZSamplerParams {
+            max_candidates_per_level: 3,
+            ..small_params()
+        });
+    }
+
+    #[test]
+    fn level_thresholds_bracket_powers_of_two() {
+        let t = level_thresholds();
+        assert_eq!(t[0], MERSENNE_P - 1);
+        for (level, &largest) in t.iter().enumerate().take(MAX_HASH_LEVEL + 1).skip(1) {
+            let power = 1u64 << (61 - level);
+            assert!(
+                (power..2 * power).contains(&largest),
+                "level {level}: {largest}"
+            );
+        }
+        assert_eq!(t[MAX_HASH_LEVEL + 1], 0);
+    }
+
+    /// The table's level equals the f64 formula's, capped at every level
+    /// count up to the decoder's limit.
+    fn assert_level_matches_f64(h: u64) {
+        let f = f64_level(h);
+        for num_levels in 0..=MAX_BUNDLE_LEVELS as usize {
+            assert_eq!(
+                level_of_hash(h, num_levels),
+                f.min(num_levels),
+                "hash {h} levels {num_levels}"
+            );
+        }
+    }
+
+    #[test]
+    fn levels_match_f64_formula_around_every_threshold() {
+        for &t in level_thresholds() {
+            let lo = t.saturating_sub(1 << 16);
+            let hi = (t + (1 << 16)).min(MERSENNE_P - 1);
+            (lo..=hi).for_each(assert_level_matches_f64);
+        }
+    }
+
+    #[test]
+    fn levels_match_f64_formula_at_random_hashes() {
+        let mut rng = Rng::new(64);
+        for _ in 0..1_000_000 {
+            assert_level_matches_f64(rng.next_u64() % MERSENNE_P);
+        }
+    }
+
     #[test]
     fn recovers_heavy_at_base_level() {
         let p = small_params();
@@ -523,15 +751,19 @@ mod tests {
     }
 
     /// The recovery scan probing every row of each group sketch, then
-    /// comparing its median estimate with the threshold.
+    /// comparing its median estimate with the threshold. Levels come from
+    /// the f64 formula and group buckets from `%`, independent of the
+    /// threshold table, the bucket modulus and the forward differences.
     fn full_probe_recover(b: &SketchBundle, dim: u64) -> Vec<Vec<u64>> {
         let mut scored: Vec<Vec<(f64, u64)>> = vec![Vec::new(); b.num_levels + 1];
         for j in 0..dim {
-            for (reps, found) in b.levels.iter().zip(&mut scored).take(b.level_of(j) + 1) {
+            let deepest = f64_level(b.sub_hash.hash(j)).min(b.num_levels);
+            for (reps, found) in b.levels.iter().zip(&mut scored).take(deepest + 1) {
                 let mut best = 0.0f64;
                 let mut hit = false;
                 for rep in reps {
-                    let hh = &rep.groups[rep.group_hash.bucket(j, rep.groups.len())];
+                    let g = rep.group_hash.hash(j) % rep.groups.len() as u64;
+                    let hh = &rep.groups[g as usize];
                     let t = 0.5 * hh.f2_estimate() / hh.b();
                     let est = hh.estimate(j);
                     if t > 0.0 && est * est >= t {
@@ -598,5 +830,66 @@ mod tests {
             * (p.hh_depth * p.hh_width) as u64;
         assert_eq!(b.size_words(), expect);
         assert_eq!(Payload::words(&b), expect);
+    }
+
+    /// FNV-1a over the little-endian bytes of 64-bit words.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3))
+        })
+    }
+
+    /// Three servers' bundles, merged: a digest of every merged table bit
+    /// and of every recovered list, as the f64-level, `%`-bucket code
+    /// computed them. Widths and group counts that are not powers of two,
+    /// fifteen levels and a binding candidate cap exercise bucketing,
+    /// levels, signs, the heavy test and the cap.
+    #[test]
+    fn merged_tables_and_recovery_match_golden_digest() {
+        let dim = 1u64 << 14;
+        let p = ZSamplerParams {
+            hh_depth: 5,
+            hh_width: 37,
+            groups: 3,
+            reps: 2,
+            b_threshold: 8.0,
+            max_levels: 0,
+            max_candidates_per_level: 24,
+            ..ZSamplerParams::default()
+        };
+        let mut rng = Rng::new(20_161_017);
+        let mut merged = SketchBundle::new(&p, 0xD1A5_7E57, dim);
+        for _ in 0..3 {
+            let v: Vec<f64> = (0..dim)
+                .map(|_| match rng.index(64) {
+                    0 => rng.gaussian() * 30.0,
+                    1..=20 => rng.gaussian(),
+                    _ => 0.0,
+                })
+                .collect();
+            let mut b = SketchBundle::new(&p, 0xD1A5_7E57, dim);
+            b.absorb(&DenseServerVec::new(v));
+            merged.merge(&b);
+        }
+        let recovered = merged.recover(dim);
+        assert_eq!(recovered.len(), 16);
+        assert!(recovered.iter().filter(|l| !l.is_empty()).count() > 8);
+        assert!(recovered
+            .iter()
+            .any(|l| l.len() == p.max_candidates_per_level));
+        let tables = merged
+            .levels
+            .iter()
+            .flatten()
+            .flat_map(|r| &r.groups)
+            .flat_map(|hh| hh.countsketch().table())
+            .map(|x| x.to_bits());
+        let lists = recovered
+            .iter()
+            .flat_map(|l| std::iter::once(l.len() as u64).chain(l.iter().copied()));
+        let digest = (fnv1a(tables), fnv1a(lists));
+        assert_eq!(digest, (0x5f6c_da41_ee4b_ccbf, 0xd301_a166_bdec_8120));
     }
 }

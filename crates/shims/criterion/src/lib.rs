@@ -5,8 +5,9 @@
 //! under `crates/bench/benches/`. Two execution modes:
 //!
 //! * **bench mode** (`cargo bench`, i.e. a `--bench` argument is present):
-//!   each closure is warmed up and then timed over enough iterations to fill
-//!   a small measurement window; median ns/iter is printed.
+//!   each closure is warmed up and then timed for up to `sample_size`
+//!   samples, stopping early once the measurement time (300 ms unless a
+//!   group sets it) has passed; median ns/iter is printed.
 //! * **check mode** (any other invocation, e.g. a plain run of the
 //!   harness-false executable): every benchmark body runs exactly once so
 //!   the code stays exercised without the measurement cost.
@@ -23,6 +24,7 @@ pub use std::hint::black_box;
 pub struct Criterion {
     bench_mode: bool,
     sample_size: usize,
+    measurement_time: Duration,
 }
 
 impl Default for Criterion {
@@ -31,6 +33,7 @@ impl Default for Criterion {
         Criterion {
             bench_mode,
             sample_size: 20,
+            measurement_time: Duration::from_millis(300),
         }
     }
 }
@@ -41,7 +44,8 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_one(self.bench_mode, self.sample_size, id, &mut f);
+        let (n, budget) = (self.sample_size, self.measurement_time);
+        run_one(self.bench_mode, n, budget, id, &mut f);
         self
     }
 
@@ -51,6 +55,7 @@ impl Criterion {
             criterion: self,
             name: name.to_string(),
             sample_size: None,
+            measurement_time: None,
         }
     }
 }
@@ -60,6 +65,7 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     sample_size: Option<usize>,
+    measurement_time: Option<Duration>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -67,6 +73,22 @@ impl BenchmarkGroup<'_> {
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = Some(n);
         self
+    }
+
+    /// Overrides the time budget for this group's samples: sampling stops
+    /// after `sample_size` samples or once `dur` has passed.
+    pub fn measurement_time(&mut self, dur: Duration) -> &mut Self {
+        self.measurement_time = Some(dur);
+        self
+    }
+
+    /// The group's sample count and time budget.
+    fn settings(&self) -> (usize, Duration) {
+        (
+            self.sample_size.unwrap_or(self.criterion.sample_size),
+            self.measurement_time
+                .unwrap_or(self.criterion.measurement_time),
+        )
     }
 
     /// Records the per-iteration throughput (accepted and ignored).
@@ -81,8 +103,8 @@ impl BenchmarkGroup<'_> {
     {
         let id = id.into();
         let full = format!("{}/{}", self.name, id.0);
-        let n = self.sample_size.unwrap_or(self.criterion.sample_size);
-        run_one(self.criterion.bench_mode, n, &full, &mut f);
+        let (n, budget) = self.settings();
+        run_one(self.criterion.bench_mode, n, budget, &full, &mut f);
         self
     }
 
@@ -99,8 +121,10 @@ impl BenchmarkGroup<'_> {
     {
         let id = id.into();
         let full = format!("{}/{}", self.name, id.0);
-        let n = self.sample_size.unwrap_or(self.criterion.sample_size);
-        run_one(self.criterion.bench_mode, n, &full, &mut |b| f(b, input));
+        let (n, budget) = self.settings();
+        run_one(self.criterion.bench_mode, n, budget, &full, &mut |b| {
+            f(b, input)
+        });
         self
     }
 
@@ -158,8 +182,8 @@ pub struct Bencher {
 enum BenchMode {
     /// Run the body once, unmeasured.
     Check,
-    /// Collect `samples` timed samples.
-    Measure { samples: usize },
+    /// Collect up to `samples` timed samples within `budget`.
+    Measure { samples: usize, budget: Duration },
 }
 
 impl Bencher {
@@ -169,14 +193,13 @@ impl Bencher {
             BenchMode::Check => {
                 black_box(routine());
             }
-            BenchMode::Measure { samples } => {
+            BenchMode::Measure { samples, budget } => {
                 // Warm-up: one call, which also sizes the batch so each
                 // sample lasts ≳1 ms without overshooting the time budget.
                 let t0 = Instant::now();
                 black_box(routine());
                 let once = t0.elapsed().max(Duration::from_nanos(50));
                 let batch = (Duration::from_millis(1).as_nanos() / once.as_nanos()).max(1) as u64;
-                let budget = Duration::from_millis(300);
                 let started = Instant::now();
                 for _ in 0..samples {
                     let t = Instant::now();
@@ -194,10 +217,16 @@ impl Bencher {
     }
 }
 
-fn run_one(bench_mode: bool, samples: usize, id: &str, f: &mut dyn FnMut(&mut Bencher)) {
+fn run_one(
+    bench_mode: bool,
+    samples: usize,
+    budget: Duration,
+    id: &str,
+    f: &mut dyn FnMut(&mut Bencher),
+) {
     let mut b = Bencher {
         mode: if bench_mode {
-            BenchMode::Measure { samples }
+            BenchMode::Measure { samples, budget }
         } else {
             BenchMode::Check
         },
@@ -260,12 +289,39 @@ mod tests {
     #[test]
     fn measure_mode_collects_samples() {
         let mut b = Bencher {
-            mode: BenchMode::Measure { samples: 5 },
+            mode: BenchMode::Measure {
+                samples: 5,
+                budget: Duration::from_millis(300),
+            },
             samples: Vec::new(),
         };
         b.iter(|| black_box(3u64.wrapping_mul(7)));
         assert!(!b.samples.is_empty());
         assert!(b.samples.iter().all(|&s| s >= 0.0));
+    }
+
+    #[test]
+    fn measurement_time_bounds_the_samples() {
+        // Each call sleeps 2 ms, so a sample is one call after the warm-up
+        // call: a zero budget stops after the first sample, a generous one
+        // takes all four.
+        for (budget, want) in [(Duration::ZERO, 2), (Duration::from_secs(10), 5)] {
+            let mut c = Criterion {
+                bench_mode: true,
+                ..Criterion::default()
+            };
+            let mut calls = 0;
+            c.benchmark_group("g")
+                .sample_size(4)
+                .measurement_time(budget)
+                .bench_function("sleep", |b| {
+                    b.iter(|| {
+                        calls += 1;
+                        std::thread::sleep(Duration::from_millis(2));
+                    })
+                });
+            assert_eq!(calls, want, "budget {budget:?}");
+        }
     }
 
     #[test]

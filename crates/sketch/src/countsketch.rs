@@ -6,7 +6,7 @@
 //! from the same seed yields the sketch of the summed vector — the basis of
 //! the distributed `HeavyHitters` protocol.
 
-use crate::hashing::KWiseHash;
+use crate::hashing::{KWiseHash, Modulus};
 
 /// Rows a point query keeps on the stack; deeper sketches use a heap
 /// buffer.
@@ -27,7 +27,7 @@ const STACK_ROWS: usize = 8;
 #[derive(Debug, Clone)]
 pub struct CountSketch {
     depth: usize,
-    width: usize,
+    width: Modulus,
     seed: u64,
     /// Row-major `depth × width` table.
     table: Vec<f64>,
@@ -51,7 +51,7 @@ impl CountSketch {
             .collect();
         CountSketch {
             depth,
-            width,
+            width: Modulus::new(width),
             seed,
             table: vec![0.0; depth * width],
             bucket_hash,
@@ -66,7 +66,7 @@ impl CountSketch {
 
     /// Buckets per row.
     pub fn width(&self) -> usize {
-        self.width
+        self.width.get()
     }
 
     /// The construction seed.
@@ -76,7 +76,7 @@ impl CountSketch {
 
     /// Size of the sketch in 8-byte words (what a server ships upstream).
     pub fn size_words(&self) -> u64 {
-        (self.depth * self.width) as u64
+        self.table.len() as u64
     }
 
     /// Adds `delta` at coordinate `j`.
@@ -85,10 +85,11 @@ impl CountSketch {
         if delta == 0.0 {
             return;
         }
+        let width = self.width.get();
         for r in 0..self.depth {
-            let b = self.bucket_hash[r].bucket(j, self.width);
+            let b = self.bucket_hash[r].bucket(j, &self.width);
             let s = self.sign_hash[r].sign(j);
-            self.table[r * self.width + b] += s * delta;
+            self.table[r * width + b] += s * delta;
         }
     }
 
@@ -99,11 +100,16 @@ impl CountSketch {
         }
     }
 
+    /// Row `r`'s counter for coordinate `j`, unsigned: `table[r][hᵣ(j)]`.
+    #[inline]
+    fn row_counter(&self, r: usize, j: u64) -> f64 {
+        self.table[r * self.width.get() + self.bucket_hash[r].bucket(j, &self.width)]
+    }
+
     /// Row `r`'s signed counter for coordinate `j`: `σᵣ(j) · table[r][hᵣ(j)]`.
     #[inline]
     fn row_value(&self, r: usize, j: u64) -> f64 {
-        let b = self.bucket_hash[r].bucket(j, self.width);
-        self.sign_hash[r].sign(j) * self.table[r * self.width + b]
+        self.sign_hash[r].sign(j) * self.row_counter(r, j)
     }
 
     /// Runs `f` on a `depth`-long scratch slice, kept on the stack for
@@ -137,39 +143,38 @@ impl CountSketch {
     /// otherwise — the same answer, bit for bit, as calling
     /// [`estimate`](Self::estimate) and comparing.
     ///
-    /// Rows are probed in order, and probing stops once more than half of
-    /// them have `v * v < t`: the median is then one such row, or the mean
-    /// of two (rounding is monotone, so that mean is no larger in magnitude
-    /// than the larger of the two), so `est * est < t` as well. A
-    /// coordinate far below the threshold — almost every coordinate of a
-    /// recovery scan — skips the remaining rows' hashes.
+    /// Every row's counter is read unsigned first: a row value is `±` its
+    /// counter `x`, and `(±x)² = x²` bit for bit, so the signs cannot
+    /// change which rows have `v * v < t`. When more than half of the rows
+    /// do, the median is one such row, or the mean of two (rounding is
+    /// monotone, so that mean is no larger in magnitude than the larger of
+    /// the two), so `est * est < t` as well and the answer is `None`. Only a
+    /// coordinate that survives — a small fraction of a recovery scan —
+    /// pays for [`estimate`](Self::estimate), signs included. Counting the
+    /// light rows without branching on each lets the rows' bucket hashes
+    /// overlap.
+    #[inline]
     pub fn estimate_if_heavy(&self, j: u64, t: f64) -> Option<f64> {
-        self.with_rows(|vals| {
-            let mut light = 0;
-            for (r, v) in vals.iter_mut().enumerate() {
-                *v = self.row_value(r, j);
-                if *v * *v < t {
-                    light += 1;
-                    if 2 * light > self.depth {
-                        return None;
-                    }
-                }
-            }
-            let est = median_in_place(vals);
-            (est * est >= t).then_some(est)
-        })
+        let light: usize = (0..self.depth)
+            .map(|r| {
+                let x = self.row_counter(r, j);
+                usize::from(x * x < t)
+            })
+            .sum();
+        if 2 * light > self.depth {
+            return None;
+        }
+        let est = self.estimate(j);
+        (est * est >= t).then_some(est)
     }
 
     /// AMS-style second-moment estimate: median over rows of the row's
     /// squared bucket sums. Each row is an unbiased `F₂` estimator.
     pub fn f2_estimate(&self) -> f64 {
-        let mut vals: Vec<f64> = (0..self.depth)
-            .map(|r| {
-                self.table[r * self.width..(r + 1) * self.width]
-                    .iter()
-                    .map(|x| x * x)
-                    .sum()
-            })
+        let mut vals: Vec<f64> = self
+            .table
+            .chunks(self.width.get())
+            .map(|row| row.iter().map(|x| x * x).sum())
             .collect();
         median_in_place(&mut vals)
     }
@@ -308,6 +313,46 @@ mod tests {
         cs.update_dense(&v);
         let est = cs.f2_estimate();
         assert!((est - truth).abs() < 0.3 * truth, "est {est} truth {truth}");
+    }
+
+    #[test]
+    fn f2_estimates_random_vector() {
+        // A narrow table still tracks F₂: each row's estimate has standard
+        // deviation at most √(2/width)·F₂, and the median over rows tightens it.
+        let mut rng = Rng::new(2);
+        let v: Vec<f64> = (0..1000).map(|_| rng.gaussian()).collect();
+        let truth: f64 = v.iter().map(|x| x * x).sum();
+        let mut cs = CountSketch::new(9, 64, 3);
+        cs.update_dense(&v);
+        let est = cs.f2_estimate();
+        assert!(
+            (est - truth).abs() < 0.35 * truth,
+            "est {est} truth {truth}"
+        );
+    }
+
+    #[test]
+    fn f2_merge_equals_joint() {
+        let mut rng = Rng::new(4);
+        let v1: Vec<f64> = (0..100).map(|_| rng.gaussian()).collect();
+        let v2: Vec<f64> = (0..100).map(|_| rng.gaussian()).collect();
+        let mut a = CountSketch::new(4, 16, 5);
+        let mut b = CountSketch::new(4, 16, 5);
+        let mut joint = CountSketch::new(4, 16, 5);
+        a.update_dense(&v1);
+        b.update_dense(&v2);
+        for j in 0..100 {
+            joint.update(j as u64, v1[j] + v2[j]);
+        }
+        a.merge(&b);
+        assert!((a.f2_estimate() - joint.f2_estimate()).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "different parameters")]
+    fn merge_rejects_mismatched_width() {
+        let mut a = CountSketch::new(2, 4, 1);
+        a.merge(&CountSketch::new(2, 8, 1));
     }
 
     #[test]

@@ -116,11 +116,11 @@ impl KWiseHash {
         }
     }
 
-    /// Hash mapped to a bucket in `[0, m)`.
+    /// Hash mapped to a bucket in `[0, m)`, for the bucket count `m` that
+    /// `buckets` was built for.
     #[inline]
-    pub fn bucket(&self, x: u64, m: usize) -> usize {
-        debug_assert!(m > 0);
-        (self.hash(x) % m as u64) as usize
+    pub fn bucket(&self, x: u64, buckets: &Modulus) -> usize {
+        buckets.reduce(self.hash(x))
     }
 
     /// Rademacher sign `±1` derived from the hash's low bit.
@@ -130,33 +130,118 @@ impl KWiseHash {
         f64::from_bits(1f64.to_bits() | (self.hash(x) & 1) << 63)
     }
 
-    /// Hash mapped to a float in `[0, 1)` (used for subsampling levels).
-    #[inline]
-    pub fn unit(&self, x: u64) -> f64 {
-        self.hash(x) as f64 / MERSENNE_P as f64
+    /// The hashes of `start, start + 1, start + 2, …`, in order, evaluated
+    /// by forward differences.
+    ///
+    /// For a polynomial of degree `k − 1` the `k − 1`-th forward difference
+    /// is constant, so after `k` Horner evaluations to seed the difference
+    /// table each further value costs `k − 1` additions mod p instead of
+    /// `k − 1` multiply-folds. Each addition is folded once (`2⁶¹ ≡ 1`), so
+    /// every difference stays congruent to its exact value and at most
+    /// `2⁶¹ + 1`: two such summands total at most `2⁶² + 2`, whose fold
+    /// `(s mod 2⁶¹) + ⌊s / 2⁶¹⌋` is again at most `2⁶¹ + 1`. Each yielded
+    /// value is then reduced to its canonical residue, which is exactly
+    /// `hash(x)`: both are the canonical residue of `poly(x mod p)`.
+    pub fn consecutive(&self, start: u64) -> ConsecutiveHashes {
+        let k = self.coeffs.len();
+        let mut diffs: Vec<u64> = (0..k as u64)
+            .map(|i| self.hash(start.wrapping_add(i)))
+            .collect();
+        // Turn values into differences in place: after pass `order`,
+        // `diffs[i]` for `i ≥ order` holds the `order`-th difference at
+        // `start + i − order`.
+        for order in 1..k {
+            for i in (order..k).rev() {
+                diffs[i] = sub_mod(diffs[i], diffs[i - 1]);
+            }
+        }
+        ConsecutiveHashes { diffs }
     }
 }
 
-/// Convenience constructor for the pairwise-independent (k = 2) family used
-/// by the bucket hashes of Algorithms 2–3.
+/// `(a − b) mod p` for canonical residues `a, b < p`.
+fn sub_mod(a: u64, b: u64) -> u64 {
+    if a >= b {
+        a - b
+    } else {
+        a + MERSENNE_P - b
+    }
+}
+
+/// The endless walk returned by [`KWiseHash::consecutive`].
 #[derive(Debug, Clone)]
-pub struct PairwiseHash(pub KWiseHash);
+pub struct ConsecutiveHashes {
+    /// `diffs[i]` is congruent to the `i`-th forward difference at the next
+    /// input, and at most `2⁶¹ + 1`.
+    diffs: Vec<u64>,
+}
 
-impl PairwiseHash {
-    /// Draws a pairwise-independent function.
-    pub fn new(rng: &mut Rng) -> Self {
-        PairwiseHash(KWiseHash::new(2, rng))
-    }
+impl Iterator for ConsecutiveHashes {
+    type Item = u64;
 
-    /// Deterministic construction from a seed.
-    pub fn from_seed(seed: u64) -> Self {
-        PairwiseHash(KWiseHash::from_seed(2, seed))
-    }
-
-    /// Bucket in `[0, m)`.
     #[inline]
-    pub fn bucket(&self, x: u64, m: usize) -> usize {
-        self.0.bucket(x, m)
+    fn next(&mut self) -> Option<u64> {
+        let d = &mut self.diffs[..];
+        // `d[0] ≤ 2⁶¹ + 1 = p + 2`: one subtract makes it canonical.
+        let value = if d[0] >= MERSENNE_P {
+            d[0] - MERSENNE_P
+        } else {
+            d[0]
+        };
+        // Δⁱ(x + 1) = Δⁱ(x) + Δⁱ⁺¹(x): ascending order reads each Δⁱ⁺¹
+        // before it advances.
+        for i in 1..d.len() {
+            let s = d[i - 1] + d[i];
+            d[i - 1] = (s & MERSENNE_P) + (s >> 61);
+        }
+        Some(value)
+    }
+}
+
+/// A bucket count `m` with its reciprocal precomputed, so that bucketing a
+/// hash is a multiply-high and a shift rather than a 64-bit division
+/// (Granlund & Montgomery, "Division by invariant integers using
+/// multiplication", PLDI 1994).
+///
+/// With `l = ⌈log₂ m⌉` and `M = ⌈2^(61+l) / m⌉` (at most `2⁶²`, so it fits a
+/// `u64`), `⌊h·M / 2^(61+l)⌋ = ⌊h / m⌋` for every `h < 2⁶¹`, which covers
+/// every hash value. Write `M·m = 2^(61+l) + e` with `0 ≤ e < m` and
+/// `h = q·m + r` with `r ≤ m − 1`; then
+/// `h·M / 2^(61+l) = q + (r + h·e / 2^(61+l)) / m`, and
+/// `h·e < 2⁶¹·m ≤ 2^(61+l)` keeps the bracket below `m`. The quotient is
+/// taken as the high word of `(8h)·M` shifted right by `l` (`8h < 2⁶⁴`),
+/// and the bucket is `h − q·m`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Modulus {
+    m: u64,
+    magic: u64,
+    shift: u32,
+}
+
+impl Modulus {
+    /// Precomputes the reciprocal of `m`, which must be in `1..=2⁶¹`.
+    pub fn new(m: usize) -> Self {
+        let m = m as u64;
+        assert!(
+            (1..=1 << 61).contains(&m),
+            "bucket count must be in 1..=2^61"
+        );
+        let shift = 64 - (m - 1).leading_zeros();
+        let magic = (1u128 << (61 + shift)).div_ceil(u128::from(m)) as u64;
+        Modulus { m, magic, shift }
+    }
+
+    /// The bucket count `m`.
+    #[inline]
+    pub(crate) fn get(&self) -> usize {
+        self.m as usize
+    }
+
+    /// `h mod m` for a hash value `h < 2⁶¹`.
+    #[inline]
+    pub(crate) fn reduce(&self, h: u64) -> usize {
+        let q = ((u128::from(h << 3) * u128::from(self.magic)) >> 64) as u64 >> self.shift;
+        (h - q * self.m) as usize
     }
 }
 
@@ -250,11 +335,11 @@ mod tests {
     #[test]
     fn buckets_in_range_and_spread() {
         let h = KWiseHash::from_seed(2, 7);
-        let m = 16;
-        let mut counts = vec![0usize; m];
+        let m = Modulus::new(16);
+        let mut counts = vec![0usize; m.get()];
         for x in 0..16_000u64 {
-            let b = h.bucket(x, m);
-            assert!(b < m);
+            let b = h.bucket(x, &m);
+            assert!(b < m.get());
             counts[b] += 1;
         }
         // Each bucket should get roughly 1000 (±25%).
@@ -276,29 +361,99 @@ mod tests {
     fn pairwise_collision_probability() {
         // Over many independent draws, Pr[h(a) == h(b)] for fixed a != b
         // into m buckets should be ~1/m.
-        let m = 8;
+        let m = Modulus::new(8);
         let trials = 4000;
         let mut rng = Rng::new(17);
         let collisions = (0..trials)
             .filter(|_| {
-                let h = PairwiseHash::new(&mut rng);
-                h.bucket(3, m) == h.bucket(1234, m)
+                let h = KWiseHash::new(2, &mut rng);
+                h.bucket(3, &m) == h.bucket(1234, &m)
             })
             .count();
         let rate = collisions as f64 / trials as f64;
-        assert!(
-            (rate - 1.0 / m as f64).abs() < 0.03,
-            "collision rate {rate}"
-        );
+        assert!((rate - 1.0 / 8.0).abs() < 0.03, "collision rate {rate}");
     }
 
     #[test]
     fn unit_values_are_uniformish() {
+        // Hash values scaled to the unit interval average 1/2.
         let h = KWiseHash::from_seed(8, 9);
         let n = 10_000;
-        let mean: f64 = (0..n).map(|x| h.unit(x)).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n)
+            .map(|x| h.hash(x) as f64 / MERSENNE_P as f64)
+            .sum::<f64>()
+            / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-        assert!((0..n).all(|x| (0.0..1.0).contains(&h.unit(x))));
+        assert!((0..n).all(|x| h.hash(x) < MERSENNE_P));
+    }
+
+    /// Below, at and above each multiple of `m` at both ends of the hash
+    /// range, then random hashes.
+    fn modulus_inputs(m: u64, rng: &mut Rng) -> Vec<u64> {
+        const TOP: u64 = 1 << 61;
+        let last = (TOP - 1) / m * m;
+        let mut inputs = vec![0, 1, TOP - 1, TOP - 2, MERSENNE_P - 1];
+        for base in [m, 2 * m, last, last.saturating_sub(m)] {
+            inputs.extend([base.saturating_sub(1), base, base + 1]);
+        }
+        inputs.extend((0..64).map(|_| rng.next_u64() >> 3));
+        inputs.retain(|&n| n < TOP);
+        inputs
+    }
+
+    #[test]
+    fn modulus_matches_remainder_for_every_small_m() {
+        let mut rng = Rng::new(61);
+        for m in 1..=4096u64 {
+            let modulus = Modulus::new(m as usize);
+            assert_eq!(modulus.get(), m as usize);
+            for n in modulus_inputs(m, &mut rng) {
+                assert_eq!(modulus.reduce(n) as u64, n % m, "m {m} n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn modulus_matches_remainder_for_large_m() {
+        let mut rng = Rng::new(62);
+        let mut moduli: Vec<u64> = (13..=61)
+            .flat_map(|b| [(1u64 << b) - 1, 1 << b, (1 << b) + 1])
+            .collect();
+        moduli.extend((0..256).map(|_| (rng.next_u64() >> 3).max(1)));
+        for m in moduli.into_iter().filter(|&m| m <= 1 << 61) {
+            let modulus = Modulus::new(m as usize);
+            for n in modulus_inputs(m, &mut rng) {
+                assert_eq!(modulus.reduce(n) as u64, n % m, "m {m} n {n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket count")]
+    fn modulus_rejects_zero() {
+        Modulus::new(0);
+    }
+
+    #[test]
+    fn consecutive_matches_hash() {
+        let mut rng = Rng::new(63);
+        for k in [1usize, 2, 4, 16] {
+            // A random function, and coefficients of p − 1, which keep the
+            // differences large.
+            let extreme = KWiseHash {
+                coeffs: vec![MERSENNE_P - 1; k],
+            };
+            for h in [KWiseHash::from_seed(k, 1000 + k as u64), extreme] {
+                // From zero, across the wrap of the input at p, and from a
+                // random start.
+                for start in [0, MERSENNE_P - (1 << 16), rng.next_u64() >> 1] {
+                    let walked = h.consecutive(start).take(1 << 17);
+                    for (i, value) in (0u64..).zip(walked) {
+                        assert_eq!(value, h.hash(start + i), "k {k} start {start} i {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,6 +81,7 @@ impl HeavyHittersSketch {
     }
 
     /// Adds `delta` at coordinate `j`.
+    #[inline]
     pub fn update(&mut self, j: u64, delta: f64) {
         self.cs.update(j, delta);
     }
@@ -106,6 +107,7 @@ impl HeavyHittersSketch {
 
     /// `Some(est)` when the point estimate of `j` clears `est² ≥ t`
     /// (see [`CountSketch::estimate_if_heavy`]).
+    #[inline]
     pub fn estimate_if_heavy(&self, j: u64, t: f64) -> Option<f64> {
         self.cs.estimate_if_heavy(j, t)
     }

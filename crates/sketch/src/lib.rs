@@ -8,22 +8,18 @@
 //! a distributed protocol (§V-B).
 //!
 //! * [`hashing`] — k-wise independent polynomial hashing over the Mersenne
-//!   prime `2⁶¹ − 1`;
+//!   prime `2⁶¹ − 1`, with precomputed bucket moduli and forward-difference
+//!   walks over consecutive inputs;
 //! * [`countsketch`] — CountSketch with median point queries and the built-in
 //!   AMS-style `F₂` estimate;
-//! * [`ams`] — a standalone tug-of-war `F₂` (second moment) estimator;
 //! * [`heavy_hitters`] — recovery of all coordinates with
 //!   `v_j² ≥ ‖v‖²/B` from a CountSketch.
 
 #![forbid(unsafe_code)]
-pub mod ams;
-pub mod countmin;
 pub mod countsketch;
 pub mod hashing;
 pub mod heavy_hitters;
 
-pub use ams::AmsF2;
-pub use countmin::CountMin;
 pub use countsketch::CountSketch;
-pub use hashing::{KWiseHash, PairwiseHash};
+pub use hashing::{KWiseHash, Modulus};
 pub use heavy_hitters::{HeavyHitter, HeavyHittersSketch};
