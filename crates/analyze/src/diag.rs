@@ -42,8 +42,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "env-determinism",
         severity: Severity::Error,
-        summary: "no ambient `std::env` reads in ledger-deterministic modules or the transport \
-                  crate — configuration must flow through typed parameters",
+        summary: "no ambient `std::env` reads in ledger-deterministic modules, the transport \
+                  crate or the runtime layer — configuration must flow through typed parameters",
     },
     Rule {
         id: "panic-policy",

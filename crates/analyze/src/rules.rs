@@ -29,13 +29,17 @@ pub fn in_panic_scope(path: &str) -> bool {
 }
 
 /// Modules barred from reading the ambient environment: the
-/// ledger-deterministic core plus the transport crate. `dlra-net` takes
-/// all configuration through typed parameters and the bootstrap roster —
-/// env knobs (`DLRA_SUBSTRATE`, thread counts) are parsed once in the
-/// runtime layer and never inside protocol or transport code, so a
-/// cluster's wire transcript is a pure function of its inputs.
+/// ledger-deterministic core, the transport crate and the runtime layer.
+/// `dlra-net` takes all configuration through typed parameters and the
+/// bootstrap roster, and `dlra-runtime` through `ServiceConfig`, so a
+/// cluster's wire transcript and a service's behaviour are pure functions
+/// of their inputs. The library's only env reads are the tracer's
+/// `DLRA_TRACE` (`dlra-obs`) and the kernel pool's `DLRA_THREADS`
+/// (`dlra-linalg`).
 pub fn in_env_scope(path: &str) -> bool {
-    is_deterministic_module(path) || path.starts_with("crates/net/src/")
+    is_deterministic_module(path)
+        || path.starts_with("crates/net/src/")
+        || path.starts_with("crates/runtime/src/")
 }
 
 /// The only crate allowed to contain `unsafe` code.
@@ -145,9 +149,9 @@ pub fn determinism(file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-/// Rule `env-determinism`: deterministic modules and the transport crate
-/// take configuration through typed parameters, never from ambient
-/// process state.
+/// Rule `env-determinism`: deterministic modules, the transport crate and
+/// the runtime layer take configuration through typed parameters, never
+/// from ambient process state.
 pub fn env_determinism(file: &SourceFile) -> Vec<Diagnostic> {
     if !in_env_scope(&file.path) {
         return Vec::new();

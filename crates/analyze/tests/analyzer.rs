@@ -279,15 +279,22 @@ fn net_good_fixture_is_clean() {
 
 #[test]
 fn net_env_scope_does_not_leak_into_other_crates() {
-    // The same ambient read outside the env-isolated scopes is the
-    // runtime layer's prerogative (that is where DLRA_SUBSTRATE lives).
+    // The same ambient read outside the env-isolated scopes is allowed:
+    // the tracer keeps `DLRA_TRACE`.
     let r = run(
-        "crates/runtime/src/fixture.rs",
+        "crates/obs/src/fixture.rs",
         include_str!("fixtures/net/bad.rs"),
     );
     assert_eq!(errors_of(&r, "env-determinism"), 0, "{}", r.render());
     // Panic policy still applies there.
     assert_eq!(errors_of(&r, "panic-policy"), 3, "{}", r.render());
+    // The runtime layer is env-isolated: it takes every setting through
+    // `ServiceConfig`.
+    let r = run(
+        "crates/runtime/src/fixture.rs",
+        include_str!("fixtures/net/bad.rs"),
+    );
+    assert!(errors_of(&r, "env-determinism") >= 1, "{}", r.render());
 }
 
 // --------------------------------------------------------- suppression-hygiene

@@ -1,5 +1,4 @@
-//! Benchmarks of the communication substrate: collective overheads and the
-//! sequential vs crossbeam-threaded gather executors.
+//! Benchmarks of the communication substrate's collective overheads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlra_comm::Cluster;
@@ -29,30 +28,6 @@ fn bench_gather(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_par_gather_vs_gather(c: &mut Criterion) {
-    // Expensive per-server local work: the threaded executor should win.
-    let mut group = c.benchmark_group("gather_executor");
-    group.sample_size(10);
-    let heavy = |local: &Vec<f64>| -> f64 {
-        let mut acc = 0.0;
-        for _ in 0..20 {
-            for x in local {
-                acc += (x * 1.000001).sin();
-            }
-        }
-        acc
-    };
-    group.bench_function("sequential", |b| {
-        let mut cluster = make_cluster(8, 32_768);
-        b.iter(|| black_box(cluster.gather("seq", |_t, l| heavy(l)).len()));
-    });
-    group.bench_function("threaded", |b| {
-        let mut cluster = make_cluster(8, 32_768);
-        b.iter(|| black_box(cluster.par_gather("par", |_t, l| heavy(l)).len()));
-    });
-    group.finish();
-}
-
 fn bench_aggregate_vectors(c: &mut Criterion) {
     c.bench_function("aggregate_vec_16x8192", |b| {
         let mut cluster = make_cluster(16, 8192);
@@ -71,10 +46,5 @@ fn bench_aggregate_vectors(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_gather,
-    bench_par_gather_vs_gather,
-    bench_aggregate_vectors
-);
+criterion_group!(benches, bench_gather, bench_aggregate_vectors);
 criterion_main!(benches);

@@ -193,43 +193,6 @@ impl<L> Cluster<L> {
     }
 }
 
-impl<L: Send> Cluster<L> {
-    /// Parallel gather using std scoped threads: semantics and
-    /// accounting identical to [`Cluster::gather`], but the per-server
-    /// compute closures run concurrently. Use for expensive local work
-    /// (sketching a large matrix); results are charged deterministically in
-    /// server order afterwards, so ledgers match the sequential executor.
-    pub fn par_gather<T: Payload + Send>(
-        &mut self,
-        label: &'static str,
-        compute: impl Fn(usize, &mut L) -> T + Sync,
-    ) -> Vec<T> {
-        self.ledger.next_round();
-        let mut replies: Vec<Option<T>> = (0..self.locals.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (t, (local, slot)) in self.locals.iter_mut().zip(replies.iter_mut()).enumerate() {
-                let compute = &compute;
-                scope.spawn(move || {
-                    *slot = Some(compute(t, local));
-                });
-            }
-        });
-        let out: Vec<T> = replies
-            .into_iter()
-            // dlra-allow(panic-policy): the scoped loop above filled
-            // exactly one slot per server before returning.
-            .map(|r| r.expect("every server replied"))
-            .collect();
-        for (t, reply) in out.iter().enumerate() {
-            if t != 0 {
-                self.ledger
-                    .charge(t, Direction::Upstream, reply.words(), label);
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,16 +261,6 @@ mod tests {
         assert_eq!(replies.len(), 4);
         assert_eq!(c.comm().downstream_words, 3 * (1 + FRAME_WORDS));
         assert_eq!(c.comm().upstream_words, 3 * (1 + FRAME_WORDS));
-    }
-
-    #[test]
-    fn par_gather_matches_sequential_accounting() {
-        let mut c1 = cluster_of_vecs(6, 8);
-        let mut c2 = cluster_of_vecs(6, 8);
-        let r1 = c1.gather("x", |t, l| vec![l[0] * 2.0, t as f64]);
-        let r2 = c2.par_gather("x", |t, l| vec![l[0] * 2.0, t as f64]);
-        assert_eq!(r1, r2);
-        assert_eq!(c1.comm(), c2.comm());
     }
 
     #[test]

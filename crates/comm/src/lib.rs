@@ -12,8 +12,8 @@
 //! * [`payload`] — the [`Payload`] trait giving the word size of anything
 //!   that crosses the wire (scalars, vectors, sketches, row fragments);
 //! * [`ledger`] — the thread-safe cost ledger and per-event transcript;
-//! * [`cluster`] — the star-topology cluster and its collectives, with both
-//!   a sequential executor and a scoped-thread `par_gather`;
+//! * [`cluster`] — the star-topology cluster and its collectives, run by a
+//!   sequential executor;
 //! * [`collectives`] — the [`Collectives`] trait that makes protocol code
 //!   generic over the execution substrate (this crate's sequential
 //!   [`Cluster`] or `dlra-runtime`'s threaded message-passing cluster);

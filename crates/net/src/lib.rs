@@ -32,9 +32,9 @@
 //! * [`remote`] — the static op table and coordinator for servers in
 //!   separate processes, where closures cannot travel.
 //!
-//! This crate reads **no environment variables**: substrate selection
-//! (`DLRA_SUBSTRATE`) lives in the runtime layer per the determinism
-//! contract, and the server binary is configured by argv alone.
+//! This crate reads **no environment variables**: the substrate is a typed
+//! `ServiceConfig` field in the runtime layer, and the server binary is
+//! configured by argv alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

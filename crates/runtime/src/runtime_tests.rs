@@ -28,7 +28,7 @@ mod tests {
             .unwrap()
     }
 
-    /// Explicit on every knob, so no `DLRA_*` variable reaches these tests.
+    /// Every field spelled out.
     fn config(executors: usize, substrate: Substrate, plan_cache: usize) -> ServiceConfig {
         ServiceConfig {
             executors,

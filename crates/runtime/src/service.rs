@@ -146,75 +146,8 @@ pub enum Substrate {
     Socket,
 }
 
-/// Parses `DLRA_SUBSTRATE` (`sequential`, `threaded`, or `socket`) into
-/// the default execution substrate. Unset or unrecognized keeps the
-/// built-in default ([`Substrate::Threaded`]), so existing deployments are
-/// byte-for-byte unaffected. Like every knob, the env read happens here in
-/// the runtime configuration layer only — `dlra-net` itself reads no
-/// environment — and is how CI runs the whole equivalence and service
-/// suites over real sockets without touching any test.
-pub(crate) fn default_substrate() -> Substrate {
-    match std::env::var("DLRA_SUBSTRATE").ok().as_deref() {
-        Some("sequential") => Substrate::Sequential,
-        Some("threaded") => Substrate::Threaded,
-        Some("socket") => Substrate::Socket,
-        _ => Substrate::default(),
-    }
-}
-
-pub(crate) fn default_executors() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(2)
-        .clamp(1, 8)
-}
-
-pub(crate) fn default_plan_cache() -> usize {
-    std::env::var("DLRA_PLAN_CACHE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(16)
-}
-
-/// Parses `DLRA_TOPOLOGY` (`star`, `tree`, or `tree:<fanout>`) into the
-/// default collective routing topology. The env read happens here, in the
-/// runtime configuration layer — never inside `dlra-comm`, which stays
-/// deterministic in its inputs — and is how CI proves the star and tree
-/// routings stay bit- and ledger-identical.
-pub(crate) fn default_topology() -> Topology {
-    match std::env::var("DLRA_TOPOLOGY").ok().as_deref() {
-        Some("tree") => Topology::Tree { fanout: 2 },
-        Some(spec) if spec.starts_with("tree:") => spec["tree:".len()..]
-            .parse::<usize>()
-            .map(|fanout| Topology::Tree {
-                fanout: fanout.max(2),
-            })
-            .unwrap_or_default(),
-        _ => Topology::Star,
-    }
-}
-
-/// Parses `DLRA_MAX_QUEUE` (a positive integer) into the default admission
-/// bound. Like every other knob, the env read happens here in the runtime
-/// configuration layer only — which is how CI forces shedding onto the
-/// whole service suite without touching any test.
-pub(crate) fn default_max_queue() -> Option<usize> {
-    std::env::var("DLRA_MAX_QUEUE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
-/// Parses `DLRA_MEMORY_BUDGET` (bytes, a positive integer) into the
-/// default service-wide resident-byte budget.
-pub(crate) fn default_memory_budget() -> Option<u64> {
-    std::env::var("DLRA_MEMORY_BUDGET")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-}
-
-/// Configuration of a [`Service`].
+/// Configuration of a [`Service`]. The service reads no environment
+/// variables: every setting arrives through these fields.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Number of executor threads, i.e. queries in flight concurrently
@@ -223,9 +156,8 @@ pub struct ServiceConfig {
     /// Substrate each query runs on.
     pub substrate: Substrate,
     /// Per-dataset plan-cache capacity (distinct prepared samplers held);
-    /// `0` disables planning entirely. The default is 16, overridable with
-    /// the `DLRA_PLAN_CACHE` environment variable — which is how CI proves
-    /// the planned and unplanned paths stay bit- and ledger-identical.
+    /// `0` disables planning entirely. The default is 16. The planned and
+    /// unplanned paths are bit- and ledger-identical.
     pub plan_cache: usize,
     /// Whether the per-dataset metrics registry is maintained (default
     /// `true`; the cost per query is a handful of relaxed atomic adds).
@@ -235,17 +167,14 @@ pub struct ServiceConfig {
     /// How reduction collectives route partial results to the coordinator
     /// (star, or a combining tree that shrinks the coordinator's inbox to
     /// one message per tree level). Never affects results: the combining
-    /// order is fixed by the server count alone. Defaults to the
-    /// `DLRA_TOPOLOGY` environment variable (`star` | `tree` |
-    /// `tree:<fanout>`), falling back to [`Topology::Star`].
+    /// order is fixed by the server count alone. Defaults to
+    /// [`Topology::Star`].
     pub topology: Topology,
     /// Admission bound: the maximum number of queries admitted and not yet
     /// resolved (queued + executing) across every dataset. A submission
     /// over the bound is shed — its ticket resolves immediately to
     /// [`ServiceError::Overloaded`] without reaching an executor. `None`
-    /// (the default) keeps the legacy unbounded queue. Defaults to the
-    /// `DLRA_MAX_QUEUE` environment variable, which is how CI forces
-    /// shedding onto the service suites.
+    /// (the default) keeps the legacy unbounded queue.
     pub max_queue_depth: Option<usize>,
     /// Service-wide budget (bytes) for resident dataset payloads. When a
     /// `load`/`reload` pushes the total over the budget, the
@@ -254,21 +183,26 @@ pub struct ServiceConfig {
     /// [`ServiceError::DatasetEvicted`]) until the budget holds — or until
     /// only pinned datasets remain, in which case the service stays over
     /// budget rather than evict under a live query. `None` (the default)
-    /// disables quotas. Defaults to the `DLRA_MEMORY_BUDGET` environment
-    /// variable.
+    /// disables quotas.
     pub memory_budget: Option<u64>,
 }
 
+/// One executor per available core (at most 8), the threaded substrate,
+/// the star topology, plan cache 16, metrics on, unbounded admission and
+/// no memory budget.
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            executors: default_executors(),
-            substrate: default_substrate(),
-            plan_cache: default_plan_cache(),
+            executors: std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(2)
+                .clamp(1, 8),
+            substrate: Substrate::Threaded,
+            plan_cache: 16,
             metrics: true,
-            topology: default_topology(),
-            max_queue_depth: default_max_queue(),
-            memory_budget: default_memory_budget(),
+            topology: Topology::Star,
+            max_queue_depth: None,
+            memory_budget: None,
         }
     }
 }

@@ -24,20 +24,20 @@
 //! * **No cross-tenant plan invalidation** — the anchor's plan-cache
 //!   partition records zero invalidations through every chaos op.
 //!
-//! The op count and seed count scale with `DLRA_CHAOS_OPS` /
-//! `DLRA_CHAOS_SEEDS` (CI's soak smoke turns them up); the defaults keep
-//! the test cheap enough for every local run.
+//! The storm runs [`SEEDS`] seeds of [`OPS`] ops in every column of
+//! `support::chaos_columns`: {threaded, socket} × admission bound {6, 2}.
+
+mod support;
 
 use dlra::prelude::*;
-use dlra::runtime::{ServiceConfig, Substrate};
 use dlra::util::Rng;
 use std::time::Duration;
+use support::{shares, submit_admitted, Column};
 
-fn shares(s: usize, n: usize, d: usize, k: usize, seed: u64) -> Vec<dlra::linalg::Matrix> {
-    let mut rng = Rng::new(seed);
-    let global = dlra::data::noisy_low_rank(n, d, k, 0.1, &mut rng);
-    dlra::data::split_with_noise_shares(&global, s, 0.3, &mut rng)
-}
+/// Seeds per column.
+const SEEDS: u64 = 5;
+/// Chaos ops per seed.
+const OPS: u64 = 400;
 
 /// 2 servers × 64×8 × 8 bytes.
 const ANCHOR_BYTES: u64 = 8_192;
@@ -47,14 +47,6 @@ const CHAOS_BYTES: u64 = 2_048;
 /// load forces the quota sweep to evict a chaos tenant (the pinned anchor
 /// is never a candidate).
 const BUDGET: u64 = ANCHOR_BYTES + 2 * CHAOS_BYTES + 512;
-
-fn env_count(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 fn anchor_query(seed: u64) -> Query {
     Query::rank(2)
@@ -110,18 +102,10 @@ fn settle(out: Outstanding, seed: u64, at: &str) {
     }
 }
 
-fn run_storm(seed: u64, ops: u64) {
-    // Honor a CI-forced `DLRA_MAX_QUEUE`; force a bound of 6 otherwise so
-    // the overload path is always exercised.
-    let max_queue = ServiceConfig::default().max_queue_depth.or(Some(6));
+fn run_storm(column: Column, seed: u64) {
     let service = Service::new(ServiceConfig {
-        executors: 2,
-        substrate: Substrate::Threaded,
-        plan_cache: 16,
-        metrics: true,
-        max_queue_depth: max_queue,
         memory_budget: Some(BUDGET),
-        ..Default::default()
+        ..column.config(2)
     });
 
     let anchor_parts = shares(2, 64, 8, 2, 9_000 + seed);
@@ -156,7 +140,7 @@ fn run_storm(seed: u64, ops: u64) {
     let mut outstanding: Vec<Outstanding> = Vec::new();
     let mut quota_evictions_seen = false;
 
-    for op in 0..ops {
+    for op in 0..OPS {
         match rng.below(8) {
             // Load a chaos tenant (possibly forcing a quota eviction).
             0 => {
@@ -267,15 +251,8 @@ fn run_storm(seed: u64, ops: u64) {
         0,
         "seed {seed}: chaos ops must never invalidate the anchor's plans"
     );
-    let verify = loop {
-        let ticket = anchor.submit(&anchor_query(seed));
-        if !ticket.shed() {
-            break ticket;
-        }
-        std::thread::yield_now();
-    };
     assert!(
-        verify.wait().is_ok(),
+        submit_admitted(&anchor, &anchor_query(seed)).wait().is_ok(),
         "seed {seed}: anchor must keep serving"
     );
 
@@ -312,13 +289,15 @@ fn run_storm(seed: u64, ops: u64) {
     assert_eq!(snap.queue_depth, 0, "seed {seed}: queue gauge leaked");
     assert_eq!(snap.in_flight, 0, "seed {seed}: in-flight gauge leaked");
     assert_eq!(snap.resident_bytes, ANCHOR_BYTES);
-    // The storm actually exercised the pressure paths.
-    if max_queue == Some(6) {
-        assert!(
-            metrics.pressure.rejected_overload > 0,
-            "seed {seed}: the overload bursts must shed at the default bound"
-        );
-    }
+    // The storm actually exercised the pressure paths. The sentinel holds
+    // one admission slot throughout and a burst submits 8 queries back to
+    // back, so at any bound b ≤ 8 a burst sheds at least 9 − b of them
+    // unless queries finish mid-burst.
+    assert!(
+        metrics.pressure.rejected_overload > 0,
+        "seed {seed}: the overload bursts must shed at bound {:?}",
+        column.max_queue_depth
+    );
     assert!(
         quota_evictions_seen || metrics.pressure.evicted_under_pressure > 0,
         "seed {seed}: the chaos loads must trigger at least one quota eviction"
@@ -327,9 +306,9 @@ fn run_storm(seed: u64, ops: u64) {
 
 #[test]
 fn chaos_storm_holds_service_invariants_across_seeds() {
-    let seeds = env_count("DLRA_CHAOS_SEEDS", 3);
-    let ops = env_count("DLRA_CHAOS_OPS", 120);
-    for seed in 0..seeds {
-        run_storm(seed, ops);
+    for column in support::chaos_columns() {
+        for seed in 0..SEEDS {
+            run_storm(column, seed);
+        }
     }
 }

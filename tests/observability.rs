@@ -13,17 +13,13 @@
 //! * A metrics-disabled service reports `None`; an enabled one exports
 //!   coherent JSON and Prometheus text.
 
+mod support;
+
 use dlra::obs::metrics::LATENCY_BUCKET_BOUNDS_MICROS;
 use dlra::obs::trace;
 use dlra::prelude::*;
 use dlra::runtime::{ServiceConfig, Substrate};
-use dlra::util::Rng;
-
-fn shares(s: usize, n: usize, d: usize, k: usize, seed: u64) -> Vec<dlra::linalg::Matrix> {
-    let mut rng = Rng::new(seed);
-    let global = dlra::data::noisy_low_rank(n, d, k, 0.1, &mut rng);
-    dlra::data::split_with_noise_shares(&global, s, 0.3, &mut rng)
-}
+use support::shares;
 
 fn config(plan_cache: usize, metrics: bool) -> ServiceConfig {
     ServiceConfig {
