@@ -14,6 +14,7 @@ pub fn is_deterministic_module(path: &str) -> bool {
         || path.starts_with("crates/sampler/src/")
         || path.starts_with("crates/comm/src/")
         || path == "crates/linalg/src/kernels.rs"
+        || path == "crates/linalg/src/mersenne.rs"
 }
 
 /// Crates under the no-panic serving contract: queries must resolve to

@@ -1,15 +1,47 @@
-//! Microbenchmarks for the sketching substrate: CountSketch update
-//! throughput, merge (the per-server aggregation cost), point queries,
-//! heavy-hitter recovery, and one Z-estimator pass's two sketch scans
-//! (every server's `SketchBundle::absorb`, the coordinator's `recover`).
+//! Microbenchmarks for the sketching substrate: k-wise hashing one input
+//! at a time against a batch, CountSketch update throughput, merge (the
+//! per-server aggregation cost), point queries, heavy-hitter recovery,
+//! and one Z-estimator pass's two sketch scans (every server's
+//! `SketchBundle::absorb`, the coordinator's `recover`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dlra_data::isolet_like;
 use dlra_sampler::{DenseServerVec, SampleVector, SketchBundle, ZSamplerParams};
-use dlra_sketch::{CountSketch, HeavyHittersSketch};
+use dlra_sketch::{CountSketch, HeavyHittersSketch, KWiseHash};
 use dlra_util::Rng;
 use std::hint::black_box;
 use std::time::Duration;
+
+/// The sketches' hash arithmetic over 4,096 random inputs: a loop of
+/// scalar `hash` calls against one `hash_many` call, at the independences
+/// the sketches use (bucket hashes 2, signs 4, the level hash 16).
+fn bench_hash_many(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hash_many");
+    let mut rng = Rng::new(5);
+    let xs: Vec<u64> = (0..4096).map(|_| rng.next_u64()).collect();
+    let mut out = vec![0u64; xs.len()];
+    group.throughput(Throughput::Elements(xs.len() as u64));
+    for k in [2usize, 4, 16] {
+        let h = KWiseHash::from_seed(k, 11);
+        group.bench_with_input(BenchmarkId::new("scalar", k), &k, |b, _| {
+            b.iter(|| {
+                for (o, &x) in out.iter_mut().zip(&xs) {
+                    *o = h.hash(black_box(x));
+                }
+                black_box(&out);
+            });
+        });
+        let batched = out.clone();
+        group.bench_with_input(BenchmarkId::new("batched", k), &k, |b, _| {
+            b.iter(|| {
+                h.hash_many(black_box(&xs), &mut out);
+                black_box(&out);
+            });
+        });
+        assert_eq!(out, batched, "hash_many must equal hash at k = {k}");
+    }
+    group.finish();
+}
 
 fn bench_countsketch_update(c: &mut Criterion) {
     let mut group = c.benchmark_group("countsketch_update");
@@ -157,6 +189,7 @@ fn bench_bundle_recover(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_hash_many,
     bench_countsketch_update,
     bench_countsketch_estimate,
     bench_sketch_merge,

@@ -129,8 +129,11 @@ mod tests {
     use dlra_util::Rng;
     use std::io::Cursor;
 
+    /// A file in the workspace's build tree, `target/tmp`.
     fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("dlra_io_test_{}_{name}", std::process::id()))
+        let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tmp"));
+        std::fs::create_dir_all(dir).unwrap();
+        dir.join(format!("dlra_io_test_{}_{name}", std::process::id()))
     }
 
     #[test]

@@ -49,10 +49,10 @@ const JW: usize = 32;
 /// count — never reorders any element's summation chain and results stay
 /// bit-identical across all three paths.
 #[cfg(target_arch = "x86_64")]
-mod isa {
+pub(crate) mod isa {
     use std::sync::atomic::{AtomicU8, Ordering};
 
-    #[derive(Clone, Copy, PartialEq, Eq)]
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
     pub enum Isa {
         /// Baseline x86-64 (SSE2).
         Scalar,
@@ -64,7 +64,19 @@ mod isa {
 
     static DETECTED: AtomicU8 = AtomicU8::new(0);
 
+    #[cfg(test)]
+    thread_local! {
+        /// A test's choice of body on its own thread. Only [`with_forced`]
+        /// sets it, after checking that the host supports that level, so
+        /// the dispatch's SAFETY argument holds in tests too.
+        static FORCED: std::cell::Cell<Option<Isa>> = const { std::cell::Cell::new(None) };
+    }
+
     pub fn detect() -> Isa {
+        #[cfg(test)]
+        if let Some(isa) = FORCED.with(std::cell::Cell::get) {
+            return isa;
+        }
         match DETECTED.load(Ordering::Relaxed) {
             1 => return Isa::Scalar,
             2 => return Isa::Avx2,
@@ -87,6 +99,27 @@ mod isa {
             Ordering::Relaxed,
         );
         isa
+    }
+
+    /// Every level this host can run, baseline first.
+    #[cfg(test)]
+    pub fn supported() -> Vec<Isa> {
+        let widest = detect();
+        [Isa::Scalar, Isa::Avx2, Isa::Avx512]
+            .into_iter()
+            .filter(|&isa| isa <= widest)
+            .collect()
+    }
+
+    /// Runs `f` with every `isa_dispatch!` kernel on this thread taking
+    /// the `isa` body, so tests reach the bodies the host would not pick.
+    #[cfg(test)]
+    pub fn with_forced<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
+        assert!(supported().contains(&isa), "{isa:?} is not supported here");
+        FORCED.with(|c| c.set(Some(isa)));
+        let out = f();
+        FORCED.with(|c| c.set(None));
+        out
     }
 }
 
@@ -125,6 +158,7 @@ macro_rules! isa_dispatch {
         }
     };
 }
+pub(crate) use isa_dispatch;
 
 /// `out = a · b` where `a` is `m × kk` and `b` is `kk × n`, all row-major.
 /// `out` must be zero-initialized.

@@ -10,6 +10,9 @@
 //!   `DLRA_THREADS`, default = available parallelism), the scoped
 //!   [`with_threads`] override outer parallelism layers use to pin
 //!   kernels, and the persistent panel-worker pool the kernels run on;
+//! * [`mersenne`] — batched polynomial evaluation mod 2⁶¹ − 1, the
+//!   arithmetic of the sketches' k-wise hashes, vectorized through the
+//!   same ISA dispatch as the dense kernels;
 //! * [`projector`] — factored orthogonal projectors `P = V·Vᵀ` applied as
 //!   `(A·V)·Vᵀ`, never materializing the `d × d` matrix;
 //! * [`qr`] — Householder thin QR and orthonormalization;
@@ -31,6 +34,7 @@ pub mod eigen;
 pub mod kernels;
 pub mod lowrank;
 pub mod matrix;
+pub mod mersenne;
 pub mod projector;
 pub mod qr;
 pub mod svd;

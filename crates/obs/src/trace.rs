@@ -356,8 +356,9 @@ mod tests {
     // Tracing state is process-global, so everything lives in one #[test].
     #[test]
     fn record_flush_disable_roundtrip() {
-        let dir = std::env::temp_dir().join("dlra-obs-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        // The workspace's build tree, like the integration tests' traces.
+        let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tmp"));
+        std::fs::create_dir_all(dir).unwrap();
         let path = dir.join(format!("trace-{}.json", std::process::id()));
 
         // Disabled spans are inert.

@@ -27,6 +27,22 @@
 //! level's largest hash `tₗ` satisfies `2⁶¹⁻ˡ ≤ tₗ < 2⁶²⁻ˡ`. So every level
 //! up to `c` admits `h`, none past `c + 1` does, and the level is `c`, plus
 //! one when `h ≤ t_{c+1}`.
+//!
+//! # Chunked scans
+//!
+//! [`SketchBundle::absorb`] and [`SketchBundle::recover`] visit
+//! coordinates in chunks of 2048, with every buffer on the stack of
+//! the call, and hash each chunk many coordinates at a time
+//! ([`KWiseHash::hash_many`]). `absorb` sketches a chunk level by level,
+//! so every counter still takes its additions in input order: the tables
+//! are [`SketchBundle::update`]'s bit for bit. `recover` drops the
+//! coordinates whose rows are mostly light in every repetition
+//! ([`CountSketch::light_rows_many`], for which
+//! [`CountSketch::estimate_if_heavy`] is `None` too) and re-checks the few
+//! survivors one by one, in ascending order, with the per-coordinate test.
+//!
+//! [`CountSketch::light_rows_many`]: dlra_sketch::CountSketch::light_rows_many
+//! [`CountSketch::estimate_if_heavy`]: dlra_sketch::CountSketch::estimate_if_heavy
 
 use crate::params::ZSamplerParams;
 use crate::vector::SampleVector;
@@ -67,6 +83,65 @@ struct Shape {
     hh_width: usize,
     b_threshold: f64,
     g_independence: usize,
+}
+
+/// Coordinates per chunk of [`SketchBundle::absorb`] and
+/// [`SketchBundle::recover`]: a chunk's buffers are a few 16 KB arrays on
+/// the stack of the scan, so no call allocates per coordinate.
+const CHUNK: usize = 2048;
+
+/// The buffers of one chunk of [`SketchBundle::absorb`].
+struct AbsorbChunk {
+    len: usize,
+    /// Nonzero coordinates, in the order the vector visits them.
+    js: [u64; CHUNK],
+    /// Their values.
+    xs: [f64; CHUNK],
+    /// Their levels.
+    levels: [u64; CHUNK],
+    /// Their group buckets in one repetition.
+    buckets: [u64; CHUNK],
+    /// The coordinates and values routed to one group, in input order.
+    group_js: [u64; CHUNK],
+    group_xs: [f64; CHUNK],
+}
+
+/// The buffers of one chunk of [`SketchBundle::recover`].
+struct RecoverChunk {
+    /// Coordinates, ascending.
+    js: [u64; CHUNK],
+    /// Their levels.
+    levels: [u64; CHUNK],
+    /// Their group buckets in one repetition.
+    buckets: [u64; CHUNK],
+    /// The coordinates routed to one group, and where they sit in `js`.
+    group_js: [u64; CHUNK],
+    group_pos: [u32; CHUNK],
+    /// Light-row counts of `group_js`.
+    light: [u32; CHUNK],
+    /// Whether some repetition's light test left `js[i]` undecided.
+    survives: [bool; CHUNK],
+}
+
+/// Keeps, in order, the first `len` entries of `keys` (and the same
+/// entries of `vals`) whose level is at least `level`; returns how many.
+/// Every entry is copied and only the kept ones advance the write
+/// position, so a coin-flip level costs no branch.
+fn retain_level<T: Copy>(
+    len: usize,
+    level: usize,
+    levels: &mut [u64],
+    keys: &mut [u64],
+    vals: &mut [T],
+) -> usize {
+    let mut kept = 0;
+    for i in 0..len {
+        levels[kept] = levels[i];
+        keys[kept] = keys[i];
+        vals[kept] = vals[i];
+        kept += usize::from(levels[i] >= level as u64);
+    }
+    kept
 }
 
 /// The deepest level the f64 formula gives a nonzero hash: `h ≥ 1` means
@@ -113,11 +188,25 @@ fn level_thresholds() -> &'static LevelThresholds {
 /// compare (see the module docs).
 #[inline]
 fn level_of_hash(h: u64, num_levels: usize) -> usize {
+    level_by_table(level_thresholds(), h, num_levels)
+}
+
+/// [`level_of_hash`] with the threshold table in hand.
+#[inline]
+fn level_by_table(thresholds: &LevelThresholds, h: u64, num_levels: usize) -> usize {
     if h == 0 {
         return num_levels;
     }
     let c = (h - 1).leading_zeros() as usize - 3;
-    (c + usize::from(h <= level_thresholds()[c + 1])).min(num_levels)
+    (c + usize::from(h <= thresholds[c + 1])).min(num_levels)
+}
+
+/// Replaces every level hash in `hs` with its level.
+fn levels_of_hashes(hs: &mut [u64], num_levels: usize) {
+    let thresholds = level_thresholds();
+    for h in hs {
+        *h = level_by_table(thresholds, *h, num_levels) as u64;
+    }
 }
 
 impl SketchBundle {
@@ -171,9 +260,60 @@ impl SketchBundle {
         }
     }
 
-    /// Sketches a server's whole local vector.
+    /// Sketches a server's whole local vector: the tables that
+    /// [`update`](Self::update) on every nonzero in turn builds, bit for
+    /// bit, one chunk of nonzeros at a time (module docs).
     pub fn absorb<V: SampleVector + ?Sized>(&mut self, v: &V) {
-        v.for_each_nonzero(&mut |j, x| self.update(j, x));
+        let mut chunk = AbsorbChunk {
+            len: 0,
+            js: [0; CHUNK],
+            xs: [0.0; CHUNK],
+            levels: [0; CHUNK],
+            buckets: [0; CHUNK],
+            group_js: [0; CHUNK],
+            group_xs: [0.0; CHUNK],
+        };
+        v.for_each_nonzero(&mut |j, x| {
+            if x != 0.0 {
+                chunk.js[chunk.len] = j;
+                chunk.xs[chunk.len] = x;
+                chunk.len += 1;
+                if chunk.len == CHUNK {
+                    self.absorb_chunk(&mut chunk);
+                }
+            }
+        });
+        self.absorb_chunk(&mut chunk);
+    }
+
+    /// Sketches the chunk's coordinates into every level they survive to,
+    /// level by level, each group's share in input order; empties it.
+    fn absorb_chunk(&mut self, c: &mut AbsorbChunk) {
+        let mut live = std::mem::take(&mut c.len);
+        self.sub_hash
+            .hash_many(&c.js[..live], &mut c.levels[..live]);
+        levels_of_hashes(&mut c.levels[..live], self.num_levels);
+        for (level, reps) in self.levels.iter_mut().enumerate() {
+            live = retain_level(live, level, &mut c.levels, &mut c.js, &mut c.xs);
+            if live == 0 {
+                break;
+            }
+            let js = &c.js[..live];
+            for rep in reps {
+                rep.group_hash
+                    .bucket_many(js, &self.groups, &mut c.buckets[..live]);
+                for (g, hh) in rep.groups.iter_mut().enumerate() {
+                    // Gathered without a branch, like `retain_level`.
+                    let mut n = 0;
+                    for ((&b, &j), &x) in c.buckets.iter().zip(js).zip(&c.xs) {
+                        c.group_js[n] = j;
+                        c.group_xs[n] = x;
+                        n += usize::from(b == g as u64);
+                    }
+                    hh.update_many(&c.group_js[..n], &c.group_xs[..n]);
+                }
+            }
+        }
     }
 
     /// The shape parameters held inside the sketches.
@@ -259,28 +399,23 @@ impl SketchBundle {
             })
             .collect();
         let mut scored: Vec<Vec<(f64, u64)>> = vec![Vec::new(); self.num_levels + 1];
-        // The scan visits 0, 1, 2, …, so the level hash walks by forward
-        // differences.
-        for (j, h) in (0..dim).zip(self.sub_hash.consecutive(0)) {
-            let deepest = level_of_hash(h, self.num_levels);
-            for level in 0..=deepest {
-                let mut best = 0.0f64;
-                let mut hit = false;
-                for (rep, thr) in self.levels[level].iter().zip(&thresholds[level]) {
-                    let g = rep.group_hash.bucket(j, &self.groups);
-                    let t = thr[g];
-                    if t <= 0.0 {
-                        continue;
-                    }
-                    if let Some(est) = rep.groups[g].estimate_if_heavy(j, t) {
-                        hit = true;
-                        best = best.max(est.abs());
-                    }
-                }
-                if hit {
-                    scored[level].push((best, j));
-                }
+        let mut c = RecoverChunk {
+            js: [0; CHUNK],
+            levels: [0; CHUNK],
+            buckets: [0; CHUNK],
+            group_js: [0; CHUNK],
+            group_pos: [0; CHUNK],
+            light: [0; CHUNK],
+            survives: [false; CHUNK],
+        };
+        let mut start = 0;
+        while start < dim {
+            let len = (dim - start).min(CHUNK as u64) as usize;
+            for (j, i) in c.js[..len].iter_mut().zip(start..) {
+                *j = i;
             }
+            start += len as u64;
+            self.recover_chunk(&mut c, len, &thresholds, &mut scored);
         }
         // Cap each level to the largest-estimate candidates, bounding the
         // exact-lookup round's communication.
@@ -296,6 +431,83 @@ impl SketchBundle {
                 coords
             })
             .collect()
+    }
+
+    /// Scores the first `len` coordinates of the chunk at every level they
+    /// survive to: the batched light test drops a coordinate when every
+    /// repetition leaves it mostly light rows, and the survivors are
+    /// re-checked one by one, in ascending order, by
+    /// [`best_heavy_estimate`](Self::best_heavy_estimate).
+    fn recover_chunk(
+        &self,
+        c: &mut RecoverChunk,
+        len: usize,
+        thresholds: &[Vec<Vec<f64>>],
+        scored: &mut [Vec<(f64, u64)>],
+    ) {
+        let mut live = len;
+        self.sub_hash
+            .hash_many(&c.js[..live], &mut c.levels[..live]);
+        levels_of_hashes(&mut c.levels[..live], self.num_levels);
+        for (level, (reps, thr)) in self.levels.iter().zip(thresholds).enumerate() {
+            // No values ride along with the coordinates here.
+            live = retain_level(live, level, &mut c.levels, &mut c.js, &mut [(); CHUNK]);
+            if live == 0 {
+                break;
+            }
+            let js = &c.js[..live];
+            c.survives[..live].fill(false);
+            for (rep, thr) in reps.iter().zip(thr) {
+                rep.group_hash
+                    .bucket_many(js, &self.groups, &mut c.buckets[..live]);
+                for (g, (hh, &t)) in rep.groups.iter().zip(thr).enumerate() {
+                    if t <= 0.0 {
+                        continue;
+                    }
+                    // Gathered without a branch, like `retain_level`.
+                    let mut n = 0;
+                    for (i, (&b, &j)) in c.buckets.iter().zip(js).enumerate() {
+                        c.group_js[n] = j;
+                        c.group_pos[n] = i as u32;
+                        n += usize::from(b == g as u64);
+                    }
+                    let cs = hh.countsketch();
+                    cs.light_rows_many(&c.group_js[..n], t, &mut c.light[..n]);
+                    for (&light, &i) in c.light[..n].iter().zip(&c.group_pos) {
+                        if cs.may_be_heavy(light) {
+                            c.survives[i as usize] = true;
+                        }
+                    }
+                }
+            }
+            for (&j, _) in js.iter().zip(&c.survives).filter(|(_, &s)| s) {
+                if let Some(best) = self.best_heavy_estimate(level, j, thr) {
+                    scored[level].push((best, j));
+                }
+            }
+        }
+    }
+
+    /// The largest `|estimate|` over the repetitions whose heavy test
+    /// coordinate `j` passes at `level`, or `None` when none does;
+    /// `thresholds[rep][group]` is the group's acceptance threshold. This
+    /// is the per-coordinate scan that [`recover`](Self::recover) runs
+    /// only on the survivors of its batched light test.
+    fn best_heavy_estimate(&self, level: usize, j: u64, thresholds: &[Vec<f64>]) -> Option<f64> {
+        let mut best = 0.0f64;
+        let mut hit = false;
+        for (rep, thr) in self.levels[level].iter().zip(thresholds) {
+            let g = rep.group_hash.bucket(j, &self.groups);
+            let t = thr[g];
+            if t <= 0.0 {
+                continue;
+            }
+            if let Some(est) = rep.groups[g].estimate_if_heavy(j, t) {
+                hit = true;
+                best = best.max(est.abs());
+            }
+        }
+        hit.then_some(best)
     }
 }
 
@@ -752,8 +964,9 @@ mod tests {
 
     /// The recovery scan probing every row of each group sketch, then
     /// comparing its median estimate with the threshold. Levels come from
-    /// the f64 formula and group buckets from `%`, independent of the
-    /// threshold table, the bucket modulus and the forward differences.
+    /// the f64 formula and group buckets from `%`, one coordinate at a
+    /// time, independent of the threshold table, the bucket modulus and
+    /// the batched light test.
     fn full_probe_recover(b: &SketchBundle, dim: u64) -> Vec<Vec<u64>> {
         let mut scored: Vec<Vec<(f64, u64)>> = vec![Vec::new(); b.num_levels + 1];
         for j in 0..dim {
@@ -818,6 +1031,50 @@ mod tests {
                 assert_eq!(got, full_probe_recover(&b, dim), "depth {depth} cap {cap}");
             }
         }
+    }
+
+    /// Every counter of every level, repetition and group, as bits.
+    fn table_bits(b: &SketchBundle) -> Vec<u64> {
+        b.levels
+            .iter()
+            .flatten()
+            .flat_map(|r| &r.groups)
+            .flat_map(|hh| hh.countsketch().table())
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn absorb_builds_the_per_coordinate_tables() {
+        let p = ZSamplerParams {
+            hh_width: 37,
+            groups: 3,
+            ..small_params()
+        };
+        // Two full chunks and a ragged one; zeros of both signs in the
+        // base vector and in the injected tail.
+        let base = 2 * CHUNK as u64 + 700;
+        let mut rng = Rng::new(19);
+        let mut draw = |_| match rng.index(10) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => rng.gaussian() * 25.0,
+            _ => rng.gaussian(),
+        };
+        let mut v = DenseServerVec::new((0..base).map(&mut draw).collect());
+        let tail: Vec<f64> = (0..333).map(&mut draw).collect();
+        v.append_injected(&tail, true);
+        let mut nonzeros = 0;
+        v.for_each_nonzero(&mut |_, _| nonzeros += 1);
+        assert_ne!(nonzeros % CHUNK, 0);
+        let mut batched = SketchBundle::new(&p, 23, v.dim());
+        batched.absorb(&v);
+        let mut single = SketchBundle::new(&p, 23, v.dim());
+        for j in 0..v.dim() {
+            single.update(j, v.value(j));
+        }
+        assert_eq!(table_bits(&batched), table_bits(&single));
+        assert!(table_bits(&single).iter().any(|&x| x != 0));
     }
 
     #[test]

@@ -6,11 +6,15 @@
 //! from the same seed yields the sketch of the summed vector — the basis of
 //! the distributed `HeavyHitters` protocol.
 
-use crate::hashing::{KWiseHash, Modulus};
+use crate::hashing::{sign_of_hash, KWiseHash, Modulus};
 
 /// Rows a point query keeps on the stack; deeper sketches use a heap
 /// buffer.
 const STACK_ROWS: usize = 8;
+
+/// Coordinates a batch call hashes per row at a time, in buffers on its
+/// stack.
+const BATCH: usize = 256;
 
 /// A seeded CountSketch over `u64`-indexed coordinates.
 ///
@@ -93,6 +97,31 @@ impl CountSketch {
         }
     }
 
+    /// Adds `deltas[i]` at coordinate `js[i]` for every `i`: the table that
+    /// calling [`update`](Self::update) on each pair in order builds, bit
+    /// for bit. The batch is hashed row by row, many coordinates at a time,
+    /// and each row's counters take their additions in input order, which
+    /// is the order the per-pair calls add them in. Panics if the lengths
+    /// differ.
+    pub fn update_many(&mut self, js: &[u64], deltas: &[f64]) {
+        assert_eq!(js.len(), deltas.len(), "update_many lengths");
+        let width = self.width.get();
+        let mut buckets = [0u64; BATCH];
+        let mut signs = [0u64; BATCH];
+        for (js, deltas) in js.chunks(BATCH).zip(deltas.chunks(BATCH)) {
+            let (buckets, signs) = (&mut buckets[..js.len()], &mut signs[..js.len()]);
+            for (r, row) in self.table.chunks_exact_mut(width).enumerate() {
+                self.bucket_hash[r].bucket_many(js, &self.width, buckets);
+                self.sign_hash[r].hash_many(js, signs);
+                for ((&b, &s), &delta) in buckets.iter().zip(&*signs).zip(deltas) {
+                    if delta != 0.0 {
+                        row[b as usize] += sign_of_hash(s) * delta;
+                    }
+                }
+            }
+        }
+    }
+
     /// Sketches a whole dense vector (coordinate i gets value `v[i]`).
     pub fn update_dense(&mut self, v: &[f64]) {
         for (j, &x) in v.iter().enumerate() {
@@ -155,17 +184,45 @@ impl CountSketch {
     /// overlap.
     #[inline]
     pub fn estimate_if_heavy(&self, j: u64, t: f64) -> Option<f64> {
-        let light: usize = (0..self.depth)
+        let light: u32 = (0..self.depth)
             .map(|r| {
                 let x = self.row_counter(r, j);
-                usize::from(x * x < t)
+                u32::from(x * x < t)
             })
             .sum();
-        if 2 * light > self.depth {
+        if !self.may_be_heavy(light) {
             return None;
         }
         let est = self.estimate(j);
         (est * est >= t).then_some(est)
+    }
+
+    /// The light-row counts [`estimate_if_heavy`](Self::estimate_if_heavy)
+    /// starts from, many coordinates at a time: `light[i]` is the number of
+    /// rows whose counter `x` for `js[i]` has `x * x < t`. Panics if the
+    /// lengths differ.
+    pub fn light_rows_many(&self, js: &[u64], t: f64, light: &mut [u32]) {
+        assert_eq!(js.len(), light.len(), "light_rows_many lengths");
+        light.fill(0);
+        let mut buckets = [0u64; BATCH];
+        for (js, light) in js.chunks(BATCH).zip(light.chunks_mut(BATCH)) {
+            let buckets = &mut buckets[..js.len()];
+            for (r, row) in self.table.chunks_exact(self.width.get()).enumerate() {
+                self.bucket_hash[r].bucket_many(js, &self.width, buckets);
+                for (&b, l) in buckets.iter().zip(light.iter_mut()) {
+                    let x = row[b as usize];
+                    *l += u32::from(x * x < t);
+                }
+            }
+        }
+    }
+
+    /// Whether a coordinate with `light` light rows can pass the heavy
+    /// test: when more than half of the rows are light,
+    /// [`estimate_if_heavy`](Self::estimate_if_heavy) returns `None`.
+    #[inline]
+    pub fn may_be_heavy(&self, light: u32) -> bool {
+        2 * light as usize <= self.depth
     }
 
     /// AMS-style second-moment estimate: median over rows of the row's
@@ -413,6 +470,79 @@ mod tests {
         }
         // Two NaN rows of five: the median row sum is a finite one.
         assert!(cs.f2_estimate().is_finite());
+    }
+
+    /// Sparse values with exact ties, zeros of both signs and a NaN, at
+    /// coordinates that repeat.
+    fn batch_inputs(rng: &mut Rng, len: usize) -> (Vec<u64>, Vec<f64>) {
+        let js = (0..len).map(|_| rng.index(700) as u64).collect();
+        let xs = (0..len)
+            .map(|i| match rng.index(8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 if i == len / 2 => f64::NAN,
+                _ => (rng.index(9) as f64 - 4.0) * 0.5 + rng.gaussian() * 1e-3,
+            })
+            .collect();
+        (js, xs)
+    }
+
+    #[test]
+    fn update_many_builds_the_per_pair_table() {
+        let mut rng = Rng::new(12);
+        for (depth, width) in [(1, 1), (3, 33), (5, 64)] {
+            // Lengths below, at and past a batch.
+            for len in [0, 1, BATCH - 1, BATCH, 3 * BATCH + 7] {
+                let (js, xs) = batch_inputs(&mut rng, len);
+                let mut one = CountSketch::new(depth, width, 8);
+                // Counters of −0.0: a zero delta that was not skipped
+                // would turn one into +0.0.
+                one.table.fill(-0.0);
+                let mut many = one.clone();
+                for (&j, &x) in js.iter().zip(&xs) {
+                    one.update(j, x);
+                }
+                many.update_many(&js, &xs);
+                let bits =
+                    |cs: &CountSketch| cs.table.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&many),
+                    bits(&one),
+                    "depth {depth} width {width} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn light_rows_many_counts_what_the_heavy_test_counts() {
+        let mut rng = Rng::new(13);
+        let (js, xs) = batch_inputs(&mut rng, 900);
+        for depth in 1..=6 {
+            let mut cs = CountSketch::new(depth, 17, 5 + depth as u64);
+            cs.update_many(&js, &xs);
+            let probes: Vec<u64> = (0..2 * BATCH as u64 + 3).collect();
+            for t in [0.0, 0.3, 1.0, 4.0, f64::NAN] {
+                let mut light = vec![u32::MAX; probes.len()];
+                cs.light_rows_many(&probes, t, &mut light);
+                for (&j, &l) in probes.iter().zip(&light) {
+                    let want = (0..depth)
+                        .filter(|&r| {
+                            let x = cs.row_counter(r, j);
+                            x * x < t
+                        })
+                        .count();
+                    assert_eq!(l as usize, want, "depth {depth} j {j} t {t}");
+                    if !cs.may_be_heavy(l) {
+                        assert_eq!(
+                            cs.estimate_if_heavy(j, t),
+                            None,
+                            "depth {depth} j {j} t {t}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// `estimate_if_heavy` is `estimate` plus `est * est >= t`, bit for bit.

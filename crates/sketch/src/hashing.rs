@@ -32,6 +32,14 @@
 //!
 //! The textbook step reduces twice, each time fully (two folds and a
 //! compare), on a serial chain whose latency bounds the sketch scans.
+//!
+//! # Many inputs per call
+//!
+//! [`KWiseHash::hash_many`] and [`KWiseHash::bucket_many`] hash a slice at
+//! once through `dlra_linalg::mersenne::poly_eval`, which evaluates the
+//! same polynomial with 32-bit limb products, vectorized across inputs at
+//! the widest instruction set the host has. Its values are canonical
+//! residues too, so they are [`KWiseHash::hash`]'s bit for bit.
 
 use dlra_util::Rng;
 
@@ -95,6 +103,12 @@ impl KWiseHash {
         self.coeffs.len()
     }
 
+    /// The polynomial's coefficients, constant term first, each below
+    /// 2⁶¹ − 1.
+    pub fn coefficients(&self) -> &[u64] {
+        &self.coeffs
+    }
+
     /// Raw hash value in `[0, 2⁶¹ − 1)` (Horner evaluation with one fold
     /// per step; the module docs show why the value is the textbook one).
     #[inline]
@@ -116,6 +130,13 @@ impl KWiseHash {
         }
     }
 
+    /// `out[i] = hash(xs[i])` for every `i`, evaluated many inputs at a
+    /// time (module docs). Panics if the lengths differ.
+    #[inline]
+    pub fn hash_many(&self, xs: &[u64], out: &mut [u64]) {
+        dlra_linalg::mersenne::poly_eval(&self.coeffs, xs, out);
+    }
+
     /// Hash mapped to a bucket in `[0, m)`, for the bucket count `m` that
     /// `buckets` was built for.
     #[inline]
@@ -123,79 +144,29 @@ impl KWiseHash {
         buckets.reduce(self.hash(x))
     }
 
+    /// `out[i] = bucket(xs[i], buckets)` for every `i`. Panics if the
+    /// lengths differ.
+    #[inline]
+    pub fn bucket_many(&self, xs: &[u64], buckets: &Modulus, out: &mut [u64]) {
+        self.hash_many(xs, out);
+        // Independent iterations, so their multiplies overlap.
+        for h in out {
+            *h = buckets.reduce(*h) as u64;
+        }
+    }
+
     /// Rademacher sign `±1` derived from the hash's low bit.
     #[inline]
     pub fn sign(&self, x: u64) -> f64 {
-        // The low bit becomes the sign bit of 1.0: no branch to mispredict.
-        f64::from_bits(1f64.to_bits() | (self.hash(x) & 1) << 63)
-    }
-
-    /// The hashes of `start, start + 1, start + 2, …`, in order, evaluated
-    /// by forward differences.
-    ///
-    /// For a polynomial of degree `k − 1` the `k − 1`-th forward difference
-    /// is constant, so after `k` Horner evaluations to seed the difference
-    /// table each further value costs `k − 1` additions mod p instead of
-    /// `k − 1` multiply-folds. Each addition is folded once (`2⁶¹ ≡ 1`), so
-    /// every difference stays congruent to its exact value and at most
-    /// `2⁶¹ + 1`: two such summands total at most `2⁶² + 2`, whose fold
-    /// `(s mod 2⁶¹) + ⌊s / 2⁶¹⌋` is again at most `2⁶¹ + 1`. Each yielded
-    /// value is then reduced to its canonical residue, which is exactly
-    /// `hash(x)`: both are the canonical residue of `poly(x mod p)`.
-    pub fn consecutive(&self, start: u64) -> ConsecutiveHashes {
-        let k = self.coeffs.len();
-        let mut diffs: Vec<u64> = (0..k as u64)
-            .map(|i| self.hash(start.wrapping_add(i)))
-            .collect();
-        // Turn values into differences in place: after pass `order`,
-        // `diffs[i]` for `i ≥ order` holds the `order`-th difference at
-        // `start + i − order`.
-        for order in 1..k {
-            for i in (order..k).rev() {
-                diffs[i] = sub_mod(diffs[i], diffs[i - 1]);
-            }
-        }
-        ConsecutiveHashes { diffs }
+        sign_of_hash(self.hash(x))
     }
 }
 
-/// `(a − b) mod p` for canonical residues `a, b < p`.
-fn sub_mod(a: u64, b: u64) -> u64 {
-    if a >= b {
-        a - b
-    } else {
-        a + MERSENNE_P - b
-    }
-}
-
-/// The endless walk returned by [`KWiseHash::consecutive`].
-#[derive(Debug, Clone)]
-pub struct ConsecutiveHashes {
-    /// `diffs[i]` is congruent to the `i`-th forward difference at the next
-    /// input, and at most `2⁶¹ + 1`.
-    diffs: Vec<u64>,
-}
-
-impl Iterator for ConsecutiveHashes {
-    type Item = u64;
-
-    #[inline]
-    fn next(&mut self) -> Option<u64> {
-        let d = &mut self.diffs[..];
-        // `d[0] ≤ 2⁶¹ + 1 = p + 2`: one subtract makes it canonical.
-        let value = if d[0] >= MERSENNE_P {
-            d[0] - MERSENNE_P
-        } else {
-            d[0]
-        };
-        // Δⁱ(x + 1) = Δⁱ(x) + Δⁱ⁺¹(x): ascending order reads each Δⁱ⁺¹
-        // before it advances.
-        for i in 1..d.len() {
-            let s = d[i - 1] + d[i];
-            d[i - 1] = (s & MERSENNE_P) + (s >> 61);
-        }
-        Some(value)
-    }
+/// The Rademacher sign [`KWiseHash::sign`] derives from hash value `h`.
+#[inline]
+pub(crate) fn sign_of_hash(h: u64) -> f64 {
+    // The low bit becomes the sign bit of 1.0: no branch to mispredict.
+    f64::from_bits(1f64.to_bits() | (h & 1) << 63)
 }
 
 /// A bucket count `m` with its reciprocal precomputed, so that bucketing a
@@ -435,22 +406,22 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_matches_hash() {
+    fn hash_many_and_bucket_many_match_per_input_calls() {
         let mut rng = Rng::new(63);
         for k in [1usize, 2, 4, 16] {
-            // A random function, and coefficients of p − 1, which keep the
-            // differences large.
-            let extreme = KWiseHash {
-                coeffs: vec![MERSENNE_P - 1; k],
-            };
-            for h in [KWiseHash::from_seed(k, 1000 + k as u64), extreme] {
-                // From zero, across the wrap of the input at p, and from a
-                // random start.
-                for start in [0, MERSENNE_P - (1 << 16), rng.next_u64() >> 1] {
-                    let walked = h.consecutive(start).take(1 << 17);
-                    for (i, value) in (0u64..).zip(walked) {
-                        assert_eq!(value, h.hash(start + i), "k {k} start {start} i {i}");
-                    }
+            let h = KWiseHash::from_seed(k, 1000 + k as u64);
+            for len in [0, 1, 17, 2049] {
+                let mut xs: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+                xs.iter_mut().zip(EDGE_INPUTS).for_each(|(x, e)| *x = e);
+                let mut out = vec![0; len];
+                h.hash_many(&xs, &mut out);
+                let want: Vec<u64> = xs.iter().map(|&x| h.hash(x)).collect();
+                assert_eq!(out, want, "k {k} len {len}");
+                for m in [1, 2, 3, 33, 4096, 1 << 40] {
+                    let modulus = Modulus::new(m);
+                    h.bucket_many(&xs, &modulus, &mut out);
+                    let want: Vec<u64> = xs.iter().map(|&x| h.bucket(x, &modulus) as u64).collect();
+                    assert_eq!(out, want, "k {k} len {len} m {m}");
                 }
             }
         }

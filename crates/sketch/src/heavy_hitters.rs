@@ -86,6 +86,12 @@ impl HeavyHittersSketch {
         self.cs.update(j, delta);
     }
 
+    /// Adds `deltas[i]` at coordinate `js[i]` for every `i`
+    /// (see [`CountSketch::update_many`]).
+    pub fn update_many(&mut self, js: &[u64], deltas: &[f64]) {
+        self.cs.update_many(js, deltas);
+    }
+
     /// Sketches a dense vector.
     pub fn update_dense(&mut self, v: &[f64]) {
         self.cs.update_dense(v);

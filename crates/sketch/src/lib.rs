@@ -8,10 +8,11 @@
 //! a distributed protocol (§V-B).
 //!
 //! * [`hashing`] — k-wise independent polynomial hashing over the Mersenne
-//!   prime `2⁶¹ − 1`, with precomputed bucket moduli and forward-difference
-//!   walks over consecutive inputs;
-//! * [`countsketch`] — CountSketch with median point queries and the built-in
-//!   AMS-style `F₂` estimate;
+//!   prime `2⁶¹ − 1`, one input or a batch at a time, with precomputed
+//!   bucket moduli;
+//! * [`countsketch`] — CountSketch with median point queries, batched
+//!   updates and light-row counts, and the built-in AMS-style `F₂`
+//!   estimate;
 //! * [`heavy_hitters`] — recovery of all coordinates with
 //!   `v_j² ≥ ‖v‖²/B` from a CountSketch.
 

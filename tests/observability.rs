@@ -141,7 +141,10 @@ fn tracing_does_not_perturb_results() {
             ..config(8, true)
         };
         let (out_off, snap_off) = run_workload(cfg());
-        let path = std::env::temp_dir().join(format!("dlra_obs_test_trace_{substrate:?}.json"));
+        let path = format!(
+            "{}/dlra_obs_test_trace_{substrate:?}.json",
+            env!("CARGO_TARGET_TMPDIR")
+        );
         trace::enable(&path);
         let (out_on, snap_on) = run_workload(cfg());
         trace::disable();
