@@ -1,7 +1,7 @@
 //! Benchmarks of the communication substrate's collective overheads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dlra_comm::Cluster;
+use dlra_comm::{Cluster, Collectives};
 use dlra_util::Rng;
 use std::hint::black_box;
 

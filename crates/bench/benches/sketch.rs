@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dlra_data::isolet_like;
 use dlra_sampler::{DenseServerVec, SampleVector, SketchBundle, ZSamplerParams};
-use dlra_sketch::{CountSketch, HeavyHittersSketch, KWiseHash};
+use dlra_sketch::{CountSketch, KWiseHash};
 use dlra_util::Rng;
 use std::hint::black_box;
 use std::time::Duration;
@@ -101,7 +101,8 @@ fn bench_heavy_hitter_recovery(c: &mut Criterion) {
     for &l in &[10_000u64, 100_000] {
         group.throughput(Throughput::Elements(l));
         group.bench_with_input(BenchmarkId::from_parameter(l), &l, |b, &l| {
-            let mut sk = HeavyHittersSketch::new(32.0, 0.01, 9);
+            // `B = 32`: width `8B`, depth `⌈4·ln(1/δ)⌉` at `δ = 0.01`.
+            let mut sk = CountSketch::new(19, 256, 9);
             let mut rng = Rng::new(10);
             for j in 0..l {
                 sk.update(j, rng.gaussian() * 0.1);
@@ -109,7 +110,11 @@ fn bench_heavy_hitter_recovery(c: &mut Criterion) {
             for h in 0..16 {
                 sk.update(h * (l / 16), 25.0);
             }
-            b.iter(|| black_box(sk.recover_range(l).len()));
+            b.iter(|| {
+                let t = 0.5 * sk.f2_estimate() / 32.0;
+                let heavy = (0..l).filter(|&j| sk.estimate_if_heavy(j, t).is_some());
+                black_box(heavy.count())
+            });
         });
     }
     group.finish();

@@ -14,15 +14,15 @@
 //! each ratio's preparation is run once and its cost included in every
 //! cell, exactly as if each cell had run it privately.
 
-use dlra_core::algorithm1::fetch_global_rows;
+use dlra_core::algorithm1::{
+    prepare_z_plan, run_algorithm1_with_plan, Algorithm1Config, SamplerKind,
+};
 use dlra_core::apps::rff::{run_rff_pca, RffMap};
-use dlra_core::fkv::{build_b_matrix, fkv_projection};
 use dlra_core::metrics::predicted_additive_error;
 use dlra_core::{EntryFunction, PartitionModel};
 use dlra_data as data;
 use dlra_linalg::{svd, Matrix, Projector, Svd};
-use dlra_sampler::{ZSampler, ZSamplerParams};
-use dlra_util::Rng;
+use dlra_sampler::ZSamplerParams;
 
 /// Sweep configuration for one panel.
 #[derive(Debug, Clone)]
@@ -242,9 +242,10 @@ pub fn isolet_panel(spec: &PanelSpec) -> PanelResult {
     z_panel(&mut model, truth, "isolet".to_string(), spec)
 }
 
-/// Shared Z-sampler sweep: one sampler preparation per ratio, reused across
-/// `k` (the preparation is k-independent); each cell's reported cost
-/// includes the full preparation.
+/// Shared Z-sampler sweep, run through the product's Algorithm 1: one
+/// [`prepare_z_plan`] per ratio, reused across `k` (the preparation is
+/// k-independent), and one [`run_algorithm1_with_plan`] per cell; each
+/// cell's reported cost includes the full preparation.
 fn z_panel(
     model: &mut PartitionModel,
     truth: Truth,
@@ -254,10 +255,6 @@ fn z_panel(
     let (n, d) = model.shape();
     let s = model.num_servers();
     let data_words = model.total_local_words();
-    let zfn = model
-        .entry_function()
-        .z_fn()
-        .expect("property-P z exists for panel functions");
     let kmax = spec.ks.iter().copied().max().unwrap_or(15);
     let mut rows = Vec::new();
 
@@ -267,40 +264,31 @@ fn z_panel(
         let r = ((0.4 * budget / ((s - 1) as f64 * d as f64)) as usize).clamp(2 * kmax, n);
         let sampler_budget = (0.6 * budget / (s as f64 * 2.0)) as u64;
         let params = ZSamplerParams::practical((n * d) as u64, sampler_budget.max(512));
-
-        let before_prepare = model.cluster().comm();
-        let sampler = ZSampler::new(params, spec.seed ^ (ratio * 1e4) as u64);
-        let prepared = sampler.prepare(model.cluster_mut(), zfn.as_ref());
-        let prepare_words = model.cluster().comm().since(&before_prepare).total_words();
-        assert!(!prepared.is_empty(), "{name}: sampler found no mass");
+        let plan = prepare_z_plan(model, &params, spec.seed ^ (ratio * 1e4) as u64)
+            .unwrap_or_else(|e| panic!("{name}: sampler preparation failed: {e}"));
+        let prepare_words = plan.prepare_comm.total_words();
 
         for (ki, &k) in spec.ks.iter().enumerate() {
-            let mut rng = Rng::new(spec.seed ^ 0xCE11 ^ ((ki as u64) << 16));
-            let draws = prepared.draw_many(r, &mut rng);
-            let before_fetch = model.cluster().comm();
-            let indices: Vec<usize> = draws.iter().map(|dr| dr.coord as usize / d).collect();
-            let fetched = fetch_global_rows(model, &indices).expect("fetch");
-            let fetch_words = model.cluster().comm().since(&before_fetch).total_words();
-
-            let z_hat = prepared.z_hat();
-            let sampled: Vec<_> = fetched
-                .into_iter()
-                .map(|row| {
-                    let zmass: f64 = row.raw.iter().map(|&x| zfn.z(x)).sum();
-                    row.into_sampled((zmass / z_hat).min(1.0))
-                })
-                .collect();
-            let b = build_b_matrix(&sampled).expect("B");
-            let (projection, _) = fkv_projection(&b, k).expect("projection");
-            let (additive, relative, predicted) = truth.cell(k, sampled.len(), &projection);
+            let cfg = Algorithm1Config {
+                k,
+                r,
+                boost: 1,
+                sampler: SamplerKind::Z(params.clone()),
+                // Algorithm 1 seeds its draws with `seed ^ 0xA5A5…`, so each
+                // cell draws from `spec.seed ^ 0xCE11 ^ (ki << 16)`.
+                seed: spec.seed ^ 0xCE11 ^ ((ki as u64) << 16) ^ 0xA5A5_A5A5_5A5A_5A5A,
+            };
+            let out = run_algorithm1_with_plan(model, &cfg, &plan)
+                .unwrap_or_else(|e| panic!("{name}: Algorithm 1 failed: {e}"));
+            let (additive, relative, predicted) = truth.cell(k, out.rows.len(), &out.projection);
             rows.push(PanelRow {
                 k,
                 ratio,
-                r: sampled.len(),
+                r: out.rows.len(),
                 additive_error: additive,
                 predicted,
                 relative_error: relative,
-                comm_words: prepare_words + fetch_words,
+                comm_words: prepare_words + out.comm.total_words(),
                 data_words,
             });
         }

@@ -1,10 +1,12 @@
 //! The star-topology cluster: per-server local state plus accounted
-//! collectives. All data movement between servers goes through these
-//! methods, so the ledger totals are a faithful communication transcript.
+//! collectives. All data movement between servers goes through its
+//! [`Collectives`] methods, so the ledger totals are a faithful
+//! communication transcript.
 
-use crate::ledger::{Direction, Ledger, LedgerSnapshot};
-use crate::payload::Payload;
+use crate::collectives::Collectives;
+use crate::ledger::{Direction, Ledger};
 use crate::topology::Topology;
+use crate::wire::Wire;
 
 /// A simulated cluster of `s` servers in the paper's generalized partition
 /// model. `L` is the per-server local state (typically a local matrix plus
@@ -13,8 +15,11 @@ use crate::topology::Topology;
 /// between the coordinator and its own local state is free, exactly as in
 /// the paper's model.
 ///
+/// Every operation is a [`Collectives`] method, run sequentially: server
+/// closures execute inline, in server order.
+///
 /// ```
-/// use dlra_comm::Cluster;
+/// use dlra_comm::{Cluster, Collectives};
 /// let mut c = Cluster::new(vec![vec![1.0f64, 2.0], vec![3.0, 4.0]]);
 /// let sums = c.gather("demo", |_t, local| local.iter().sum::<f64>());
 /// assert_eq!(sums, vec![3.0, 7.0]);
@@ -45,56 +50,36 @@ impl<L> Cluster<L> {
             topology,
         }
     }
+}
 
-    /// Number of servers `s` (including the coordinator).
-    pub fn num_servers(&self) -> usize {
+/// The sequential simulator is the reference implementation: server
+/// closures execute inline, in server order, on the coordinator's thread.
+impl<L> Collectives<L> for Cluster<L> {
+    fn num_servers(&self) -> usize {
         self.locals.len()
     }
 
-    /// The routing topology for reduction collectives.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    /// The shared communication ledger.
-    pub fn ledger(&self) -> &Ledger {
+    fn ledger(&self) -> &Ledger {
         &self.ledger
     }
 
-    /// Snapshot of the current communication totals.
-    pub fn comm(&self) -> LedgerSnapshot {
-        self.ledger.snapshot()
+    fn topology(&self) -> Topology {
+        self.topology
     }
 
-    /// Read-only access to a server's local state (for *evaluation only* —
-    /// e.g. materializing the global matrix to measure true errors; never
-    /// used inside protocols).
-    pub fn local(&self, t: usize) -> &L {
-        &self.locals[t]
+    fn with_local<R>(&self, t: usize, f: impl FnOnce(&L) -> R) -> R {
+        f(&self.locals[t])
     }
 
-    /// All local states (evaluation only).
-    pub fn locals(&self) -> &[L] {
-        &self.locals
+    fn with_local_mut<R>(&mut self, t: usize, f: impl FnOnce(&mut L) -> R) -> R {
+        f(&mut self.locals[t])
     }
 
-    /// Mutable access to one server's local state for *zero-communication
-    /// local operations* (each server mutating its own scratch, e.g.
-    /// clearing injected coordinates after a sampling pass). Must not be
-    /// used to move data between servers — that would bypass the ledger.
-    pub fn local_mut_for_cleanup(&mut self, t: usize) -> &mut L {
-        &mut self.locals[t]
-    }
-
-    /// Coordinator → all servers: sends `msg` to each of the `s − 1`
-    /// non-coordinator servers, charging each message, then lets every
-    /// server (including the coordinator's own state) observe it.
-    pub fn broadcast<T: Payload + Clone>(
-        &mut self,
-        msg: &T,
-        label: &'static str,
-        mut on_receive: impl FnMut(usize, &mut L, &T),
-    ) {
+    fn broadcast<T, F>(&mut self, msg: &T, label: &'static str, on_receive: F)
+    where
+        T: Wire + Clone + Send + 'static,
+        F: Fn(usize, &mut L, &T) + Send + Sync + 'static,
+    {
         self.ledger.next_round();
         let w = msg.words();
         for t in 1..self.locals.len() {
@@ -105,14 +90,11 @@ impl<L> Cluster<L> {
         }
     }
 
-    /// All servers → coordinator: each server computes a reply from its
-    /// local state; replies from servers `1..s` are charged upstream.
-    /// Returns the replies indexed by server.
-    pub fn gather<T: Payload>(
-        &mut self,
-        label: &'static str,
-        mut compute: impl FnMut(usize, &mut L) -> T,
-    ) -> Vec<T> {
+    fn gather<T, F>(&mut self, label: &'static str, compute: F) -> Vec<T>
+    where
+        T: Wire + Send + 'static,
+        F: Fn(usize, &mut L) -> T + Send + Sync + 'static,
+    {
         self.ledger.next_round();
         let mut out = Vec::with_capacity(self.locals.len());
         for (t, local) in self.locals.iter_mut().enumerate() {
@@ -126,35 +108,12 @@ impl<L> Cluster<L> {
         out
     }
 
-    /// Gather + fold: each server's reply is merged into an accumulator at
-    /// the coordinator. This is how linear sketches aggregate: the wire cost
-    /// is per-server sketch size, and the coordinator keeps only the sum.
-    pub fn aggregate<T: Payload>(
-        &mut self,
-        label: &'static str,
-        compute: impl FnMut(usize, &mut L) -> T,
-        mut merge: impl FnMut(&mut T, T),
-    ) -> T {
-        let replies = self.gather(label, compute);
-        let mut it = replies.into_iter();
-        // dlra-allow(panic-policy): clusters are constructed with >= 1
-        // server (enforced at build time), so gather always yields a reply.
-        let mut acc = it.next().expect("at least one server");
-        for r in it {
-            merge(&mut acc, r);
-        }
-        acc
-    }
-
-    /// Coordinator ↔ one server round trip: sends `request` down, gets a
-    /// reply up. Used for Algorithm 3 line 6/11 ("server 1 asks for aⱼ").
-    pub fn query_server<Q: Payload, T: Payload>(
-        &mut self,
-        t: usize,
-        request: &Q,
-        label: &'static str,
-        compute: impl FnOnce(&mut L, &Q) -> T,
-    ) -> T {
+    fn query_server<Q, T, F>(&mut self, t: usize, request: &Q, label: &'static str, compute: F) -> T
+    where
+        Q: Wire + Clone + Send + 'static,
+        T: Wire + Send + 'static,
+        F: FnOnce(&mut L, &Q) -> T + Send + 'static,
+    {
         if t != 0 {
             self.ledger
                 .charge(t, Direction::Downstream, request.words(), label);
@@ -167,14 +126,12 @@ impl<L> Cluster<L> {
         reply
     }
 
-    /// Coordinator → every server down-query followed by an up-reply in the
-    /// same round (e.g. "send me your part of rows i₁..iᵣ").
-    pub fn query_all<Q: Payload + Clone, T: Payload>(
-        &mut self,
-        request: &Q,
-        label: &'static str,
-        mut compute: impl FnMut(usize, &mut L, &Q) -> T,
-    ) -> Vec<T> {
+    fn query_all<Q, T, F>(&mut self, request: &Q, label: &'static str, compute: F) -> Vec<T>
+    where
+        Q: Wire + Clone + Send + 'static,
+        T: Wire + Send + 'static,
+        F: Fn(usize, &mut L, &Q) -> T + Send + Sync + 'static,
+    {
         self.ledger.next_round();
         let qw = request.words();
         let mut out = Vec::with_capacity(self.locals.len());
@@ -205,9 +162,10 @@ mod tests {
     #[test]
     fn broadcast_reaches_all_and_charges() {
         let mut c = cluster_of_vecs(4, 2);
-        let mut seen = vec![];
-        c.broadcast(&7.5f64, "b", |t, _local, msg| seen.push((t, *msg)));
-        assert_eq!(seen, vec![(0, 7.5), (1, 7.5), (2, 7.5), (3, 7.5)]);
+        c.broadcast(&7.5f64, "b", |t, local, msg| local.push(t as f64 + *msg));
+        for t in 0..4 {
+            assert_eq!(c.with_local(t, |l| l[2]), t as f64 + 7.5);
+        }
         // 3 downstream messages of 1 word + frame each.
         assert_eq!(c.comm().downstream_words, 3 * (1 + FRAME_WORDS));
         assert_eq!(c.comm().upstream_words, 0);

@@ -16,12 +16,12 @@
 //! so they are `Fn + Send + Sync + 'static` and capture their context by
 //! value, and it serializes every payload onto its link, so payload types
 //! are [`Wire`] (word-sized *and* byte-codable). The sequential
-//! [`Cluster`] keeps its historical inherent methods with looser `FnMut`
-//! bounds for local tests.
+//! [`Cluster`] implements the trait with the same bounds; it has no other
+//! collective surface.
+//!
+//! [`Cluster`]: crate::Cluster
 
-use crate::cluster::Cluster;
 use crate::ledger::{Direction, Ledger, LedgerSnapshot};
-use crate::payload::Payload;
 use crate::topology::{Topology, TopologyPlan};
 use crate::wire::Wire;
 
@@ -197,7 +197,7 @@ pub trait Collectives<L> {
 /// size the block has when it leaves the sender), then replaying the
 /// canonical merge steps. Message-passing substrates must reproduce this
 /// transcript exactly.
-fn reduce_blocks<T: Payload>(
+fn reduce_blocks<T: Wire>(
     ledger: &Ledger,
     plan: &TopologyPlan,
     mut blocks: Vec<Option<T>>,
@@ -210,7 +210,7 @@ fn reduce_blocks<T: Payload>(
             ledger.next_round();
         }
         for hop in &round.hops {
-            let words = blocks[hop.sender].as_ref().map_or(0, Payload::words);
+            let words = blocks[hop.sender].as_ref().map_or(0, Wire::words);
             ledger.charge_hop(hop.sender, hop.receiver, Direction::Upstream, words, label);
         }
         for step in &round.merges {
@@ -226,68 +226,10 @@ fn reduce_blocks<T: Payload>(
     root.expect("at least one server")
 }
 
-/// The sequential simulator is the reference implementation: collectives
-/// delegate to the inherent methods, which execute server closures inline
-/// in server order.
-impl<L> Collectives<L> for Cluster<L> {
-    fn num_servers(&self) -> usize {
-        Cluster::num_servers(self)
-    }
-
-    fn ledger(&self) -> &Ledger {
-        Cluster::ledger(self)
-    }
-
-    fn topology(&self) -> Topology {
-        Cluster::topology(self)
-    }
-
-    fn with_local<R>(&self, t: usize, f: impl FnOnce(&L) -> R) -> R {
-        f(self.local(t))
-    }
-
-    fn with_local_mut<R>(&mut self, t: usize, f: impl FnOnce(&mut L) -> R) -> R {
-        f(self.local_mut_for_cleanup(t))
-    }
-
-    fn broadcast<T, F>(&mut self, msg: &T, label: &'static str, on_receive: F)
-    where
-        T: Wire + Clone + Send + 'static,
-        F: Fn(usize, &mut L, &T) + Send + Sync + 'static,
-    {
-        Cluster::broadcast(self, msg, label, on_receive);
-    }
-
-    fn gather<T, F>(&mut self, label: &'static str, compute: F) -> Vec<T>
-    where
-        T: Wire + Send + 'static,
-        F: Fn(usize, &mut L) -> T + Send + Sync + 'static,
-    {
-        Cluster::gather(self, label, compute)
-    }
-
-    fn query_server<Q, T, F>(&mut self, t: usize, request: &Q, label: &'static str, compute: F) -> T
-    where
-        Q: Wire + Clone + Send + 'static,
-        T: Wire + Send + 'static,
-        F: FnOnce(&mut L, &Q) -> T + Send + 'static,
-    {
-        Cluster::query_server(self, t, request, label, compute)
-    }
-
-    fn query_all<Q, T, F>(&mut self, request: &Q, label: &'static str, compute: F) -> Vec<T>
-    where
-        Q: Wire + Clone + Send + 'static,
-        T: Wire + Send + 'static,
-        F: Fn(usize, &mut L, &Q) -> T + Send + Sync + 'static,
-    {
-        Cluster::query_all(self, request, label, compute)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Cluster;
 
     /// Exercises every trait method through a generic function, proving the
     /// bounds are satisfiable by realistic protocol code.

@@ -1,14 +1,18 @@
-//! Wire codecs for [`Payload`] types: the byte-level form a value takes
-//! when it crosses a real socket (the `dlra-net` substrate).
+//! The [`Wire`] trait: the one bound on a value that crosses a server
+//! boundary. A `Wire` type knows its size in 8-byte words — the paper's
+//! cost model (§I), where a word holds one matrix entry, index, or hash
+//! seed — and the byte-level form it takes on a real link (the `dlra-net`
+//! substrates).
 //!
 //! Every encoding is split into two parts, mirroring the ledger's cost
 //! model:
 //!
-//! * the **body** — exactly 8 bytes per [`Payload::words`] word: the
-//!   entries of a matrix, the table of a sketch, the elements of a vector.
+//! * the **body** — exactly 8 bytes per [`Wire::words`] word: the entries
+//!   of a matrix, the tables of a sketch bundle, the elements of a vector.
 //!   This invariant (`body bytes == 8 × words`) is what makes
 //!   bytes-on-the-wire an affine function of ledger words, and the
-//!   `dlra-net` wire-audit test asserts it over a full protocol run;
+//!   `dlra-net` wire-audit test asserts it over a full protocol run. Each
+//!   type's word count sits in the same impl as its codec;
 //! * the **descriptor** — the shape metadata a receiver needs to rebuild
 //!   the value (vector lengths, matrix dimensions, sketch parameters and
 //!   seeds). Descriptors are part of the per-frame overhead, alongside the
@@ -21,16 +25,14 @@
 //! little-endian; `f64` round-trips bit-exactly (NaN payloads included), so
 //! a decoded block merges to the same bits as an in-process clone.
 
-use crate::payload::Payload;
 use dlra_linalg::Matrix;
-use dlra_sketch::{CountSketch, HeavyHittersSketch};
 
 /// Upper bound on a single decoded sequence length (elements). Prevents a
 /// corrupt or hostile descriptor from requesting an enormous allocation
 /// before the body is even inspected.
 pub const MAX_SEQ_LEN: u64 = 1 << 28;
 
-/// Upper bound on one matrix / sketch-table dimension in a descriptor.
+/// Upper bound on one matrix dimension in a descriptor.
 pub const MAX_DIM: u64 = 1 << 24;
 
 /// A typed decode failure. Codecs return these instead of panicking — a
@@ -265,29 +267,23 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Serialize a value into the descriptor/body split.
-pub trait WireEncode {
+/// A value that crosses a server boundary: its size in 8-byte words and
+/// its byte codec, whose body is exactly 8 bytes per word.
+pub trait Wire: Sized {
+    /// Number of words this value occupies on the wire.
+    fn words(&self) -> u64;
+
     /// Appends this value's descriptor and body bytes.
     fn encode(&self, w: &mut WireWriter);
-}
 
-/// Rebuild a value from its descriptor/body split. Must never panic on
-/// malformed input.
-pub trait WireDecode: Sized {
-    /// Consumes this value's descriptor and body bytes.
+    /// Consumes this value's descriptor and body bytes. Must never panic on
+    /// malformed input.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
 }
 
-/// The full wire bound of a collective payload: it knows its word size and
-/// round-trips through the byte codec. Blanket-implemented, so payload
-/// types only spell out [`WireEncode`] / [`WireDecode`].
-pub trait Wire: Payload + WireEncode + WireDecode {}
-
-impl<T: Payload + WireEncode + WireDecode> Wire for T {}
-
 /// Encodes a value, returning `(descriptor, body)`. Debug builds assert the
-/// core invariant: the body is exactly 8 bytes per [`Payload::words`] word.
-pub fn encode_value<T: Payload + WireEncode>(value: &T) -> (Vec<u8>, Vec<u8>) {
+/// core invariant: the body is exactly 8 bytes per [`Wire::words`] word.
+pub fn encode_value<T: Wire>(value: &T) -> (Vec<u8>, Vec<u8>) {
     let mut w = WireWriter::new();
     value.encode(&mut w);
     debug_assert_eq!(
@@ -299,56 +295,64 @@ pub fn encode_value<T: Payload + WireEncode>(value: &T) -> (Vec<u8>, Vec<u8>) {
 }
 
 /// Decodes a value, requiring both buffers to be consumed exactly.
-pub fn decode_value<T: WireDecode>(desc: &[u8], body: &[u8]) -> Result<T, WireError> {
+pub fn decode_value<T: Wire>(desc: &[u8], body: &[u8]) -> Result<T, WireError> {
     let mut r = WireReader::new(desc, body);
     let value = T::decode(&mut r)?;
     r.finish("value")?;
     Ok(value)
 }
 
-impl WireEncode for f64 {
+impl Wire for f64 {
+    fn words(&self) -> u64 {
+        1
+    }
+
     fn encode(&self, w: &mut WireWriter) {
         w.word_f64(*self);
     }
-}
 
-impl WireDecode for f64 {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         r.word_f64("f64")
     }
 }
 
-impl WireEncode for u64 {
+impl Wire for u64 {
+    fn words(&self) -> u64 {
+        1
+    }
+
     fn encode(&self, w: &mut WireWriter) {
         w.word_u64(*self);
     }
-}
 
-impl WireDecode for u64 {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         r.word_u64("u64")
     }
 }
 
-impl WireEncode for i64 {
+impl Wire for i64 {
+    fn words(&self) -> u64 {
+        1
+    }
+
     fn encode(&self, w: &mut WireWriter) {
         w.word_u64(*self as u64);
     }
-}
 
-impl WireDecode for i64 {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(r.word_u64("i64")? as i64)
     }
 }
 
-impl WireEncode for usize {
+impl Wire for usize {
+    fn words(&self) -> u64 {
+        1
+    }
+
     fn encode(&self, w: &mut WireWriter) {
         w.word_u64(*self as u64);
     }
-}
 
-impl WireDecode for usize {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let v = r.word_u64("usize")?;
         usize::try_from(v).map_err(|_| WireError::Oversized {
@@ -359,13 +363,15 @@ impl WireDecode for usize {
     }
 }
 
-impl WireEncode for bool {
+impl Wire for bool {
+    fn words(&self) -> u64 {
+        1
+    }
+
     fn encode(&self, w: &mut WireWriter) {
         w.word_u64(u64::from(*self));
     }
-}
 
-impl WireDecode for bool {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.word_u64("bool")? {
             0 => Ok(false),
@@ -378,19 +384,25 @@ impl WireDecode for bool {
     }
 }
 
-impl WireEncode for () {
-    fn encode(&self, _w: &mut WireWriter) {}
-}
+impl Wire for () {
+    fn words(&self) -> u64 {
+        0
+    }
 
-impl WireDecode for () {
+    fn encode(&self, _w: &mut WireWriter) {}
+
     fn decode(_r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(())
     }
 }
 
-/// The presence flag lives in the descriptor, matching the [`Payload`]
-/// accounting where it shares the frame word.
-impl<T: WireEncode> WireEncode for Option<T> {
+/// The presence flag lives in the descriptor, so it shares the frame word:
+/// only the content counts.
+impl<T: Wire> Wire for Option<T> {
+    fn words(&self) -> u64 {
+        self.as_ref().map_or(0, Wire::words)
+    }
+
     fn encode(&self, w: &mut WireWriter) {
         match self {
             None => w.desc_u8(0),
@@ -400,9 +412,7 @@ impl<T: WireEncode> WireEncode for Option<T> {
             }
         }
     }
-}
 
-impl<T: WireDecode> WireDecode for Option<T> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.desc_u8("option flag")? {
             0 => Ok(None),
@@ -417,7 +427,11 @@ impl<T: WireDecode> WireDecode for Option<T> {
 
 /// The element count lives in the descriptor; elements' own descriptors and
 /// bodies follow in order.
-impl<T: WireEncode> WireEncode for Vec<T> {
+impl<T: Wire> Wire for Vec<T> {
+    fn words(&self) -> u64 {
+        self.iter().map(Wire::words).sum()
+    }
+
     fn encode(&self, w: &mut WireWriter) {
         debug_assert!(self.len() as u64 <= MAX_SEQ_LEN, "sequence too long");
         w.desc_u32(self.len() as u32);
@@ -425,9 +439,7 @@ impl<T: WireEncode> WireEncode for Vec<T> {
             item.encode(w);
         }
     }
-}
 
-impl<T: WireDecode> WireDecode for Vec<T> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let n = u64::from(r.desc_u32("vec length")?);
         if n > MAX_SEQ_LEN {
@@ -447,44 +459,54 @@ impl<T: WireDecode> WireDecode for Vec<T> {
     }
 }
 
-impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn words(&self) -> u64 {
+        self.0.words() + self.1.words()
+    }
+
     fn encode(&self, w: &mut WireWriter) {
         self.0.encode(w);
         self.1.encode(w);
     }
-}
 
-impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(r)?, B::decode(r)?))
     }
 }
 
-impl<A: WireEncode, B: WireEncode, C: WireEncode> WireEncode for (A, B, C) {
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn words(&self) -> u64 {
+        self.0.words() + self.1.words() + self.2.words()
+    }
+
     fn encode(&self, w: &mut WireWriter) {
         self.0.encode(w);
         self.1.encode(w);
         self.2.encode(w);
     }
-}
 
-impl<A: WireDecode, B: WireDecode, C: WireDecode> WireDecode for (A, B, C) {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
     }
 }
 
-/// Dimensions in the descriptor, entries (row-major) in the body — one word
-/// per entry, exactly the [`Payload`] accounting.
-impl WireEncode for Matrix {
+/// A matrix costs one word per entry: dimensions in the descriptor, entries
+/// (row-major) in the body. This is its *logical* size: `Matrix` storage is
+/// `Arc`-shared copy-on-write, so an in-process substrate may deliver a
+/// broadcast matrix as an O(1) handle clone, but the ledger charges what a
+/// real wire would carry — word accounting is independent of how the
+/// storage is shared.
+impl Wire for Matrix {
+    fn words(&self) -> u64 {
+        (self.rows() * self.cols()) as u64
+    }
+
     fn encode(&self, w: &mut WireWriter) {
         w.desc_u32(self.rows() as u32);
         w.desc_u32(self.cols() as u32);
         w.words_f64(self.as_slice());
     }
-}
 
-impl WireDecode for Matrix {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let rows = u64::from(r.desc_u32("matrix rows")?);
         let cols = u64::from(r.desc_u32("matrix cols")?);
@@ -503,81 +525,11 @@ impl WireDecode for Matrix {
     }
 }
 
-/// Reads sketch table dimensions, rejecting zero and oversized values
-/// before any construction happens (the constructors assert on zero dims).
-fn sketch_dims(r: &mut WireReader<'_>, what: &'static str) -> Result<(usize, usize), WireError> {
-    let depth = u64::from(r.desc_u32(what)?);
-    let width = u64::from(r.desc_u32(what)?);
-    if depth == 0 || width == 0 {
-        return Err(WireError::BadTag {
-            what,
-            value: depth.min(width),
-        });
-    }
-    if depth > MAX_DIM || width > MAX_DIM || depth * width > MAX_SEQ_LEN {
-        return Err(WireError::Oversized {
-            what,
-            len: depth * width,
-            max: MAX_SEQ_LEN,
-        });
-    }
-    Ok((depth as usize, width as usize))
-}
-
-/// Parameters and seed in the descriptor (hash functions are reconstructed
-/// locally, as a broadcast seed stands in for them in the paper's model);
-/// the table — the part the ledger charges — in the body.
-impl WireEncode for CountSketch {
-    fn encode(&self, w: &mut WireWriter) {
-        w.desc_u32(self.depth() as u32);
-        w.desc_u32(self.width() as u32);
-        w.desc_u64(self.seed());
-        w.words_f64(self.table());
-    }
-}
-
-impl WireDecode for CountSketch {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let (depth, width) = sketch_dims(r, "countsketch dims")?;
-        let seed = r.desc_u64("countsketch seed")?;
-        let table = r.words_f64((depth * width) as u64, "countsketch table")?;
-        let mut cs = CountSketch::new(depth, width, seed);
-        if !cs.load_table(&table) {
-            return Err(WireError::BadTag {
-                what: "countsketch table",
-                value: table.len() as u64,
-            });
-        }
-        Ok(cs)
-    }
-}
-
-impl WireEncode for HeavyHittersSketch {
-    fn encode(&self, w: &mut WireWriter) {
-        w.desc_f64(self.b());
-        self.countsketch().encode(w);
-    }
-}
-
-impl WireDecode for HeavyHittersSketch {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let b = r.desc_f64("heavy-hitters threshold")?;
-        if !b.is_finite() || b < 1.0 {
-            return Err(WireError::BadTag {
-                what: "heavy-hitters threshold",
-                value: b.to_bits(),
-            });
-        }
-        let cs = CountSketch::decode(r)?;
-        Ok(HeavyHittersSketch::from_parts(b, cs))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip<T: Payload + WireEncode + WireDecode>(value: &T) -> T {
+    fn roundtrip<T: Wire>(value: &T) -> T {
         let (desc, body) = encode_value(value);
         assert_eq!(
             body.len() as u64,
@@ -585,6 +537,37 @@ mod tests {
             "body must be 8 bytes per word"
         );
         decode_value(&desc, &body).expect("roundtrip decode")
+    }
+
+    #[test]
+    fn scalar_sizes() {
+        assert_eq!(1.5f64.words(), 1);
+        assert_eq!(7u64.words(), 1);
+        assert_eq!((-3i64).words(), 1);
+        assert_eq!(9usize.words(), 1);
+        assert_eq!(true.words(), 1);
+        assert_eq!(().words(), 0);
+    }
+
+    #[test]
+    fn container_sizes() {
+        assert_eq!(vec![1.0f64; 10].words(), 10);
+        assert_eq!(vec![vec![1u64; 3]; 4].words(), 12);
+        assert_eq!((1.0f64, 2u64).words(), 2);
+        assert_eq!((1.0f64, 2u64, vec![0.0f64; 5]).words(), 7);
+        assert_eq!(Some(3.0f64).words(), 1);
+        assert_eq!(Option::<f64>::None.words(), 0);
+    }
+
+    #[test]
+    fn matrix_size_is_logical_not_storage() {
+        let m = Matrix::zeros(3, 4);
+        assert_eq!(m.words(), 12);
+        // A clone shares storage but still costs full wire words: the
+        // ledger models the network, not the in-process representation.
+        let c = m.clone();
+        assert!(c.shares_storage(&m));
+        assert_eq!(c.words(), 12);
     }
 
     #[test]
@@ -623,28 +606,6 @@ mod tests {
         assert_eq!(back.rows(), 3);
         assert_eq!(back.cols(), 4);
         assert_eq!(back.as_slice(), m.as_slice());
-    }
-
-    #[test]
-    fn sketches_roundtrip_and_stay_mergeable() {
-        let mut cs = CountSketch::new(3, 16, 42);
-        cs.update(7, 2.5);
-        cs.update(11, -1.0);
-        let back = roundtrip(&cs);
-        assert_eq!(back.estimate(7).to_bits(), cs.estimate(7).to_bits());
-        // A decoded sketch merges with an original (same params + seed).
-        let mut merged = cs.clone();
-        merged.merge(&back);
-        assert_eq!(merged.estimate(7), 2.0 * cs.estimate(7));
-
-        let mut hh = HeavyHittersSketch::with_dims(8.0, 3, 16, 5);
-        hh.update(2, 10.0);
-        let back = roundtrip(&hh);
-        assert_eq!(back.b(), 8.0);
-        assert_eq!(back.estimate(2).to_bits(), hh.estimate(2).to_bits());
-        let mut merged = hh.clone();
-        merged.merge(&back);
-        assert_eq!(merged.estimate(2), 2.0 * hh.estimate(2));
     }
 
     #[test]
@@ -693,15 +654,5 @@ mod tests {
         body.extend_from_slice(&[0u8; 8]);
         let err = decode_value::<f64>(&desc, &body).unwrap_err();
         assert!(matches!(err, WireError::Trailing { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn zero_sketch_dims_rejected_without_panicking() {
-        let mut w = WireWriter::new();
-        w.desc_u32(0);
-        w.desc_u32(8);
-        w.desc_u64(1);
-        let err = decode_value::<CountSketch>(&w.desc, &w.body).unwrap_err();
-        assert!(matches!(err, WireError::BadTag { .. }), "{err:?}");
     }
 }

@@ -15,7 +15,7 @@
 //! [`crate::PartitionModel`].
 
 use crate::{CoreError, Result};
-use dlra_comm::{Cluster, LedgerSnapshot};
+use dlra_comm::{Cluster, Collectives, LedgerSnapshot};
 use dlra_linalg::{svd, Matrix, Projector};
 
 /// Output of the row-partition protocol.
@@ -59,7 +59,7 @@ pub fn row_partition_pca(
     let mut cluster = Cluster::new(row_blocks);
     // Each server ships the top-t rows of Σ·Vᵀ from its local SVD — a t×d
     // matrix whose Gram equals the truncated local Gram.
-    let summaries = cluster.gather("rowpart.summary", |_t, block| {
+    let summaries = cluster.gather("rowpart.summary", move |_t, block| {
         let dec = svd(block).expect("local SVD");
         let keep = t.min(dec.s.len());
         let mut summary = Matrix::zeros(keep, d);

@@ -651,6 +651,75 @@ mod tests {
         }
     }
 
+    /// Runs `f` under every `isa_dispatch!` body the host supports, with
+    /// the kernels pinned to this thread: the ISA override is thread-local,
+    /// so pool workers would take the detected body.
+    fn for_each_body(mut f: impl FnMut(&str)) {
+        #[cfg(target_arch = "x86_64")]
+        for level in isa::supported() {
+            crate::with_threads(1, || isa::with_forced(level, || f(&format!("{level:?}"))));
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        crate::with_threads(1, || f("baseline"));
+    }
+
+    /// A Gaussian matrix with NaN, +∞ and −∞ planted at fixed entries.
+    fn random_non_finite(m: usize, n: usize, seed: u64) -> Matrix {
+        let mut a = random(m, n, seed);
+        let len = a.as_slice().len();
+        for (at, v) in [
+            (0, f64::NAN),
+            (len / 3, f64::INFINITY),
+            (len / 2, f64::NEG_INFINITY),
+        ] {
+            a[(at / n, at % n)] = v;
+        }
+        a
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_isa_body_is_bit_identical_to_reference() {
+        // Shapes straddle the MR × JW register tile and the KC / NC blocks.
+        let gemm = [
+            (MR - 1, KC - 1, JW - 1),
+            (MR, KC, JW),
+            (MR + 1, KC + 1, JW + 1),
+            (2 * MR + 3, 7, NC + 1),
+            (MR + 1, KC + 3, NC - 1),
+        ];
+        let gram = [(KC - 1, JW - 1), (KC + 1, JW + 1), (9, NC + 1)];
+        for_each_body(|body| {
+            for &(m, k, n) in &gemm {
+                let a = random_non_finite(m, k, 11 + (m * k) as u64);
+                let b = random_non_finite(k, n, 13 + (k * n) as u64);
+                let fast = a.matmul(&b).unwrap();
+                let slow = reference::matmul(&a, &b).unwrap();
+                assert_eq!(bits(&fast), bits(&slow), "{body} matmul ({m},{k},{n})");
+                // The same shapes as `aᵀ·b`: contraction over `k` rows.
+                let at = random_non_finite(k, m, 17 + (m * k) as u64);
+                let fast = at.transpose_matmul(&b).unwrap();
+                let slow = reference::transpose_matmul(&at, &b).unwrap();
+                assert_eq!(
+                    bits(&fast),
+                    bits(&slow),
+                    "{body} transpose_matmul ({k},{m},{n})"
+                );
+            }
+            for &(r, c) in &gram {
+                let a = random_non_finite(r, c, 19 + (r * c) as u64);
+                assert_eq!(
+                    bits(&a.gram()),
+                    bits(&reference::gram(&a)),
+                    "{body} gram ({r},{c})"
+                );
+            }
+        });
+    }
+
     #[test]
     fn blocked_transpose_matches_reference() {
         for &(m, n) in &[(1, 1), (5, 9), (33, 65), (100, 3)] {

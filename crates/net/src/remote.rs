@@ -17,7 +17,7 @@ use crate::frame::{Frame, MsgType, NetError};
 use crate::registry::{BroadcastJob, GatherJob, JobResolver, NetJob, QueryServerJob, ReduceJob};
 use dlra_comm::ledger::Direction;
 use dlra_comm::wire::{decode_value, encode_value};
-use dlra_comm::{Ledger, Payload, Topology, TopologyPlan};
+use dlra_comm::{Ledger, Topology, TopologyPlan, Wire};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 

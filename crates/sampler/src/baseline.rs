@@ -1,11 +1,13 @@
-//! Baseline samplers: the exact-probability oracle (the sampler assumed by
+//! Baselines for the Z-sampler: the exact weights `z(aⱼ)` (the
+//! probabilities of the exact-probability sampler assumed by
 //! Frieze–Kannan–Vempala \[11\], which the paper points out is *not*
-//! implementable cheaply in a distributed setting) and the uniform sampler
-//! (sufficient for Gaussian random Fourier features, §VI-A).
+//! implementable cheaply in a distributed setting; tests compare the
+//! Z-sampler's draws against them) and the uniform sampler (sufficient for
+//! Gaussian random Fourier features, §VI-A). Algorithm 1's exact-oracle
+//! sampler draws rows itself, from the global matrix's row norms.
 
 use crate::vector::SampleVector;
 use crate::zfn::ZFn;
-use crate::zsampler::Draw;
 use dlra_comm::Collectives;
 use dlra_util::Rng;
 
@@ -29,71 +31,6 @@ where
         });
     }
     agg.iter().map(|&v| zfn.z(v)).collect()
-}
-
-/// Exact-probability sampler over precomputed weights (the FKV idealized
-/// sampler: reports `Q` with zero error).
-#[derive(Debug, Clone)]
-pub struct ExactSampler {
-    weights: Vec<f64>,
-    values: Vec<f64>,
-    total: f64,
-}
-
-impl ExactSampler {
-    /// Builds from the aggregate vector's exact values and a `z` function.
-    pub fn from_cluster<L, C>(cluster: &C, zfn: &dyn ZFn) -> Self
-    where
-        L: SampleVector,
-        C: Collectives<L>,
-    {
-        let dim = cluster.with_local(0, SampleVector::dim) as usize;
-        let mut values = vec![0.0f64; dim];
-        for t in 0..cluster.num_servers() {
-            cluster.with_local(t, |local| {
-                local.for_each_nonzero(&mut |j, x| values[j as usize] += x);
-            });
-        }
-        let weights: Vec<f64> = values.iter().map(|&v| zfn.z(v)).collect();
-        let total = weights.iter().sum();
-        ExactSampler {
-            weights,
-            values,
-            total,
-        }
-    }
-
-    /// Total mass `Z(a)`.
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// Exact probability of coordinate `j`.
-    pub fn probability(&self, j: u64) -> f64 {
-        if self.total > 0.0 {
-            self.weights[j as usize] / self.total
-        } else {
-            0.0
-        }
-    }
-
-    /// One exact draw; `None` when all weights are zero.
-    pub fn draw(&self, rng: &mut Rng) -> Option<Draw> {
-        if self.total <= 0.0 {
-            return None;
-        }
-        let j = rng.weighted_index(&self.weights);
-        Some(Draw {
-            coord: j as u64,
-            value: self.values[j],
-            q_hat: self.probability(j as u64),
-        })
-    }
-
-    /// `r` exact draws.
-    pub fn draw_many(&self, r: usize, rng: &mut Rng) -> Vec<Draw> {
-        (0..r).filter_map(|_| self.draw(rng)).collect()
-    }
 }
 
 /// Uniform sampler over `[0, n)`: the right tool when all rows have (nearly)
@@ -141,34 +78,6 @@ mod tests {
         let c = make_cluster(vec![vec![4.0, 16.0]]);
         let w = exact_weights(&c, &PowerAbs::from_gm_p(2.0)); // z = |x|
         assert_eq!(w, vec![4.0, 16.0]);
-    }
-
-    #[test]
-    fn exact_sampler_distribution() {
-        let c = make_cluster(vec![vec![1.0, 2.0, 0.0, 3.0]]);
-        let s = ExactSampler::from_cluster(&c, &Square);
-        assert_eq!(s.total(), 14.0);
-        assert_eq!(s.probability(1), 4.0 / 14.0);
-        let mut rng = Rng::new(1);
-        let mut counts = [0usize; 4];
-        let n = 40_000;
-        for d in s.draw_many(n, &mut rng) {
-            counts[d.coord as usize] += 1;
-        }
-        assert_eq!(counts[2], 0);
-        let f3 = counts[3] as f64 / n as f64;
-        assert!((f3 - 9.0 / 14.0).abs() < 0.02, "f3 {f3}");
-        // Reported q_hat is exact.
-        let d = s.draw(&mut rng).unwrap();
-        assert_eq!(d.q_hat, s.probability(d.coord));
-    }
-
-    #[test]
-    fn exact_sampler_zero_vector() {
-        let c = make_cluster(vec![vec![0.0; 5]]);
-        let s = ExactSampler::from_cluster(&c, &Square);
-        let mut rng = Rng::new(2);
-        assert!(s.draw(&mut rng).is_none());
     }
 
     #[test]

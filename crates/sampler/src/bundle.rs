@@ -5,12 +5,17 @@
 //! restriction to `Sⱼ = {i : g(i) < 2⁻ʲ}` for a shared high-independence
 //! hash `g` (so the `Sⱼ` are nested, as in the paper). Within a level, each
 //! of `reps` repetitions routes coordinates through a pairwise-independent
-//! group hash into `groups` buckets and maintains one
-//! [`HeavyHittersSketch`] per bucket — Algorithm 2's `hashₜ : [m] → [⌈4B²⌉]`
-//! followed by `HeavyHitters(v(Hₜ,ₑ), B, ·)`. Two coordinates that are both
+//! group hash into `groups` buckets and maintains one [`CountSketch`] per
+//! bucket — Algorithm 2's `hashₜ : [m] → [⌈4B²⌉]` followed by
+//! `HeavyHitters(v(Hₜ,ₑ), B, ·)`, the §V-B protocol that reads a
+//! CountSketch against the threshold `F̂₂/B`. Two coordinates that are both
 //! `z`-heavy land in different groups with constant probability per rep;
 //! within its group, a `z`-heavy coordinate is `F₂`-heavy by property P, so
-//! plain heavy-hitter recovery finds it.
+//! plain heavy-hitter recovery finds it. [`SketchBundle::recover`] reports a
+//! coordinate when its squared estimate clears half the group's `F̂₂/B`, so
+//! a borderline-heavy coordinate whose estimate is slightly deflated still
+//! reports; the exact lookups of Algorithm 3 lines 6/11 filter the false
+//! positives.
 //!
 //! The whole bundle is linear, so per-server bundles built from one
 //! broadcast seed merge by addition into the bundle of the aggregate vector.
@@ -40,23 +45,19 @@
 //! ([`CountSketch::light_rows_many`], for which
 //! [`CountSketch::estimate_if_heavy`] is `None` too) and re-checks the few
 //! survivors one by one, in ascending order, with the per-coordinate test.
-//!
-//! [`CountSketch::light_rows_many`]: dlra_sketch::CountSketch::light_rows_many
-//! [`CountSketch::estimate_if_heavy`]: dlra_sketch::CountSketch::estimate_if_heavy
 
 use crate::params::ZSamplerParams;
 use crate::vector::SampleVector;
-use dlra_comm::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
-use dlra_comm::Payload;
+use dlra_comm::wire::{Wire, WireError, WireReader, WireWriter};
 use dlra_sketch::hashing::MERSENNE_P;
-use dlra_sketch::{HeavyHittersSketch, KWiseHash, Modulus};
+use dlra_sketch::{CountSketch, KWiseHash, Modulus};
 use std::sync::OnceLock;
 
-/// One repetition at one level: group hash + per-group heavy hitters.
+/// One repetition at one level: group hash + one CountSketch per group.
 #[derive(Debug, Clone)]
 struct GroupedHh {
     group_hash: KWiseHash,
-    groups: Vec<HeavyHittersSketch>,
+    groups: Vec<CountSketch>,
 }
 
 /// The full multi-level sketch bundle one server ships to the coordinator.
@@ -69,11 +70,13 @@ pub struct SketchBundle {
     sub_hash: KWiseHash,
     num_levels: usize,
     max_candidates_per_level: usize,
+    /// Heaviness threshold `B`: a group reports `j` when `v̂ⱼ² ≥ F̂₂/(2B)`.
+    b_threshold: f64,
 }
 
-/// The shape parameters a bundle holds inside its sketches rather than as
-/// fields. Two bundles merge only when these and the seed, level count and
-/// candidate cap all match, and all of them cross the wire in the
+/// The shape parameters a bundle holds inside its sketches, plus its
+/// threshold. Two bundles merge only when these and the seed, level count
+/// and candidate cap all match, and all of them cross the wire in the
 /// descriptor.
 #[derive(Debug, Clone, Copy)]
 struct Shape {
@@ -220,7 +223,6 @@ impl SketchBundle {
             num_levels,
             params.reps,
             params.groups,
-            params.b_threshold,
             params.hh_depth,
             params.hh_width,
         );
@@ -231,6 +233,7 @@ impl SketchBundle {
             sub_hash,
             num_levels,
             max_candidates_per_level: params.max_candidates_per_level,
+            b_threshold: params.b_threshold,
         }
     }
 
@@ -302,7 +305,7 @@ impl SketchBundle {
             for rep in reps {
                 rep.group_hash
                     .bucket_many(js, &self.groups, &mut c.buckets[..live]);
-                for (g, hh) in rep.groups.iter_mut().enumerate() {
+                for (g, cs) in rep.groups.iter_mut().enumerate() {
                     // Gathered without a branch, like `retain_level`.
                     let mut n = 0;
                     for ((&b, &j), &x) in c.buckets.iter().zip(js).zip(&c.xs) {
@@ -310,26 +313,24 @@ impl SketchBundle {
                         c.group_xs[n] = x;
                         n += usize::from(b == g as u64);
                     }
-                    hh.update_many(&c.group_js[..n], &c.group_xs[..n]);
+                    cs.update_many(&c.group_js[..n], &c.group_xs[..n]);
                 }
             }
         }
     }
 
-    /// The shape parameters held inside the sketches.
+    /// The shape parameters held inside the sketches, and the threshold.
     fn shape(&self) -> Shape {
         let first = self.levels.first().and_then(|l| l.first());
-        let (b_threshold, hh_depth, hh_width) = first
+        let (hh_depth, hh_width) = first
             .and_then(|r| r.groups.first())
-            .map_or((1.0, 1, 1), |hh| {
-                (hh.b(), hh.countsketch().depth(), hh.countsketch().width())
-            });
+            .map_or((1, 1), |cs| (cs.depth(), cs.width()));
         Shape {
             reps: self.levels.first().map_or(0, Vec::len),
             groups: first.map_or(0, |r| r.groups.len()),
             hh_depth,
             hh_width,
-            b_threshold,
+            b_threshold: self.b_threshold,
             g_independence: self.sub_hash.independence(),
         }
     }
@@ -372,7 +373,7 @@ impl SketchBundle {
             .iter()
             .flatten()
             .flat_map(|r| r.groups.iter())
-            .map(HeavyHittersSketch::size_words)
+            .map(CountSketch::size_words)
             .sum()
     }
 
@@ -392,7 +393,7 @@ impl SketchBundle {
                     .map(|r| {
                         r.groups
                             .iter()
-                            .map(|g| 0.5 * g.f2_estimate() / g.b())
+                            .map(|cs| 0.5 * cs.f2_estimate() / self.b_threshold)
                             .collect()
                     })
                     .collect()
@@ -460,7 +461,7 @@ impl SketchBundle {
             for (rep, thr) in reps.iter().zip(thr) {
                 rep.group_hash
                     .bucket_many(js, &self.groups, &mut c.buckets[..live]);
-                for (g, (hh, &t)) in rep.groups.iter().zip(thr).enumerate() {
+                for (g, (cs, &t)) in rep.groups.iter().zip(thr).enumerate() {
                     if t <= 0.0 {
                         continue;
                     }
@@ -471,7 +472,6 @@ impl SketchBundle {
                         c.group_pos[n] = i as u32;
                         n += usize::from(b == g as u64);
                     }
-                    let cs = hh.countsketch();
                     cs.light_rows_many(&c.group_js[..n], t, &mut c.light[..n]);
                     for (&light, &i) in c.light[..n].iter().zip(&c.group_pos) {
                         if cs.may_be_heavy(light) {
@@ -511,14 +511,8 @@ impl SketchBundle {
     }
 }
 
-impl Payload for SketchBundle {
-    fn words(&self) -> u64 {
-        self.size_words()
-    }
-}
-
 /// The deterministic hash-function scaffolding shared by [`SketchBundle::new`]
-/// and the wire decoder. Both must derive group-hash and heavy-hitter seeds
+/// and the wire decoder. Both must derive group-hash and CountSketch seeds
 /// by exactly this formula — a decoded bundle that drifted here would merge
 /// with mismatched hashes and silently corrupt recovery.
 fn build_levels(
@@ -526,7 +520,6 @@ fn build_levels(
     num_levels: usize,
     reps: usize,
     groups: usize,
-    b_threshold: f64,
     hh_depth: usize,
     hh_width: usize,
 ) -> Vec<Vec<GroupedHh>> {
@@ -539,8 +532,7 @@ fn build_levels(
                         KWiseHash::from_seed(2, seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                     let groups = (0..groups)
                         .map(|g| {
-                            HeavyHittersSketch::with_dims(
-                                b_threshold,
+                            CountSketch::new(
                                 hh_depth,
                                 hh_width,
                                 seed ^ (tag << 8 | g as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
@@ -566,10 +558,14 @@ const MAX_BUNDLE_CANDIDATES: u64 = 1 << 24;
 
 /// Descriptor: construction seed + shape parameters (hash functions are
 /// re-derived locally from the seed, as the paper's model reconstructs
-/// sketch hashes from a broadcast seed). Body: every heavy-hitter counter
+/// sketch hashes from a broadcast seed). Body: every CountSketch counter
 /// table in level/rep/group order — exactly [`SketchBundle::size_words`]
 /// words, keeping wire bytes proportional to ledger words.
-impl WireEncode for SketchBundle {
+impl Wire for SketchBundle {
+    fn words(&self) -> u64 {
+        self.size_words()
+    }
+
     fn encode(&self, w: &mut WireWriter) {
         let shape = self.shape();
         w.desc_u64(self.seed);
@@ -583,15 +579,13 @@ impl WireEncode for SketchBundle {
         w.desc_u32(self.max_candidates_per_level as u32);
         for level in &self.levels {
             for rep in level {
-                for hh in &rep.groups {
-                    w.words_f64(hh.countsketch().table());
+                for cs in &rep.groups {
+                    w.words_f64(cs.table());
                 }
             }
         }
     }
-}
 
-impl WireDecode for SketchBundle {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let seed = r.desc_u64("bundle seed")?;
         let num_levels = u64::from(r.desc_u32("bundle levels")?);
@@ -664,15 +658,14 @@ impl WireDecode for SketchBundle {
             num_levels as usize,
             reps as usize,
             groups as usize,
-            b,
             depth as usize,
             width as usize,
         );
         for level in levels.iter_mut() {
             for rep in level.iter_mut() {
-                for hh in rep.groups.iter_mut() {
+                for cs in rep.groups.iter_mut() {
                     let table = r.words_f64(table_words, "bundle table")?;
-                    if !hh.load_countsketch_table(&table) {
+                    if !cs.load_table(&table) {
                         return Err(WireError::BadTag {
                             what: "bundle table",
                             value: table.len() as u64,
@@ -689,6 +682,7 @@ impl WireDecode for SketchBundle {
             sub_hash,
             num_levels: num_levels as usize,
             max_candidates_per_level: max_candidates as usize,
+            b_threshold: b,
         })
     }
 }
@@ -942,7 +936,7 @@ mod tests {
         let mut b = SketchBundle::new(&p, 29, dim);
         b.absorb(&DenseServerVec::new(v));
         let (desc, body) = encode_value(&b);
-        assert_eq!(body.len() as u64, 8 * Payload::words(&b));
+        assert_eq!(body.len() as u64, 8 * Wire::words(&b));
         let back: SketchBundle = decode_value(&desc, &body).expect("decode");
         assert_eq!(back.recover(dim), b.recover(dim));
         // A decoded bundle merges with a locally built one — hash
@@ -962,6 +956,32 @@ mod tests {
         assert!(matches!(err, WireError::Truncated { .. }), "{err:?}");
     }
 
+    #[test]
+    fn wire_decode_rejects_zero_dims_and_bad_thresholds() {
+        use dlra_comm::wire::{decode_value, encode_value, WireError};
+        let b = SketchBundle::new(&small_params(), 3, 64);
+        let (desc, body) = encode_value(&b);
+        // Descriptor: seed (8 bytes), then levels, reps and groups (4 each),
+        // hh depth at byte 20, hh width at 24, the threshold at 28..36.
+        for at in [20, 24] {
+            let mut bad = desc.clone();
+            bad[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+            assert!(
+                decode_value::<SketchBundle>(&bad, &body).is_err(),
+                "byte {at}"
+            );
+        }
+        for threshold in [0.5, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut bad = desc.clone();
+            bad[28..36].copy_from_slice(&threshold.to_le_bytes());
+            let want = WireError::BadTag {
+                what: "bundle threshold",
+                value: threshold.to_bits(),
+            };
+            assert_eq!(decode_value::<SketchBundle>(&bad, &body).unwrap_err(), want);
+        }
+    }
+
     /// The recovery scan probing every row of each group sketch, then
     /// comparing its median estimate with the threshold. Levels come from
     /// the f64 formula and group buckets from `%`, one coordinate at a
@@ -976,9 +996,9 @@ mod tests {
                 let mut hit = false;
                 for rep in reps {
                     let g = rep.group_hash.hash(j) % rep.groups.len() as u64;
-                    let hh = &rep.groups[g as usize];
-                    let t = 0.5 * hh.f2_estimate() / hh.b();
-                    let est = hh.estimate(j);
+                    let cs = &rep.groups[g as usize];
+                    let t = 0.5 * cs.f2_estimate() / b.b_threshold;
+                    let est = cs.estimate(j);
                     if t > 0.0 && est * est >= t {
                         hit = true;
                         best = best.max(est.abs());
@@ -1039,7 +1059,7 @@ mod tests {
             .iter()
             .flatten()
             .flat_map(|r| &r.groups)
-            .flat_map(|hh| hh.countsketch().table())
+            .flat_map(|cs| cs.table())
             .map(|x| x.to_bits())
             .collect()
     }
@@ -1086,7 +1106,7 @@ mod tests {
             * p.groups as u64
             * (p.hh_depth * p.hh_width) as u64;
         assert_eq!(b.size_words(), expect);
-        assert_eq!(Payload::words(&b), expect);
+        assert_eq!(Wire::words(&b), expect);
     }
 
     /// FNV-1a over the little-endian bytes of 64-bit words.
@@ -1141,7 +1161,7 @@ mod tests {
             .iter()
             .flatten()
             .flat_map(|r| &r.groups)
-            .flat_map(|hh| hh.countsketch().table())
+            .flat_map(|cs| cs.table())
             .map(|x| x.to_bits());
         let lists = recovered
             .iter()

@@ -12,10 +12,10 @@
 //! | Paper | Module |
 //! |---|---|
 //! | property-P functions `z` (softmax powers, M-estimator ψ²) | [`zfn`] |
-//! | `Z-HeavyHitters` (Alg. 2: bucketed heavy hitters) | [`bundle`] |
+//! | `Z-HeavyHitters` (Alg. 2: bucketed CountSketch heavy hitters) | [`bundle`] |
 //! | `Z-estimator` (Alg. 3: level sets `Sᵢ(a)`, subsample hierarchy, `Ẑ`, `ŝᵢ`) | [`estimator`] |
 //! | `Z-sampler` (Alg. 4: coordinate injection + draw) | [`zsampler`] |
-//! | uniform / exact-probability samplers (baselines, RFF application) | [`baseline`] |
+//! | uniform sampler and exact weights (baselines, RFF application) | [`baseline`] |
 //!
 //! ## Faithfulness vs practicality
 //!
@@ -49,7 +49,7 @@ pub mod vector;
 pub mod zfn;
 pub mod zsampler;
 
-pub use baseline::{exact_weights, ExactSampler, UniformSampler};
+pub use baseline::{exact_weights, UniformSampler};
 pub use bundle::SketchBundle;
 pub use estimator::{run_z_estimator, ClassEstimate, EstimatorOutput};
 pub use params::ZSamplerParams;

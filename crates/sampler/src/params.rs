@@ -28,8 +28,8 @@ pub struct ZSamplerParams {
     /// Independent repetitions per level (Algorithm 2's `⌈20 log(1/δ)⌉`).
     pub reps: usize,
     /// Heaviness threshold `B`: within a group, report `j` when
-    /// `v̂_j² ≥ F̂₂(group)/B` (recovery uses a ×½ slack, see
-    /// `HeavyHittersSketch::recover`).
+    /// `v̂_j² ≥ F̂₂(group)/B` (recovery uses a ×½ slack, see the
+    /// [`bundle`](crate::bundle) module).
     pub b_threshold: f64,
     /// Subsampling levels beyond the base level; level `j ≥ 1` keeps a
     /// coordinate with probability `2⁻ʲ` (Algorithm 3's `Sⱼ`). `0` means

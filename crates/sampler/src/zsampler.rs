@@ -21,7 +21,8 @@ use crate::estimator::{run_z_estimator, EstimatorOutput};
 use crate::params::ZSamplerParams;
 use crate::vector::SampleVector;
 use crate::zfn::ZFn;
-use dlra_comm::{Collectives, LedgerSnapshot, Payload};
+use dlra_comm::wire::{WireError, WireReader, WireWriter, MAX_SEQ_LEN};
+use dlra_comm::{Collectives, LedgerSnapshot, Wire};
 use dlra_util::Rng;
 use std::sync::Arc;
 
@@ -249,30 +250,26 @@ impl ZSampler {
 #[derive(Debug, Clone)]
 struct InjectPlan(Vec<(f64, u64)>);
 
-impl Payload for InjectPlan {
+impl Wire for InjectPlan {
     fn words(&self) -> u64 {
         2 * self.0.len() as u64
     }
-}
 
-impl dlra_comm::WireEncode for InjectPlan {
-    fn encode(&self, w: &mut dlra_comm::wire::WireWriter) {
+    fn encode(&self, w: &mut WireWriter) {
         w.desc_u32(self.0.len() as u32);
         for &(value, count) in &self.0 {
             w.word_f64(value);
             w.word_u64(count);
         }
     }
-}
 
-impl dlra_comm::WireDecode for InjectPlan {
-    fn decode(r: &mut dlra_comm::wire::WireReader<'_>) -> Result<Self, dlra_comm::WireError> {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let n = u64::from(r.desc_u32("inject plan length")?);
-        if n > dlra_comm::wire::MAX_SEQ_LEN {
-            return Err(dlra_comm::WireError::Oversized {
+        if n > MAX_SEQ_LEN {
+            return Err(WireError::Oversized {
                 what: "inject plan length",
                 len: n,
-                max: dlra_comm::wire::MAX_SEQ_LEN,
+                max: MAX_SEQ_LEN,
             });
         }
         let mut plan = Vec::with_capacity((n as usize).min(4096));
@@ -575,8 +572,8 @@ mod tests {
         let mut c = make_cluster(vec![vec![1.0; 256]; 2]);
         let s = ZSampler::new(test_params(), 17);
         let _ = s.prepare(&mut c, &Square);
-        assert_eq!(c.local(0).dim(), 256);
-        assert_eq!(c.local(1).dim(), 256);
+        assert_eq!(c.with_local(0, SampleVector::dim), 256);
+        assert_eq!(c.with_local(1, SampleVector::dim), 256);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! * **check mode** (any other invocation, e.g. a plain run of the
 //!   harness-false executable): every benchmark body runs exactly once so
 //!   the code stays exercised without the measurement cost.
+//!
+//! In either mode, the first argument that is not a flag is a name filter,
+//! as in criterion: only benchmarks whose full id (`group/name`) contains
+//! it run, so `cargo bench --bench sketch -- hash_many` times one group.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -23,15 +27,18 @@ pub use std::hint::black_box;
 /// benches touch.
 pub struct Criterion {
     bench_mode: bool,
+    /// Substring a benchmark's full id must contain for it to run.
+    filter: Option<String>,
     sample_size: usize,
     measurement_time: Duration,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        let bench_mode = std::env::args().any(|a| a == "--bench");
+        let args: Vec<String> = std::env::args().skip(1).collect();
         Criterion {
-            bench_mode,
+            bench_mode: args.iter().any(|a| a == "--bench"),
+            filter: args.into_iter().find(|a| !a.starts_with('-')),
             sample_size: 20,
             measurement_time: Duration::from_millis(300),
         }
@@ -45,7 +52,7 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let (n, budget) = (self.sample_size, self.measurement_time);
-        run_one(self.bench_mode, n, budget, id, &mut f);
+        run_one(self, n, budget, id, &mut f);
         self
     }
 
@@ -56,6 +63,7 @@ impl Criterion {
             name: name.to_string(),
             sample_size: None,
             measurement_time: None,
+            ran: false,
         }
     }
 }
@@ -66,6 +74,8 @@ pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: Option<usize>,
     measurement_time: Option<Duration>,
+    /// Whether the name filter let any of the group's benchmarks run.
+    ran: bool,
 }
 
 impl BenchmarkGroup<'_> {
@@ -104,7 +114,7 @@ impl BenchmarkGroup<'_> {
         let id = id.into();
         let full = format!("{}/{}", self.name, id.0);
         let (n, budget) = self.settings();
-        run_one(self.criterion.bench_mode, n, budget, &full, &mut f);
+        self.ran |= run_one(self.criterion, n, budget, &full, &mut f);
         self
     }
 
@@ -122,15 +132,13 @@ impl BenchmarkGroup<'_> {
         let id = id.into();
         let full = format!("{}/{}", self.name, id.0);
         let (n, budget) = self.settings();
-        run_one(self.criterion.bench_mode, n, budget, &full, &mut |b| {
-            f(b, input)
-        });
+        self.ran |= run_one(self.criterion, n, budget, &full, &mut |b| f(b, input));
         self
     }
 
-    /// Ends the group (separator line in bench mode).
+    /// Ends the group (separator line in bench mode, if any of it ran).
     pub fn finish(self) {
-        if self.criterion.bench_mode {
+        if self.criterion.bench_mode && self.ran {
             println!();
         }
     }
@@ -217,15 +225,23 @@ impl Bencher {
     }
 }
 
+/// Runs benchmark `id` unless the name filter excludes it; returns
+/// whether it ran.
 fn run_one(
-    bench_mode: bool,
+    c: &Criterion,
     samples: usize,
     budget: Duration,
     id: &str,
     f: &mut dyn FnMut(&mut Bencher),
-) {
+) -> bool {
+    if c.filter
+        .as_deref()
+        .is_some_and(|filter| !id.contains(filter))
+    {
+        return false;
+    }
     let mut b = Bencher {
-        mode: if bench_mode {
+        mode: if c.bench_mode {
             BenchMode::Measure { samples, budget }
         } else {
             BenchMode::Check
@@ -233,9 +249,9 @@ fn run_one(
         samples: Vec::new(),
     };
     f(&mut b);
-    if bench_mode {
+    if c.bench_mode {
         b.samples
-            .sort_by(|a, c| a.partial_cmp(c).expect("finite timings"));
+            .sort_by(|x, y| x.partial_cmp(y).expect("finite timings"));
         let median = b
             .samples
             .get(b.samples.len() / 2)
@@ -246,6 +262,7 @@ fn run_one(
             b.samples.len()
         );
     }
+    true
 }
 
 /// Bundles benchmark functions into one group runner, mirroring
@@ -308,6 +325,7 @@ mod tests {
         for (budget, want) in [(Duration::ZERO, 2), (Duration::from_secs(10), 5)] {
             let mut c = Criterion {
                 bench_mode: true,
+                filter: None,
                 ..Criterion::default()
             };
             let mut calls = 0;
@@ -321,6 +339,27 @@ mod tests {
                     })
                 });
             assert_eq!(calls, want, "budget {budget:?}");
+        }
+    }
+
+    #[test]
+    fn name_filter_runs_only_matching_ids() {
+        for (filter, want) in [(Some("scalar/4"), vec![4]), (None, vec![2, 4, 0])] {
+            let mut c = Criterion {
+                bench_mode: false,
+                filter: filter.map(String::from),
+                ..Criterion::default()
+            };
+            let mut ran = Vec::new();
+            let mut group = c.benchmark_group("hash_many");
+            for k in [2, 4] {
+                group.bench_with_input(BenchmarkId::new("scalar", k), &k, |b, &k| {
+                    b.iter(|| ran.push(k))
+                });
+            }
+            group.finish();
+            c.bench_function("countsketch_merge", |b| b.iter(|| ran.push(0)));
+            assert_eq!(ran, want, "filter {filter:?}");
         }
     }
 

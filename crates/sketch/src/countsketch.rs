@@ -73,11 +73,6 @@ impl CountSketch {
         self.width.get()
     }
 
-    /// The construction seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Size of the sketch in 8-byte words (what a server ships upstream).
     pub fn size_words(&self) -> u64 {
         self.table.len() as u64

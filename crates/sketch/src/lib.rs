@@ -11,16 +11,15 @@
 //!   prime `2⁶¹ − 1`, one input or a batch at a time, with precomputed
 //!   bucket moduli;
 //! * [`countsketch`] — CountSketch with median point queries, batched
-//!   updates and light-row counts, and the built-in AMS-style `F₂`
-//!   estimate;
-//! * [`heavy_hitters`] — recovery of all coordinates with
-//!   `v_j² ≥ ‖v‖²/B` from a CountSketch.
+//!   updates and light-row counts, the built-in AMS-style `F₂` estimate,
+//!   and the heavy test `v̂_j² ≥ t`. At `t = F̂₂/B`, width `Θ(B)` and depth
+//!   `Θ(log(1/δ))`, it reports every `j` with `v_j² ≥ ‖v‖²/B` with
+//!   probability `1 − δ` \[21\]; `dlra-sampler`'s sketch bundle reads each
+//!   group's sketch this way.
 
 #![forbid(unsafe_code)]
 pub mod countsketch;
 pub mod hashing;
-pub mod heavy_hitters;
 
 pub use countsketch::CountSketch;
 pub use hashing::{KWiseHash, Modulus};
-pub use heavy_hitters::{HeavyHitter, HeavyHittersSketch};

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example comm_budget`
 
+use dlra::comm::Collectives;
 use dlra::prelude::*;
 use dlra::util::Rng;
 

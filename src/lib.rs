@@ -7,8 +7,8 @@
 //! |---|---|
 //! | [`core`] (`dlra-core`) | the generalized partition model, Algorithm 1, applications (RFF / GM pooling / robust PCA) |
 //! | [`sampler`] (`dlra-sampler`) | the generalized Z-sampler (Algorithms 2–4), baselines |
-//! | [`sketch`] (`dlra-sketch`) | CountSketch, AMS F₂, heavy hitters, k-wise hashing |
-//! | [`comm`] (`dlra-comm`) | star-topology simulation with word-exact accounting, the substrate-generic `Collectives` trait, the bit-exact wire codec |
+//! | [`sketch`] (`dlra-sketch`) | CountSketch, k-wise hashing |
+//! | [`comm`] (`dlra-comm`) | star-topology simulation with word-exact accounting, the substrate-generic `Collectives` trait, the `Wire` trait (word size and bit-exact codec of every payload) |
 //! | [`net`] (`dlra-net`) | networked substrate: the servers behind real TCP sockets, with bytes-on-the-wire auditing against the ledger |
 //! | [`runtime`] (`dlra-runtime`) | threaded message-passing substrate + the multi-dataset `Service` façade (typed query builder, tickets with cancellation/deadlines) |
 //! | [`obs`] (`dlra-obs`) | structured tracing (chrome://tracing export via `DLRA_TRACE`) and the per-dataset metrics registry |

@@ -2,7 +2,7 @@
 //! frequencies against the exact `z(aᵢ)/Z(a)` distribution, and `Ẑ`
 //! accuracy, across the paper's z-functions.
 
-use dlra::comm::Cluster;
+use dlra::comm::{Cluster, Collectives};
 use dlra::sampler::{
     exact_weights, DenseServerVec, HuberSq, PowerAbs, Square, ZFn, ZSampler, ZSamplerParams,
 };
