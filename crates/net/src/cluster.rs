@@ -11,6 +11,14 @@
 //!            └── frame ──▶ server s-1 ─ reply ───┘
 //! ```
 //!
+//! That exchange lives in one place, the `Coordinator` core: it charges
+//! the requests, fans triggers out and replies in, runs the single-server
+//! round trip and the root side of a reduction, and steps the
+//! coordinator's own state through the same [`NetJob`] its servers run.
+//! Every operation returns a typed [`NetError`]. [`FrameCluster`] runs its
+//! [`Collectives`] on it, and so does the multi-process
+//! [`RemoteCoordinator`](crate::remote::RemoteCoordinator).
+//!
 //! The two substrates differ only in the link the frames travel on and in
 //! how that link is wired:
 //!
@@ -48,10 +56,7 @@ use crate::frame::{
 };
 use crate::node::{absorb_round, run_node, NodeConfig};
 use crate::pipe::Pipe;
-use crate::registry::{
-    BroadcastJob, Encoded, GatherJob, JobRegistry, JobResolver, NetJob, QueryJob, QueryReduceJob,
-    QueryServerJob, ReduceJob,
-};
+use crate::registry::{Encoded, JobRegistry, JobResolver, NetJob};
 use dlra_comm::ledger::Direction;
 use dlra_comm::wire::{decode_value, encode_value, Wire};
 use dlra_comm::{Collectives, Ledger, Topology, TopologyPlan};
@@ -60,6 +65,7 @@ use dlra_util::sync::MutexExt;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -138,6 +144,251 @@ pub(crate) fn spawn_server(
         .expect("spawn server thread")
 }
 
+/// A collective's request: its encoding and the payload words the ledger
+/// charges for each copy sent.
+pub(crate) struct Request {
+    desc: Vec<u8>,
+    body: Vec<u8>,
+    words: u64,
+}
+
+impl Request {
+    pub(crate) fn new<Q: Wire>(request: &Q) -> Self {
+        let (desc, body) = encode_value(request);
+        let words = request.words();
+        Request { desc, body, words }
+    }
+}
+
+/// One collective as the [`Coordinator`] runs it.
+pub(crate) struct Call<'a, L> {
+    /// The id in every frame's header.
+    pub(crate) job_id: u64,
+    /// The op code in every trigger's `seq`: `0` on loopback, where
+    /// servers resolve jobs by id.
+    pub(crate) op: u32,
+    /// The job the servers run, and the coordinator's own state steps
+    /// through.
+    pub(crate) job: &'a NetJob<L>,
+    /// The coordinator's own local state (server `0`).
+    pub(crate) own: &'a mut L,
+}
+
+/// The coordinator's half of the frame protocol: its links to servers
+/// `1..s` (indexed `t − 1`), the byte counters every send charges, and
+/// the ledger. Every operation returns a typed [`NetError`].
+pub(crate) struct Coordinator<S> {
+    pub(crate) links: Vec<S>,
+    pub(crate) counters: Arc<WireCounters>,
+    pub(crate) ledger: Ledger,
+    topology: Topology,
+}
+
+impl<S: Read + Write> Coordinator<S> {
+    pub(crate) fn new(links: Vec<S>, counters: Arc<WireCounters>, topology: Topology) -> Self {
+        Coordinator {
+            links,
+            counters,
+            ledger: Ledger::new(),
+            topology,
+        }
+    }
+
+    /// The server count `s`, the coordinator included.
+    fn servers(&self) -> usize {
+        self.links.len() + 1
+    }
+
+    /// Broadcast: every server `1..s` receives `message`, charged, and
+    /// acks once it has observed it; so does the coordinator's own state.
+    pub(crate) fn broadcast<L>(
+        &mut self,
+        call: Call<'_, L>,
+        message: &Request,
+        label: &'static str,
+    ) -> Result<(), NetError> {
+        self.fan_out_in(call, Some(message), label, MsgType::Ack)
+            .map(drop)
+    }
+
+    /// Gather (no request) or `query_all`: every server's block, the
+    /// coordinator's own first, in server-index order, each reply charged
+    /// upstream.
+    pub(crate) fn gather<L, T: Wire>(
+        &mut self,
+        call: Call<'_, L>,
+        request: Option<&Request>,
+        label: &'static str,
+    ) -> Result<Vec<T>, NetError> {
+        let (own, frames) = self.fan_out_in(call, request, label, MsgType::Reply)?;
+        let mut out = vec![decode_value(&own.0, &own.1)?];
+        for (i, frame) in frames.iter().enumerate() {
+            out.push(self.charge_reply(i + 1, frame, label)?);
+        }
+        Ok(out)
+    }
+
+    /// The round trip to server `t` alone; with `t = 0` the coordinator's
+    /// own state answers, free but through the same byte path.
+    pub(crate) fn query_server<L, T: Wire>(
+        &mut self,
+        t: usize,
+        mut call: Call<'_, L>,
+        request: &Request,
+        label: &'static str,
+    ) -> Result<T, NetError> {
+        if t == 0 {
+            let (desc, body) = self.step_own(&mut call, Some(request))?;
+            return Ok(decode_value(&desc, &body)?);
+        }
+        if t >= self.servers() {
+            return Err(NetError::Protocol {
+                what: "server out of range",
+                detail: format!("t {t}"),
+            });
+        }
+        self.ledger
+            .charge(t, Direction::Downstream, request.words, label);
+        self.fan_out(&call, Some(request), t..t + 1)?;
+        let frame = self.recv(t, MsgType::Reply, call.job_id)?;
+        self.charge_reply(t, &frame, label)
+    }
+
+    /// The root side of a topology-routed reduction (`aggregate_topo`
+    /// without a request, `query_aggregate` with one): absorbs hop blocks
+    /// round by round from the servers whose receiver is `0`, charges the
+    /// canonical transcript, and returns the merged block.
+    pub(crate) fn reduce<L, T: Wire>(
+        &mut self,
+        mut call: Call<'_, L>,
+        request: Option<&Request>,
+        label: &'static str,
+    ) -> Result<T, NetError> {
+        if request.is_some() {
+            self.open_round(request, label);
+        }
+        self.fan_out(&call, request, 1..self.servers())?;
+        let mut block = self.step_own(&mut call, request)?;
+        let plan = TopologyPlan::new(self.topology, self.servers());
+        let mut log = Vec::new();
+        for (h, round) in plan.rounds().iter().enumerate() {
+            block = absorb_round(call.job, call.job_id, 0, (h, round), block, &mut log, |q| {
+                Frame::read_from(&mut self.links[q - 1])
+            })?;
+        }
+        charge_reduce(&self.ledger, &plan, &log, label, request.is_some())?;
+        Ok(decode_value(&block.0, &block.1)?)
+    }
+
+    /// Sends every server a shutdown frame, counted like every other
+    /// frame. A server may already be gone, so failures are ignored.
+    pub(crate) fn send_shutdown(&mut self) {
+        let shutdown = Frame::control(MsgType::Shutdown, 0, 0);
+        for link in &mut self.links {
+            let _ = send_frame(link, &self.counters, &shutdown);
+        }
+    }
+
+    /// Opens a round, charging every server `1..s` one message of the
+    /// request's words when there is one.
+    fn open_round(&self, request: Option<&Request>, label: &'static str) {
+        self.ledger.next_round();
+        if let Some(request) = request {
+            for t in 1..self.servers() {
+                self.ledger
+                    .charge(t, Direction::Downstream, request.words, label);
+            }
+        }
+    }
+
+    /// Sends servers `to` the job's trigger: a charged data frame carrying
+    /// `request`, or a free trigger without one (like handing a closure to
+    /// a worker thread).
+    fn fan_out<L>(
+        &mut self,
+        call: &Call<'_, L>,
+        request: Option<&Request>,
+        to: Range<usize>,
+    ) -> Result<(), NetError> {
+        let msg_type = call.job.kind().trigger(request.is_some());
+        let mut frame = Frame::control(msg_type, call.op, call.job_id);
+        if let Some(request) = request {
+            frame.desc.clone_from(&request.desc);
+            frame.body.clone_from(&request.body);
+            if msg_type == MsgType::RunReduce {
+                frame.flags |= FLAG_HAS_REQUEST;
+            }
+        }
+        for t in to {
+            send_frame(&mut self.links[t - 1], &self.counters, &frame)?;
+        }
+        Ok(())
+    }
+
+    /// Decodes server `t`'s reply and charges it upstream.
+    fn charge_reply<T: Wire>(
+        &self,
+        t: usize,
+        frame: &Frame,
+        label: &'static str,
+    ) -> Result<T, NetError> {
+        let reply: T = decode_value(&frame.desc, &frame.body)?;
+        self.ledger
+            .charge(t, Direction::Upstream, reply.words(), label);
+        Ok(reply)
+    }
+
+    /// Opens the round, fans the trigger out, steps the coordinator's own
+    /// state, and fans in one `expected` frame per server, in server-index
+    /// order.
+    fn fan_out_in<L>(
+        &mut self,
+        mut call: Call<'_, L>,
+        request: Option<&Request>,
+        label: &'static str,
+        expected: MsgType,
+    ) -> Result<(Encoded, Vec<Frame>), NetError> {
+        self.open_round(request, label);
+        self.fan_out(&call, request, 1..self.servers())?;
+        let own = self.step_own(&mut call, request)?;
+        let frames = (1..self.servers())
+            .map(|t| self.recv(t, expected, call.job_id))
+            .collect::<Result<_, _>>()?;
+        Ok((own, frames))
+    }
+
+    /// Steps the coordinator's own state through the job, with the kernel
+    /// thread share every server gets.
+    fn step_own<L>(
+        &self,
+        call: &mut Call<'_, L>,
+        request: Option<&Request>,
+    ) -> Result<Encoded, NetError> {
+        let (desc, body) = request.map_or((&[][..], &[][..]), |r| (&r.desc[..], &r.body[..]));
+        let share = (dlra_linalg::threads() / self.servers()).max(1);
+        dlra_linalg::with_threads(share, || (call.job.step)(0, call.own, desc, body))
+    }
+
+    /// Reads server `t`'s next frame, which must be the `expected` frame
+    /// for `job_id`; a server's error report surfaces as its diagnostics.
+    fn recv(&mut self, t: usize, expected: MsgType, job_id: u64) -> Result<Frame, NetError> {
+        let frame = Frame::read_from(&mut self.links[t - 1])?;
+        if frame.msg_type == MsgType::Error {
+            return Err(decode_error_frame(&frame));
+        }
+        if frame.msg_type != expected || frame.job_id != job_id {
+            return Err(NetError::Protocol {
+                what: "unexpected reply frame",
+                detail: format!(
+                    "server {t}: {:?} job {} (wanted {expected:?} job {job_id})",
+                    frame.msg_type, frame.job_id
+                ),
+            });
+        }
+        Ok(frame)
+    }
+}
+
 /// A cluster of `s` servers whose coordinator exchanges frames with them
 /// over links of type `S`, implementing [`Collectives`]. Server `0` is
 /// the coordinator (the calling thread). Use it as [`SocketCluster`] or
@@ -148,12 +399,8 @@ pub struct FrameCluster<L, S: Link> {
     /// collective and any state in `with_local{,_mut}`.
     // dlra-lock-order: server.state
     states: Vec<Arc<Mutex<L>>>,
-    /// Coordinator ↔ server links, indexed `t - 1`.
-    links: Vec<S>,
+    core: Coordinator<S>,
     registry: Arc<JobRegistry<L>>,
-    counters: Arc<WireCounters>,
-    ledger: Ledger,
-    topology: Topology,
     threads: Vec<ServerThread>,
 }
 
@@ -219,23 +466,20 @@ impl<L: Send + 'static, S: Link> FrameCluster<L, S> {
         let (links, threads) = S::start_servers(&states, topology, &registry, &counters);
         FrameCluster {
             states,
-            links,
+            core: Coordinator::new(links, counters, topology),
             registry,
-            counters,
-            ledger: Ledger::new(),
-            topology,
             threads,
         }
     }
 
     /// The shared byte counters (same set every server thread charges).
     pub fn counters(&self) -> &Arc<WireCounters> {
-        &self.counters
+        &self.core.counters
     }
 
     /// Snapshot of bytes on the links so far.
     pub fn wire_stats(&self) -> WireStats {
-        self.counters.snapshot()
+        self.core.counters.snapshot()
     }
 
     /// A `comm.<collective>` trace span named by the ledger label.
@@ -243,113 +487,35 @@ impl<L: Send + 'static, S: Link> FrameCluster<L, S> {
         trace::span(collective, label).arg("servers", self.states.len() as u64)
     }
 
-    /// Runs a job step against the coordinator's own local state through
-    /// the same byte-level path and kernel-thread share the servers use.
-    fn run_own<R>(&self, f: impl FnOnce(&mut L) -> Result<R, NetError>) -> R {
-        let share = (dlra_linalg::threads() / self.states.len()).max(1);
-        dlra_linalg::with_threads(share, || f(&mut self.states[0].lock_recover()))
-            // dlra-allow(panic-policy): the coordinator's own job steps only
-            // fail on codec bugs, which are unrecoverable mid-collective —
-            // the same as a dead server.
-            .expect("coordinator-side job step")
-    }
-
-    /// Opens a round in which every server `1..s` receives one request of
-    /// `words` words.
-    fn charge_requests(&self, words: u64, label: &'static str) {
-        self.ledger.next_round();
-        for t in 1..self.states.len() {
-            self.ledger.charge(t, Direction::Downstream, words, label);
-        }
-    }
-
-    /// Registers `job` and sends every server `1..s` one `msg_type` frame:
-    /// a charged data frame carrying `payload`, or a free trigger without
-    /// one (like handing a closure to a worker thread).
-    fn fan_out(
+    /// Runs one collective on the coordinator core: registers `job` for
+    /// the servers to resolve by id, runs `exchange` with the
+    /// coordinator's own state, and retires the job.
+    fn run<R>(
         &mut self,
-        job: &Arc<dyn NetJob<L>>,
-        msg_type: MsgType,
-        payload: Option<&Encoded>,
-    ) -> u64 {
-        let job_id = self.registry.register(Arc::clone(job));
-        for t in 1..self.states.len() {
-            let mut frame = Frame::control(msg_type, 0, job_id);
-            if let Some((desc, body)) = payload {
-                frame.desc = desc.clone();
-                frame.body = body.clone();
-                if msg_type == MsgType::RunReduce {
-                    frame.flags |= FLAG_HAS_REQUEST;
-                }
-            }
-            self.send_to(t, &frame);
-        }
-        job_id
-    }
-
-    fn send_to(&mut self, t: usize, frame: &Frame) {
-        send_frame(&mut self.links[t - 1], &self.counters, frame)
-            // dlra-allow(panic-policy): a dead server mid-protocol is
-            // unrecoverable for this query; the executor unwinds and the
-            // ticket resolves to RuntimeUnavailable.
-            .expect("server link closed mid-collective");
-    }
-
-    fn recv_from(&mut self, t: usize, expected: MsgType, job_id: u64) -> Frame {
-        Frame::read_from(&mut self.links[t - 1])
-            .and_then(|frame| validate_reply(t, frame, expected, job_id))
-            // dlra-allow(panic-policy): a closed link, a server's error
-            // report or a mis-sequenced frame is unrecoverable
-            // mid-collective; see `send_to`.
-            .unwrap_or_else(|e| panic!("server {t}: {e}"))
-    }
-
-    /// Fans in one `expected` frame per server `1..s`, in server-index
-    /// order, and retires the job.
-    fn fan_in(&mut self, expected: MsgType, job_id: u64) -> Vec<Frame> {
-        let frames = (1..self.states.len())
-            .map(|t| self.recv_from(t, expected, job_id))
-            .collect();
+        job: NetJob<L>,
+        exchange: impl FnOnce(&mut Coordinator<S>, Call<'_, L>) -> Result<R, NetError>,
+    ) -> R {
+        let job = Arc::new(job);
+        let job_id = self.registry.register(Arc::clone(&job));
+        // The guard on the coordinator's own state ends with the exchange,
+        // before the unwind below can poison it.
+        let result = exchange(
+            &mut self.core,
+            Call {
+                job_id,
+                op: 0,
+                job: &job,
+                own: &mut self.states[0].lock_recover(),
+            },
+        );
         self.registry.remove(job_id);
-        frames
-    }
-
-    /// The coordinator's own block followed by every server's reply, in
-    /// server-index order, each reply charged upstream.
-    fn replies<T: Wire>(&mut self, own: Encoded, job_id: u64, label: &'static str) -> Vec<T> {
-        let frames = self.fan_in(MsgType::Reply, job_id);
-        let mut out = Vec::with_capacity(frames.len() + 1);
-        out.push(decode_block(0, &own.0, &own.1));
-        for (i, frame) in frames.iter().enumerate() {
-            let reply: T = decode_block(i + 1, &frame.desc, &frame.body);
-            self.ledger
-                .charge(i + 1, Direction::Upstream, reply.words(), label);
-            out.push(reply);
-        }
-        out
-    }
-
-    /// Drives the root side of a topology-routed reduction, charges the
-    /// canonical transcript, and retires the job.
-    fn reduce_at_root<T: Wire>(
-        &mut self,
-        job: &dyn NetJob<L>,
-        job_id: u64,
-        own: Encoded,
-        label: &'static str,
-        first_round_started: bool,
-    ) -> T {
-        let plan = TopologyPlan::new(self.topology, self.states.len());
-        let (block, log) = root_reduce(job, job_id, own, &plan, &mut self.links)
-            // dlra-allow(panic-policy): see `recv_from`.
-            .unwrap_or_else(|e| panic!("reduction failed mid-collective: {e}"));
-        self.registry.remove(job_id);
-        charge_reduce(&self.ledger, &plan, &log, label, first_round_started)
-            // dlra-allow(panic-policy): the reduction above logged every
-            // edge it absorbed; a missing record is a plan violation,
-            // which is unrecoverable.
-            .expect("hop record for every plan edge");
-        decode_block(0, &block.0, &block.1)
+        result
+            // dlra-allow(panic-policy): `Collectives` returns bare values, so
+            // a collective that fails mid-protocol (a closed link, a
+            // server's error report, a mis-sequenced or undecodable frame)
+            // unwinds here; the executor unwinds and the ticket resolves
+            // to RuntimeUnavailable.
+            .unwrap_or_else(|e| panic!("collective failed mid-protocol: {e}"))
     }
 }
 
@@ -359,11 +525,11 @@ impl<L: Send + 'static, S: Link> Collectives<L> for FrameCluster<L, S> {
     }
 
     fn ledger(&self) -> &Ledger {
-        &self.ledger
+        &self.core.ledger
     }
 
     fn topology(&self) -> Topology {
-        self.topology
+        self.core.topology
     }
 
     fn with_local<R>(&self, t: usize, f: impl FnOnce(&L) -> R) -> R {
@@ -380,14 +546,10 @@ impl<L: Send + 'static, S: Link> Collectives<L> for FrameCluster<L, S> {
         F: Fn(usize, &mut L, &T) + Send + Sync + 'static,
     {
         let _span = self.span("comm.broadcast", label);
-        self.charge_requests(msg.words(), label);
-        let job: Arc<dyn NetJob<L>> = Arc::new(BroadcastJob::new(on_receive));
-        let message = encode_value(msg);
-        let job_id = self.fan_out(&job, MsgType::Broadcast, Some(&message));
-        // The coordinator's own state observes the message through the
-        // same decode path the servers use — bit-identical by the codec.
-        self.run_own(|local| job.deliver(0, local, &message.0, &message.1));
-        self.fan_in(MsgType::Ack, job_id);
+        let message = Request::new(msg);
+        self.run(NetJob::broadcast(on_receive), |core, call| {
+            core.broadcast(call, &message, label)
+        })
     }
 
     fn gather<T, F>(&mut self, label: &'static str, compute: F) -> Vec<T>
@@ -396,11 +558,8 @@ impl<L: Send + 'static, S: Link> Collectives<L> for FrameCluster<L, S> {
         F: Fn(usize, &mut L) -> T + Send + Sync + 'static,
     {
         let _span = self.span("comm.gather", label);
-        self.ledger.next_round();
-        let job: Arc<dyn NetJob<L>> = Arc::new(GatherJob::new(compute));
-        let job_id = self.fan_out(&job, MsgType::RunGather, None);
-        let own = self.run_own(|local| job.make_block(0, local, None));
-        self.replies(own, job_id, label)
+        let job = NetJob::reply(move |t, local, &(): &()| compute(t, local));
+        self.run(job, |core, call| core.gather(call, None, label))
     }
 
     fn query_all<Q, T, F>(&mut self, request: &Q, label: &'static str, compute: F) -> Vec<T>
@@ -410,12 +569,10 @@ impl<L: Send + 'static, S: Link> Collectives<L> for FrameCluster<L, S> {
         F: Fn(usize, &mut L, &Q) -> T + Send + Sync + 'static,
     {
         let _span = self.span("comm.query_all", label);
-        self.charge_requests(request.words(), label);
-        let job: Arc<dyn NetJob<L>> = Arc::new(QueryJob::new(compute));
-        let request = encode_value(request);
-        let job_id = self.fan_out(&job, MsgType::Query, Some(&request));
-        let own = self.run_own(|local| job.make_block(0, local, Some((&request.0, &request.1))));
-        self.replies(own, job_id, label)
+        let request = Request::new(request);
+        self.run(NetJob::reply(compute), |core, call| {
+            core.gather(call, Some(&request), label)
+        })
     }
 
     fn query_server<Q, T, F>(&mut self, t: usize, request: &Q, label: &'static str, compute: F) -> T
@@ -425,25 +582,10 @@ impl<L: Send + 'static, S: Link> Collectives<L> for FrameCluster<L, S> {
         F: FnOnce(&mut L, &Q) -> T + Send + 'static,
     {
         let _span = trace::span("comm.query_server", label).arg("server", t as u64);
-        let job = QueryServerJob::new(compute);
-        let (desc, body) = encode_value(request);
-        if t == 0 {
-            // Coordinator ↔ its own state: free, but still through the
-            // byte path so results can't depend on the substrate.
-            let own =
-                self.run_own(|local| NetJob::<L>::make_block(&job, 0, local, Some((&desc, &body))));
-            return decode_block(0, &own.0, &own.1);
-        }
-        self.ledger
-            .charge(t, Direction::Downstream, request.words(), label);
-        let job_id = self.registry.register(Arc::new(job));
-        self.send_to(t, &Frame::data(MsgType::QueryServer, 0, job_id, desc, body));
-        let frame = self.recv_from(t, MsgType::Reply, job_id);
-        self.registry.remove(job_id);
-        let reply: T = decode_block(t, &frame.desc, &frame.body);
-        self.ledger
-            .charge(t, Direction::Upstream, reply.words(), label);
-        reply
+        let request = Request::new(request);
+        self.run(NetJob::reply_once(compute), |core, call| {
+            core.query_server(t, call, &request, label)
+        })
     }
 
     fn aggregate_topo<T, F, M>(&mut self, label: &'static str, compute: F, merge: M) -> T
@@ -453,10 +595,8 @@ impl<L: Send + 'static, S: Link> Collectives<L> for FrameCluster<L, S> {
         M: Fn(&mut T, T) + Send + Sync + 'static,
     {
         let _span = self.span("comm.aggregate_topo", label);
-        let job: Arc<dyn NetJob<L>> = Arc::new(ReduceJob::new(compute, merge));
-        let job_id = self.fan_out(&job, MsgType::RunReduce, None);
-        let own = self.run_own(|local| job.make_block(0, local, None));
-        self.reduce_at_root(job.as_ref(), job_id, own, label, false)
+        let job = NetJob::reduce(move |t, local, &(): &()| compute(t, local), merge);
+        self.run(job, |core, call| core.reduce(call, None, label))
     }
 
     fn query_aggregate<Q, T, F, M>(
@@ -473,62 +613,22 @@ impl<L: Send + 'static, S: Link> Collectives<L> for FrameCluster<L, S> {
         M: Fn(&mut T, T) + Send + Sync + 'static,
     {
         let _span = self.span("comm.query_aggregate", label);
-        self.charge_requests(request.words(), label);
-        let job: Arc<dyn NetJob<L>> = Arc::new(QueryReduceJob::new(compute, merge));
-        let request = encode_value(request);
         // The down-sweep request rides the reduce trigger: one charged data
-        // frame per server, exactly the message the ledger just recorded.
-        let job_id = self.fan_out(&job, MsgType::RunReduce, Some(&request));
-        let own = self.run_own(|local| job.make_block(0, local, Some((&request.0, &request.1))));
-        self.reduce_at_root(job.as_ref(), job_id, own, label, true)
+        // frame per server, exactly the message the ledger records.
+        let request = Request::new(request);
+        self.run(NetJob::reduce(compute, merge), |core, call| {
+            core.reduce(call, Some(&request), label)
+        })
     }
 }
 
 impl<L, S: Link> Drop for FrameCluster<L, S> {
     fn drop(&mut self) {
-        let shutdown = Frame::control(MsgType::Shutdown, 0, 0);
-        for link in &mut self.links {
-            // Counted like every other frame. The server may already be
-            // gone; shutdown is best-effort and Drop must not panic.
-            let _ = send_frame(link, &self.counters, &shutdown);
-        }
+        self.core.send_shutdown();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
     }
-}
-
-/// Decodes a block produced by this job's encoder on server `t` (`0`: the
-/// coordinator's own).
-fn decode_block<T: Wire>(t: usize, desc: &[u8], body: &[u8]) -> T {
-    decode_value(desc, body)
-        // dlra-allow(panic-policy): a malformed block means the server and
-        // coordinator disagree on the codec, which is unrecoverable
-        // mid-collective.
-        .unwrap_or_else(|e| panic!("decode block from server {t}: {e}"))
-}
-
-/// Checks that server `t` sent the `expected` frame for `job_id`,
-/// surfacing the server's own diagnostics when it reported an error.
-pub(crate) fn validate_reply(
-    t: usize,
-    frame: Frame,
-    expected: MsgType,
-    job_id: u64,
-) -> Result<Frame, NetError> {
-    if frame.msg_type == MsgType::Error {
-        return Err(decode_error_frame(&frame));
-    }
-    if frame.msg_type != expected || frame.job_id != job_id {
-        return Err(NetError::Protocol {
-            what: "unexpected reply frame",
-            detail: format!(
-                "server {t}: {:?} job {} (wanted {expected:?} job {job_id})",
-                frame.msg_type, frame.job_id
-            ),
-        });
-    }
-    Ok(frame)
 }
 
 /// Accepts `s − 1` server dial-ins, assembles the roster **ordered by each
@@ -609,31 +709,11 @@ pub(crate) fn bootstrap_coordinator(
     Ok(links)
 }
 
-/// The root's side of a topology-routed reduction: absorbs hop blocks
-/// round by round from the links of servers whose receiver is `0`, and
-/// returns the merged block with one hop record per plan edge.
-pub(crate) fn root_reduce<L, S: Read>(
-    job: &dyn NetJob<L>,
-    job_id: u64,
-    own: Encoded,
-    plan: &TopologyPlan,
-    links: &mut [S],
-) -> Result<(Encoded, Vec<HopRecord>), NetError> {
-    let mut log = Vec::new();
-    let mut block = own;
-    for (h, round) in plan.rounds().iter().enumerate() {
-        block = absorb_round(job, job_id, 0, (h, round), block, &mut log, |q| {
-            Frame::read_from(&mut links[q - 1])
-        })?;
-    }
-    Ok((block, log))
-}
-
 /// Replays the reference charging loop over a completed reduction's hop
 /// records: per round, `next_round` (unless the collective already opened
 /// round 0), then every hop in canonical plan order — the exact transcript
 /// of `dlra-comm`'s sequential `reduce_blocks`.
-pub(crate) fn charge_reduce(
+fn charge_reduce(
     ledger: &Ledger,
     plan: &TopologyPlan,
     log: &[HopRecord],

@@ -16,21 +16,25 @@
 //! * [`counters`] — send-side byte accounting, split data vs control, so
 //!   tests reconcile bytes on the links against the [`dlra_comm::Ledger`]
 //!   with zero unexplained bytes.
-//! * [`registry`] — type-erased collective jobs: decode → typed closure →
-//!   re-encode, bit-identical by codec exactness.
+//! * [`registry`] — [`NetJob`], one collective erased to the byte level
+//!   (its kind, one decode → typed closure → re-encode step, and a merge
+//!   for reductions), bit-identical by codec exactness.
 //! * [`pipe`] — [`Pipe`], an in-process `Read + Write` byte link over
 //!   `std::sync::mpsc`.
 //! * [`node`] — the server event loop (collective frames, tree-hop
 //!   exchanges, and the TCP bootstrap handshake), shared by loopback
 //!   threads on either link and by the `dlra-net-server` binary.
-//! * [`cluster`] — [`FrameCluster`], the coordinator: implements
+//! * [`cluster`] — the one coordinator core (frame exchange and ledger
+//!   charging, every step a typed `Result`) and [`FrameCluster`] on it:
 //!   [`dlra_comm::Collectives`] with bit-identical results and exact
-//!   ledger parity against the sequential substrate, and emits one
-//!   `comm.<collective>` trace span per collective.
+//!   ledger parity against the sequential substrate, one
+//!   `comm.<collective>` trace span per collective, and one unwind for a
+//!   collective that fails mid-protocol.
 //! * [`threaded`] — the threaded substrate's link: pipes pre-wired from
 //!   the topology plan, with no handshake.
-//! * [`remote`] — the static op table and coordinator for servers in
-//!   separate processes, where closures cannot travel.
+//! * [`remote`] — the static op table for servers in separate
+//!   processes, where closures cannot travel, and its coordinator on the
+//!   same core.
 //!
 //! This crate reads **no environment variables**: the substrate is a typed
 //! `ServiceConfig` field in the runtime layer, and the server binary is

@@ -2,10 +2,13 @@
 //! participant.
 //!
 //! A node serves collective frames from the coordinator until shutdown.
-//! During a topology-routed reduction it exchanges [`MsgType::HopBlock`]
-//! frames directly with its tree peers — server → server traffic that never
-//! touches the coordinator, mirroring the plan's edges one link per charged
-//! hop.
+//! Each frame resolves to a [`NetJob`] whose kind decides the answer: an
+//! ack, a reply, or, during a topology-routed reduction, a
+//! [`MsgType::HopBlock`] exchanged directly with its tree peers — server →
+//! server traffic that never touches the coordinator, mirroring the plan's
+//! edges one link per charged hop. A frame that names no job or does not
+//! match its job's kind ends the loop with a typed error, which the node
+//! reports to the coordinator in an [`MsgType::Error`] frame.
 //!
 //! The loop is generic over the link its frames travel on. Over TCP a node
 //! first dials the coordinator and completes the bootstrap handshake
@@ -22,9 +25,9 @@
 use crate::counters::{send_frame, WireCounters};
 use crate::frame::{
     decode_error_frame, decode_hop_desc, encode_hop_desc, error_frame, Frame, HopRecord, MsgType,
-    NetError, Roster, FLAG_HAS_REQUEST,
+    NetError, Roster,
 };
-use crate::registry::{Encoded, Held, JobResolver, NetJob};
+use crate::registry::{Encoded, Held, JobKind, JobResolver, NetJob};
 use dlra_comm::topology::RoundPlan;
 use dlra_comm::TopologyPlan;
 use dlra_util::sync::MutexExt;
@@ -234,29 +237,21 @@ fn serve<L, S: Read + Write>(
         // `set_threads` after construction is honored. Never changes
         // results: kernels are bit-identical across thread counts.
         let share = (dlra_linalg::threads() / plan.servers()).max(1);
-        dlra_linalg::with_threads(share, || match frame.msg_type {
-            MsgType::Broadcast => {
-                job.deliver(id, &mut node.state.lock_recover(), &frame.desc, &frame.body)?;
-                let ack = Frame::control(MsgType::Ack, id as u32, frame.job_id);
-                send_frame(coord, &node.counters, &ack)
+        dlra_linalg::with_threads(share, || {
+            let (desc, body) = job.start(id, &mut node.state.lock_recover(), &frame)?;
+            match job.kind() {
+                JobKind::Broadcast => {
+                    let ack = Frame::control(MsgType::Ack, id as u32, frame.job_id);
+                    send_frame(coord, &node.counters, &ack)
+                }
+                JobKind::Reply | JobKind::ReplyOnce => {
+                    let reply = Frame::data(MsgType::Reply, id as u32, frame.job_id, desc, body);
+                    send_frame(coord, &node.counters, &reply)
+                }
+                JobKind::Reduce => {
+                    drive_reduce(node, &job, frame.job_id, (desc, body), plan, coord, peers)
+                }
             }
-            MsgType::RunGather | MsgType::Query | MsgType::QueryServer => {
-                let request = (frame.msg_type != MsgType::RunGather)
-                    .then_some((frame.desc.as_slice(), frame.body.as_slice()));
-                let (desc, body) = job.make_block(id, &mut node.state.lock_recover(), request)?;
-                let reply = Frame::data(MsgType::Reply, id as u32, frame.job_id, desc, body);
-                send_frame(coord, &node.counters, &reply)
-            }
-            MsgType::RunReduce => {
-                let request = (frame.flags & FLAG_HAS_REQUEST != 0)
-                    .then_some((frame.desc.as_slice(), frame.body.as_slice()));
-                let block = job.make_block(id, &mut node.state.lock_recover(), request)?;
-                drive_reduce(node, job.as_ref(), frame.job_id, block, plan, coord, peers)
-            }
-            other => Err(NetError::Protocol {
-                what: "unexpected frame at server",
-                detail: format!("{other:?}"),
-            }),
         })?;
     }
 }
@@ -271,7 +266,7 @@ fn serve<L, S: Read + Write>(
 /// collects exactly one record per plan edge.
 fn drive_reduce<L, S: Read + Write>(
     node: &Node<L>,
-    job: &dyn NetJob<L>,
+    job: &NetJob<L>,
     job_id: u64,
     mut block: Encoded,
     plan: &TopologyPlan,
@@ -314,7 +309,7 @@ fn drive_reduce<L, S: Read + Write>(
 /// association order — and thus floating point — matches the sequential
 /// reference bit for bit.
 pub(crate) fn absorb_round<L>(
-    job: &dyn NetJob<L>,
+    job: &NetJob<L>,
     job_id: u64,
     id: usize,
     (h, round): (usize, &RoundPlan),
@@ -361,4 +356,97 @@ pub(crate) fn absorb_round<L>(
             what: "receiver lost its block in merge replay",
             detail: format!("server {id}, round {h}"),
         })
+}
+
+#[cfg(test)]
+mod tests {
+    //! The server loop's error paths, over a pipe: a frame the server
+    //! cannot serve comes back as an `Error` frame and ends the loop with a
+    //! typed error, never a panic.
+
+    use super::*;
+    use crate::pipe::Pipe;
+    use crate::registry::JobRegistry;
+    use dlra_comm::wire::{decode_value, encode_value};
+    use dlra_comm::Topology;
+
+    /// Sends `frames` (built from the id of the one registered job, a
+    /// reply job) to server 1 of a two-server star, runs its loop to the
+    /// end, and returns how the loop ended and every frame it sent back.
+    fn serve(frames: impl FnOnce(u64) -> Vec<Frame>) -> (Result<(), NetError>, Vec<Frame>) {
+        let registry = Arc::new(JobRegistry::new());
+        let job = NetJob::reply(|t, local: &mut Vec<f64>, &(): &()| local[0] + t as f64);
+        let job_id = registry.register(Arc::new(job));
+        let node = Node {
+            id: 1,
+            state: Arc::new(Mutex::new(vec![2.0])),
+            resolver: registry,
+            counters: WireCounters::shared(),
+        };
+        let (mut coord, server) = Pipe::pair();
+        for frame in frames(job_id) {
+            send_frame(&mut coord, &node.counters, &frame).unwrap();
+        }
+        let plan = TopologyPlan::new(Topology::Star, 2);
+        let ended = run_wired(&node, &plan, server, Peers::default());
+        let mut sent = Vec::new();
+        while let Ok(frame) = Frame::read_from(&mut coord) {
+            sent.push(frame);
+        }
+        (ended, sent)
+    }
+
+    /// The loop failed with protocol violation `what` and reported it to
+    /// the coordinator in one `Error` frame.
+    fn assert_reported((ended, sent): (Result<(), NetError>, Vec<Frame>), what: &str) {
+        match ended {
+            Err(NetError::Protocol { what: got, .. }) => assert_eq!(got, what),
+            other => panic!("expected protocol violation {what:?}, got {other:?}"),
+        }
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].msg_type, MsgType::Error);
+        let report = decode_error_frame(&sent[0]).to_string();
+        assert!(report.contains(what), "{report}");
+    }
+
+    #[test]
+    fn served_frames_get_replies_until_shutdown() {
+        let (ended, sent) = serve(|job_id| {
+            vec![
+                Frame::control(MsgType::RunGather, 0, job_id),
+                Frame::control(MsgType::Shutdown, 0, 0),
+            ]
+        });
+        assert!(ended.is_ok());
+        assert_eq!(sent.len(), 1);
+        assert_eq!((sent[0].msg_type, sent[0].job_id), (MsgType::Reply, 1));
+        assert_eq!(
+            decode_value::<f64>(&sent[0].desc, &sent[0].body).unwrap(),
+            3.0
+        );
+    }
+
+    #[test]
+    fn frame_for_an_unknown_job_is_reported() {
+        let served = serve(|job_id| vec![Frame::control(MsgType::RunGather, 0, job_id + 1)]);
+        assert_reported(served, "no job for frame");
+    }
+
+    #[test]
+    fn broadcast_frame_for_a_reply_job_is_reported() {
+        let served = serve(|job_id| {
+            let (desc, body) = encode_value(&1.5f64);
+            vec![Frame::data(MsgType::Broadcast, 0, job_id, desc, body)]
+        });
+        assert_reported(served, "frame does not match its job");
+    }
+
+    #[test]
+    fn reply_frame_sent_to_a_server_is_reported() {
+        let served = serve(|job_id| {
+            let (desc, body) = encode_value(&1.5f64);
+            vec![Frame::data(MsgType::Reply, 0, job_id, desc, body)]
+        });
+        assert_reported(served, "frame does not match its job");
+    }
 }

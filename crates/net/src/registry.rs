@@ -3,28 +3,30 @@
 //! A [`Collectives`](dlra_comm::Collectives) call site captures typed
 //! closures (`compute`, `merge`, `on_receive`), but a server process only
 //! sees frames of bytes. A [`NetJob`] erases the types at the byte
-//! boundary: it decodes a frame's payload with the `dlra-comm` wire codec,
-//! runs the typed closure, and re-encodes the result. Because the codec is
-//! bit-exact (f64 words round-trip by bits), the decode → compute → encode
-//! path produces byte-for-byte the same blocks a fully typed substrate
-//! would, so results stay bit-identical to the sequential reference.
+//! boundary: its one step decodes a frame's payload with the `dlra-comm`
+//! wire codec, runs the typed closure, and re-encodes the result, and a
+//! reduction's job also replays its typed merge over encoded blocks.
+//! Because the codec is bit-exact (f64 words round-trip by bits), the
+//! decode → compute → encode path produces byte-for-byte the same blocks a
+//! fully typed substrate would, so results stay bit-identical to the
+//! sequential reference. The coordinator steps its own state through the
+//! same job its servers run.
 //!
 //! Jobs are resolved per frame through a [`JobResolver`]:
 //!
 //! * in **loopback** mode every server thread shares the coordinator's
 //!   [`JobRegistry`] and resolves by the frame's `job_id` — the closures
-//!   themselves never cross the sockets, only payload bytes do, exactly as
+//!   themselves never cross the links, only payload bytes do, exactly as
 //!   the threaded substrate ships closures to workers for free;
 //! * in **remote** mode (separate processes) closures cannot cross at all,
 //!   so the server binary resolves the frame's `seq` op code against a
 //!   static table of pre-agreed jobs ([`crate::remote`]).
 
-use crate::frame::NetError;
+use crate::frame::{Frame, MsgType, NetError};
 use dlra_comm::topology::MergeStep;
 use dlra_comm::wire::{decode_value, encode_value, Wire};
 use dlra_util::sync::MutexExt;
 use std::collections::{BTreeMap, HashMap};
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -35,37 +37,137 @@ pub type Encoded = (Vec<u8>, Vec<u8>);
 /// The encoded blocks a server holds during a reduction round, by server.
 pub type Held = BTreeMap<usize, Encoded>;
 
-/// Invariance marker for a job's request/reply types: the job neither
-/// stores nor produces a `Q`/`T`, but its wire behavior is fixed by them.
-type Marker<Q, T> = PhantomData<fn(Q, T) -> (Q, T)>;
+/// A job's byte-level step: server `t` decodes the request from
+/// `(desc, body)`, runs the typed closure on its local state, and encodes
+/// what it sends back.
+type Step<L> = Box<dyn Fn(usize, &mut L, &[u8], &[u8]) -> Result<Encoded, NetError> + Send + Sync>;
 
-/// One collective's server-side behavior, erased to the byte level.
-///
-/// Methods the job does not participate in return a typed protocol error
-/// by default, so a mis-routed frame can never call into the wrong closure.
-pub trait NetJob<L>: Send + Sync {
-    /// Applies a broadcast payload to one server's local state.
-    fn deliver(&self, t: usize, local: &mut L, desc: &[u8], body: &[u8]) -> Result<(), NetError> {
-        let _ = (t, local, desc, body);
-        Err(NetError::Protocol {
-            what: "job does not accept broadcasts",
-            detail: String::new(),
-        })
+/// A reduction's merge replay over the encoded blocks one server holds.
+type Merge = Box<dyn Fn(Held, &[MergeStep]) -> Result<Held, NetError> + Send + Sync>;
+
+/// Which frame starts a job on a server, and what the server sends back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JobKind {
+    /// A [`MsgType::Broadcast`] message; the server acks.
+    Broadcast,
+    /// A free [`MsgType::RunGather`] trigger or a charged
+    /// [`MsgType::Query`]; the server replies with its block.
+    Reply,
+    /// One [`MsgType::QueryServer`] request; the server replies once.
+    ReplyOnce,
+    /// A [`MsgType::RunReduce`] trigger, bare or carrying a request; the
+    /// server's block joins the combining tree.
+    Reduce,
+}
+
+impl JobKind {
+    /// The frame that starts a job of this kind, with or without a charged
+    /// request payload.
+    pub(crate) fn trigger(self, with_request: bool) -> MsgType {
+        match self {
+            JobKind::Broadcast => MsgType::Broadcast,
+            JobKind::Reply if with_request => MsgType::Query,
+            JobKind::Reply => MsgType::RunGather,
+            JobKind::ReplyOnce => MsgType::QueryServer,
+            JobKind::Reduce => MsgType::RunReduce,
+        }
+    }
+}
+
+/// One collective's server-side behavior, erased to the byte level: its
+/// kind, one step, and (for reductions) a merge.
+pub struct NetJob<L> {
+    kind: JobKind,
+    /// Runs server `t`'s step on an encoded request (empty for a bare
+    /// trigger, which decodes as `()`).
+    pub(crate) step: Step<L>,
+    merge: Option<Merge>,
+}
+
+impl<L> NetJob<L> {
+    /// Broadcast: each server decodes the message and observes it.
+    pub fn broadcast<T, F>(on_receive: F) -> Self
+    where
+        T: Wire,
+        F: Fn(usize, &mut L, &T) + Send + Sync + 'static,
+    {
+        let step: Step<L> = Box::new(move |t, local, desc, body| {
+            on_receive(t, local, &decode_value::<T>(desc, body)?);
+            Ok(encode_value(&()))
+        });
+        NetJob::new(JobKind::Broadcast, step, None)
     }
 
-    /// Computes this server's block (gather reply, query reply, or
-    /// reduction leaf), optionally from an encoded request payload.
-    fn make_block(
+    /// Reply (`query_all`; `gather` is `Q = ()`): each server decodes the
+    /// request and replies with its block.
+    pub fn reply<Q, T, F>(compute: F) -> Self
+    where
+        Q: Wire,
+        T: Wire,
+        F: Fn(usize, &mut L, &Q) -> T + Send + Sync + 'static,
+    {
+        NetJob::new(JobKind::Reply, typed_step(compute), None)
+    }
+
+    /// Single-server query: `compute` is consumed by the first request; a
+    /// second one is a protocol error.
+    pub fn reply_once<Q, T, F>(compute: F) -> Self
+    where
+        Q: Wire,
+        T: Wire,
+        F: FnOnce(&mut L, &Q) -> T + Send + 'static,
+    {
+        let compute = Mutex::new(Some(compute));
+        let step: Step<L> = Box::new(move |_t, local, desc, body| {
+            let request = decode_value::<Q>(desc, body)?;
+            let compute = compute.lock_recover().take().ok_or(NetError::Protocol {
+                what: "single-server query delivered twice",
+                detail: String::new(),
+            })?;
+            Ok(encode_value(&compute(local, &request)))
+        });
+        NetJob::new(JobKind::ReplyOnce, step, None)
+    }
+
+    /// Topology-routed reduction (`query_aggregate`; `aggregate_topo` is
+    /// `Q = ()`): each server's reply is a leaf block, and `merge` combines
+    /// blocks wherever the combining tree meets.
+    pub fn reduce<Q, T, F, M>(compute: F, merge: M) -> Self
+    where
+        Q: Wire,
+        T: Wire,
+        F: Fn(usize, &mut L, &Q) -> T + Send + Sync + 'static,
+        M: Fn(&mut T, T) + Send + Sync + 'static,
+    {
+        let merge: Merge = Box::new(move |held, merges| replay_merges(&merge, held, merges));
+        NetJob::new(JobKind::Reduce, typed_step(compute), Some(merge))
+    }
+
+    fn new(kind: JobKind, step: Step<L>, merge: Option<Merge>) -> Self {
+        NetJob { kind, step, merge }
+    }
+
+    /// What starts this job and what a server sends back.
+    pub(crate) fn kind(&self) -> JobKind {
+        self.kind
+    }
+
+    /// Starts the job at server `t` from the coordinator's frame. A frame
+    /// of another kind than the job's trigger is a protocol error, so a
+    /// mis-routed frame never reaches the wrong closure.
+    pub(crate) fn start(
         &self,
         t: usize,
         local: &mut L,
-        request: Option<(&[u8], &[u8])>,
+        frame: &Frame,
     ) -> Result<Encoded, NetError> {
-        let _ = (t, local, request);
-        Err(NetError::Protocol {
-            what: "job does not produce blocks",
-            detail: String::new(),
-        })
+        if frame.msg_type != self.kind.trigger(frame.is_data()) {
+            return Err(NetError::Protocol {
+                what: "frame does not match its job",
+                detail: format!("{:?} frame for a {:?} job", frame.msg_type, self.kind),
+            });
+        }
+        (self.step)(t, local, &frame.desc, &frame.body)
     }
 
     /// Replays one round of combining-tree merge steps over the encoded
@@ -73,14 +175,24 @@ pub trait NetJob<L>: Send + Sync {
     /// and destination are both held merges the source into the
     /// destination. Each held block is decoded once and each survivor
     /// re-encoded once; the bit-exact codec makes the result identical to
-    /// a typed reduction.
-    fn merge_round(&self, held: Held, merges: &[MergeStep]) -> Result<Held, NetError> {
-        let _ = (held, merges);
-        Err(NetError::Protocol {
+    /// a typed reduction. Only a reduction's job merges.
+    pub(crate) fn merge_round(&self, held: Held, merges: &[MergeStep]) -> Result<Held, NetError> {
+        let merge = self.merge.as_ref().ok_or(NetError::Protocol {
             what: "job does not merge blocks",
-            detail: String::new(),
-        })
+            detail: format!("{:?} job", self.kind),
+        })?;
+        merge(held, merges)
     }
+}
+
+/// The byte-level step of a typed request → reply closure.
+fn typed_step<L, Q: Wire, T: Wire>(
+    compute: impl Fn(usize, &mut L, &Q) -> T + Send + Sync + 'static,
+) -> Step<L> {
+    Box::new(move |t, local, desc, body| {
+        let request = decode_value::<Q>(desc, body)?;
+        Ok(encode_value(&compute(t, local, &request)))
+    })
 }
 
 /// Decodes `held`, replays the `merges` whose blocks are both held with the
@@ -110,239 +222,18 @@ fn replay_merges<T: Wire>(
         .collect())
 }
 
-/// Decodes an optional request payload.
-fn decode_request<Q: Wire>(request: Option<(&[u8], &[u8])>) -> Result<Q, NetError> {
-    let (desc, body) = request.ok_or(NetError::Protocol {
-        what: "job requires a request payload",
-        detail: String::new(),
-    })?;
-    Ok(decode_value::<Q>(desc, body)?)
-}
-
-/// Broadcast: decode the message, let the server observe it.
-pub struct BroadcastJob<T, F> {
-    on_receive: F,
-    _t: PhantomData<fn(T) -> T>,
-}
-
-impl<T, F> BroadcastJob<T, F> {
-    /// Wraps a broadcast `on_receive` closure.
-    pub fn new(on_receive: F) -> Self {
-        BroadcastJob {
-            on_receive,
-            _t: PhantomData,
-        }
-    }
-}
-
-impl<L, T, F> NetJob<L> for BroadcastJob<T, F>
-where
-    T: Wire + Send + 'static,
-    F: Fn(usize, &mut L, &T) + Send + Sync + 'static,
-{
-    fn deliver(&self, t: usize, local: &mut L, desc: &[u8], body: &[u8]) -> Result<(), NetError> {
-        let msg = decode_value::<T>(desc, body)?;
-        (self.on_receive)(t, local, &msg);
-        Ok(())
-    }
-}
-
-/// Gather: compute a reply from local state alone.
-pub struct GatherJob<T, F> {
-    compute: F,
-    _t: PhantomData<fn(T) -> T>,
-}
-
-impl<T, F> GatherJob<T, F> {
-    /// Wraps a gather `compute` closure.
-    pub fn new(compute: F) -> Self {
-        GatherJob {
-            compute,
-            _t: PhantomData,
-        }
-    }
-}
-
-impl<L, T, F> NetJob<L> for GatherJob<T, F>
-where
-    T: Wire + Send + 'static,
-    F: Fn(usize, &mut L) -> T + Send + Sync + 'static,
-{
-    fn make_block(
-        &self,
-        t: usize,
-        local: &mut L,
-        _request: Option<(&[u8], &[u8])>,
-    ) -> Result<Encoded, NetError> {
-        Ok(encode_value(&(self.compute)(t, local)))
-    }
-}
-
-/// Query: decode the request, compute a reply.
-pub struct QueryJob<Q, T, F> {
-    compute: F,
-    _q: Marker<Q, T>,
-}
-
-impl<Q, T, F> QueryJob<Q, T, F> {
-    /// Wraps a `query_all` `compute` closure.
-    pub fn new(compute: F) -> Self {
-        QueryJob {
-            compute,
-            _q: PhantomData,
-        }
-    }
-}
-
-impl<L, Q, T, F> NetJob<L> for QueryJob<Q, T, F>
-where
-    Q: Wire + Send + 'static,
-    T: Wire + Send + 'static,
-    F: Fn(usize, &mut L, &Q) -> T + Send + Sync + 'static,
-{
-    fn make_block(
-        &self,
-        t: usize,
-        local: &mut L,
-        request: Option<(&[u8], &[u8])>,
-    ) -> Result<Encoded, NetError> {
-        let q = decode_request::<Q>(request)?;
-        Ok(encode_value(&(self.compute)(t, local, &q)))
-    }
-}
-
-/// Single-server query: the closure is `FnOnce`, consumed on first use.
-pub struct QueryServerJob<Q, T, F> {
-    compute: Mutex<Option<F>>,
-    _q: Marker<Q, T>,
-}
-
-impl<Q, T, F> QueryServerJob<Q, T, F> {
-    /// Wraps a `query_server` `compute` closure.
-    pub fn new(compute: F) -> Self {
-        QueryServerJob {
-            compute: Mutex::new(Some(compute)),
-            _q: PhantomData,
-        }
-    }
-}
-
-impl<L, Q, T, F> NetJob<L> for QueryServerJob<Q, T, F>
-where
-    Q: Wire + Send + 'static,
-    T: Wire + Send + 'static,
-    F: FnOnce(&mut L, &Q) -> T + Send + 'static,
-{
-    fn make_block(
-        &self,
-        _t: usize,
-        local: &mut L,
-        request: Option<(&[u8], &[u8])>,
-    ) -> Result<Encoded, NetError> {
-        let q = decode_request::<Q>(request)?;
-        let compute = self
-            .compute
-            .lock_recover()
-            .take()
-            .ok_or(NetError::Protocol {
-                what: "single-server query delivered twice",
-                detail: String::new(),
-            })?;
-        Ok(encode_value(&compute(local, &q)))
-    }
-}
-
-/// Topology-routed reduction: leaf blocks plus combining-tree merges.
-pub struct ReduceJob<T, F, M> {
-    compute: F,
-    merge: M,
-    _t: PhantomData<fn(T) -> T>,
-}
-
-impl<T, F, M> ReduceJob<T, F, M> {
-    /// Wraps an `aggregate_topo` compute/merge pair.
-    pub fn new(compute: F, merge: M) -> Self {
-        ReduceJob {
-            compute,
-            merge,
-            _t: PhantomData,
-        }
-    }
-}
-
-impl<L, T, F, M> NetJob<L> for ReduceJob<T, F, M>
-where
-    T: Wire + Send + 'static,
-    F: Fn(usize, &mut L) -> T + Send + Sync + 'static,
-    M: Fn(&mut T, T) + Send + Sync + 'static,
-{
-    fn make_block(
-        &self,
-        t: usize,
-        local: &mut L,
-        _request: Option<(&[u8], &[u8])>,
-    ) -> Result<Encoded, NetError> {
-        Ok(encode_value(&(self.compute)(t, local)))
-    }
-
-    fn merge_round(&self, held: Held, merges: &[MergeStep]) -> Result<Held, NetError> {
-        replay_merges::<T>(&self.merge, held, merges)
-    }
-}
-
-/// Request-driven reduction (`query_aggregate`): like [`ReduceJob`] but the
-/// leaf compute also sees the broadcast request.
-pub struct QueryReduceJob<Q, T, F, M> {
-    compute: F,
-    merge: M,
-    _q: Marker<Q, T>,
-}
-
-impl<Q, T, F, M> QueryReduceJob<Q, T, F, M> {
-    /// Wraps a `query_aggregate` compute/merge pair.
-    pub fn new(compute: F, merge: M) -> Self {
-        QueryReduceJob {
-            compute,
-            merge,
-            _q: PhantomData,
-        }
-    }
-}
-
-impl<L, Q, T, F, M> NetJob<L> for QueryReduceJob<Q, T, F, M>
-where
-    Q: Wire + Send + 'static,
-    T: Wire + Send + 'static,
-    F: Fn(usize, &mut L, &Q) -> T + Send + Sync + 'static,
-    M: Fn(&mut T, T) + Send + Sync + 'static,
-{
-    fn make_block(
-        &self,
-        t: usize,
-        local: &mut L,
-        request: Option<(&[u8], &[u8])>,
-    ) -> Result<Encoded, NetError> {
-        let q = decode_request::<Q>(request)?;
-        Ok(encode_value(&(self.compute)(t, local, &q)))
-    }
-
-    fn merge_round(&self, held: Held, merges: &[MergeStep]) -> Result<Held, NetError> {
-        replay_merges::<T>(&self.merge, held, merges)
-    }
-}
-
 /// Maps an incoming frame to the job that handles it.
 pub trait JobResolver<L>: Send + Sync {
     /// Resolves by the frame's `job_id` (loopback) or `seq` op code
     /// (remote); `None` is a protocol violation the node reports back.
-    fn resolve(&self, job_id: u64, op: u32) -> Option<Arc<dyn NetJob<L>>>;
+    fn resolve(&self, job_id: u64, op: u32) -> Option<Arc<NetJob<L>>>;
 }
 
 /// The coordinator's live-job table for loopback clusters: jobs register
 /// before the first frame of their collective is sent and deregister after
 /// the collective completes, so resolution never races.
 pub struct JobRegistry<L> {
-    jobs: Mutex<HashMap<u64, Arc<dyn NetJob<L>>>>,
+    jobs: Mutex<HashMap<u64, Arc<NetJob<L>>>>,
     next_id: AtomicU64,
 }
 
@@ -362,7 +253,7 @@ impl<L> JobRegistry<L> {
     }
 
     /// Registers a job and returns its fresh id.
-    pub fn register(&self, job: Arc<dyn NetJob<L>>) -> u64 {
+    pub fn register(&self, job: Arc<NetJob<L>>) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.jobs.lock_recover().insert(id, job);
         id
@@ -375,7 +266,7 @@ impl<L> JobRegistry<L> {
 }
 
 impl<L> JobResolver<L> for JobRegistry<L> {
-    fn resolve(&self, job_id: u64, _op: u32) -> Option<Arc<dyn NetJob<L>>> {
+    fn resolve(&self, job_id: u64, _op: u32) -> Option<Arc<NetJob<L>>> {
         self.jobs.lock_recover().get(&job_id).cloned()
     }
 }
@@ -386,27 +277,29 @@ mod tests {
 
     #[test]
     fn broadcast_job_roundtrips_message() {
-        let job = BroadcastJob::new(|_t, local: &mut Vec<f64>, m: &f64| local.push(*m));
+        let job = NetJob::broadcast(|_t, local: &mut Vec<f64>, m: &f64| local.push(*m));
         let (desc, body) = encode_value(&2.5f64);
         let mut local = vec![1.0];
-        NetJob::<Vec<f64>>::deliver(&job, 1, &mut local, &desc, &body).unwrap();
+        assert_eq!(
+            (job.step)(1, &mut local, &desc, &body).unwrap(),
+            encode_value(&())
+        );
         assert_eq!(local, vec![1.0, 2.5]);
     }
 
     #[test]
     fn reduce_job_merges_byte_blocks_bit_exactly() {
-        let job = ReduceJob::new(
-            |t: usize, local: &mut Vec<f64>| local[0] + t as f64,
+        let job = NetJob::reduce(
+            |t: usize, local: &mut Vec<f64>, &(): &()| local[0] + t as f64,
             |acc: &mut f64, r: f64| *acc += r,
         );
         let mut held = Held::new();
         for (t, x) in [0.1, 0.2, 0.4].into_iter().enumerate() {
-            let block = NetJob::<Vec<f64>>::make_block(&job, t, &mut vec![x], None).unwrap();
-            held.insert(t, block);
+            held.insert(t, (job.step)(t, &mut vec![x], &[], &[]).unwrap());
         }
         // ((0 ← 1) ← 2), then a step whose source is not held: skipped.
         let steps = [(0, 1), (0, 2), (0, 7)].map(|(dst, src)| MergeStep { dst, src });
-        let merged = NetJob::<Vec<f64>>::merge_round(&job, held, &steps).unwrap();
+        let merged = job.merge_round(held, &steps).unwrap();
         assert_eq!(merged.keys().copied().collect::<Vec<_>>(), vec![0]);
         let v = decode_value::<f64>(&merged[&0].0, &merged[&0].1).unwrap();
         assert_eq!(
@@ -417,29 +310,34 @@ mod tests {
 
     #[test]
     fn query_server_job_consumed_once() {
-        let job = QueryServerJob::new(|local: &mut Vec<f64>, &j: &usize| local[j]);
+        let job = NetJob::reply_once(|local: &mut Vec<f64>, &j: &usize| local[j]);
         let (desc, body) = encode_value(&0usize);
         let mut local = vec![7.0];
-        let first = NetJob::<Vec<f64>>::make_block(&job, 1, &mut local, Some((&desc, &body)));
-        assert!(first.is_ok());
-        let second = NetJob::<Vec<f64>>::make_block(&job, 1, &mut local, Some((&desc, &body)));
+        assert!((job.step)(1, &mut local, &desc, &body).is_ok());
+        let second = (job.step)(1, &mut local, &desc, &body);
         assert!(matches!(second, Err(NetError::Protocol { .. })));
     }
 
     #[test]
     fn misrouted_frames_yield_typed_errors() {
-        let job = GatherJob::new(|_t, local: &mut Vec<f64>| local[0]);
+        let job = NetJob::reply(|_t, local: &mut Vec<f64>, &(): &()| local[0]);
         let mut local = vec![0.0];
-        let err = NetJob::<Vec<f64>>::deliver(&job, 0, &mut local, &[], &[]).unwrap_err();
+        let (desc, body) = encode_value(&1.0f64);
+        let broadcast = Frame::data(MsgType::Broadcast, 0, 1, desc, body);
+        let err = job.start(0, &mut local, &broadcast).unwrap_err();
         assert!(matches!(err, NetError::Protocol { .. }));
-        let err = NetJob::<Vec<f64>>::merge_round(&job, Held::new(), &[]).unwrap_err();
+        let err = job.merge_round(Held::new(), &[]).unwrap_err();
         assert!(matches!(err, NetError::Protocol { .. }));
+        // The job's own triggers start it.
+        let gather = Frame::control(MsgType::RunGather, 0, 1);
+        assert!(job.start(0, &mut local, &gather).is_ok());
     }
 
     #[test]
     fn registry_registers_and_removes() {
         let reg = JobRegistry::<Vec<f64>>::new();
-        let id = reg.register(Arc::new(GatherJob::new(|_t, l: &mut Vec<f64>| l[0])));
+        let job = NetJob::reply(|_t, l: &mut Vec<f64>, &(): &()| l[0]);
+        let id = reg.register(Arc::new(job));
         assert!(reg.resolve(id, 0).is_some());
         reg.remove(id);
         assert!(reg.resolve(id, 0).is_none());

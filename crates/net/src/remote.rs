@@ -8,16 +8,16 @@
 //! kind (broadcast, gather, point query, and a topology-routed reduction
 //! whose hops are real server → server sockets between processes) and to
 //! check ledger parity against the sequential reference, which is what the
-//! process-level integration test does. Full Algorithm 1 runs on the
-//! loopback harness, where typed closures are available.
+//! process-level integration test does. [`RemoteCoordinator`] runs each op
+//! on the same coordinator core as the loopback clusters, its own state
+//! stepping through the op's job. Full Algorithm 1 runs on the loopback
+//! harness, where typed closures are available.
 
-use crate::cluster::{bootstrap_coordinator, charge_reduce, root_reduce, validate_reply};
-use crate::counters::{send_frame, WireCounters};
-use crate::frame::{Frame, MsgType, NetError};
-use crate::registry::{BroadcastJob, GatherJob, JobResolver, NetJob, QueryServerJob, ReduceJob};
-use dlra_comm::ledger::Direction;
-use dlra_comm::wire::{decode_value, encode_value};
-use dlra_comm::{Ledger, Topology, TopologyPlan, Wire};
+use crate::cluster::{bootstrap_coordinator, Call, Coordinator, Request};
+use crate::counters::WireCounters;
+use crate::frame::{Frame, NetError};
+use crate::registry::{JobResolver, NetJob};
+use dlra_comm::{Ledger, Topology};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -41,34 +41,26 @@ pub fn demo_state(server_id: usize, dim: usize) -> Vec<f64> {
 
 /// Builds the job for one op code; `None` for unknown codes (the node
 /// reports a typed protocol error back to the coordinator).
-pub fn remote_job(op: u32) -> Option<Arc<dyn NetJob<Vec<f64>>>> {
-    Some(match op {
-        OP_BROADCAST_SCALE => Arc::new(BroadcastJob::new(
-            |_t, local: &mut Vec<f64>, factor: &f64| {
-                for x in local.iter_mut() {
-                    *x *= factor;
-                }
-            },
-        )),
-        OP_GATHER_SUM => Arc::new(GatherJob::new(|_t, local: &mut Vec<f64>| {
-            local.iter().sum::<f64>()
-        })),
-        OP_REDUCE_SUM => Arc::new(ReduceJob::new(
-            |_t, local: &mut Vec<f64>| local.iter().sum::<f64>(),
-            |acc: &mut f64, r: f64| *acc += r,
-        )),
-        OP_QUERY_POINT => Arc::new(QueryServerJob::new(|local: &mut Vec<f64>, &j: &usize| {
-            local[j]
-        })),
+pub fn remote_job(op: u32) -> Option<Arc<NetJob<Vec<f64>>>> {
+    let sum = |_t, local: &mut Vec<f64>, &(): &()| local.iter().sum::<f64>();
+    Some(Arc::new(match op {
+        OP_BROADCAST_SCALE => NetJob::broadcast(|_t, local: &mut Vec<f64>, factor: &f64| {
+            for x in local.iter_mut() {
+                *x *= factor;
+            }
+        }),
+        OP_GATHER_SUM => NetJob::reply(sum),
+        OP_REDUCE_SUM => NetJob::reduce(sum, |acc: &mut f64, r: f64| *acc += r),
+        OP_QUERY_POINT => NetJob::reply_once(|local: &mut Vec<f64>, &j: &usize| local[j]),
         _ => return None,
-    })
+    }))
 }
 
 /// The server binary's resolver: static table, keyed by op code.
 pub struct RemoteResolver;
 
 impl JobResolver<Vec<f64>> for RemoteResolver {
-    fn resolve(&self, _job_id: u64, op: u32) -> Option<Arc<dyn NetJob<Vec<f64>>>> {
+    fn resolve(&self, _job_id: u64, op: u32) -> Option<Arc<NetJob<Vec<f64>>>> {
         remote_job(op)
     }
 }
@@ -78,11 +70,8 @@ impl JobResolver<Vec<f64>> for RemoteResolver {
 /// process-level test can assert whole-cluster ledger parity. All failure
 /// paths return typed [`NetError`]s — nothing here panics on peer input.
 pub struct RemoteCoordinator {
-    links: Vec<TcpStream>,
+    core: Coordinator<TcpStream>,
     local: Vec<f64>,
-    ledger: Ledger,
-    topology: Topology,
-    counters: Arc<WireCounters>,
     next_job: u64,
 }
 
@@ -105,146 +94,85 @@ impl RemoteCoordinator {
         let counters = WireCounters::shared();
         let links = bootstrap_coordinator(listener, servers, topology, &counters)?;
         Ok(RemoteCoordinator {
-            links,
+            core: Coordinator::new(links, counters, topology),
             local,
-            ledger: Ledger::new(),
-            topology,
-            counters,
             next_job: 1,
         })
     }
 
     /// The communication ledger.
     pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+        &self.core.ledger
     }
 
     /// The byte counters for frames this coordinator sent.
     pub fn counters(&self) -> &Arc<WireCounters> {
-        &self.counters
+        &self.core.counters
     }
 
-    fn servers(&self) -> usize {
-        self.links.len() + 1
-    }
-
-    fn next_job_id(&mut self) -> u64 {
-        let id = self.next_job;
+    /// Runs op `op` on the coordinator core under a fresh job id.
+    fn run<R>(
+        &mut self,
+        op: u32,
+        exchange: impl FnOnce(&mut Coordinator<TcpStream>, Call<'_, Vec<f64>>) -> Result<R, NetError>,
+    ) -> Result<R, NetError> {
+        let job = remote_job(op).ok_or(NetError::Protocol {
+            what: "missing op",
+            detail: format!("op {op}"),
+        })?;
+        let call = Call {
+            job_id: self.next_job,
+            op,
+            job: &job,
+            own: &mut self.local,
+        };
         self.next_job += 1;
-        id
-    }
-
-    fn recv_from(&mut self, t: usize, expected: MsgType, job_id: u64) -> Result<Frame, NetError> {
-        let frame = Frame::read_from(&mut self.links[t - 1])?;
-        validate_reply(t, frame, expected, job_id)
+        exchange(&mut self.core, call)
     }
 
     /// [`OP_BROADCAST_SCALE`]: every server (and the coordinator's own
     /// state) multiplies its vector by `factor`.
     pub fn broadcast_scale(&mut self, factor: f64) -> Result<(), NetError> {
-        let s = self.servers();
-        self.ledger.next_round();
-        for t in 1..s {
-            self.ledger
-                .charge(t, Direction::Downstream, factor.words(), "net.scale");
-        }
-        let job_id = self.next_job_id();
-        let (desc, body) = encode_value(&factor);
-        for t in 1..s {
-            let frame = Frame::data(
-                MsgType::Broadcast,
-                OP_BROADCAST_SCALE,
-                job_id,
-                desc.clone(),
-                body.clone(),
-            );
-            send_frame(&mut self.links[t - 1], &self.counters, &frame)?;
-        }
-        for x in self.local.iter_mut() {
-            *x *= factor;
-        }
-        for t in 1..s {
-            self.recv_from(t, MsgType::Ack, job_id)?;
-        }
-        Ok(())
+        let message = Request::new(&factor);
+        self.run(OP_BROADCAST_SCALE, |core, call| {
+            core.broadcast(call, &message, "net.scale")
+        })
     }
 
     /// [`OP_GATHER_SUM`]: per-server vector sums, indexed by server.
     pub fn gather_sum(&mut self) -> Result<Vec<f64>, NetError> {
-        let s = self.servers();
-        self.ledger.next_round();
-        let job_id = self.next_job_id();
-        for t in 1..s {
-            let frame = Frame::control(MsgType::RunGather, OP_GATHER_SUM, job_id);
-            send_frame(&mut self.links[t - 1], &self.counters, &frame)?;
-        }
-        let mut out = Vec::with_capacity(s);
-        out.push(self.local.iter().sum::<f64>());
-        for t in 1..s {
-            let frame = self.recv_from(t, MsgType::Reply, job_id)?;
-            out.push(decode_value::<f64>(&frame.desc, &frame.body)?);
-        }
-        for (t, reply) in out.iter().enumerate().skip(1) {
-            self.ledger
-                .charge(t, Direction::Upstream, reply.words(), "net.gather_sum");
-        }
-        Ok(out)
+        self.run(OP_GATHER_SUM, |core, call| {
+            core.gather(call, None, "net.gather_sum")
+        })
     }
 
     /// [`OP_REDUCE_SUM`]: the total sum, combined up the configured
     /// topology — tree hops are real sockets between server processes.
     pub fn reduce_sum(&mut self) -> Result<f64, NetError> {
-        let s = self.servers();
-        let plan = TopologyPlan::new(self.topology, s);
-        let job = remote_job(OP_REDUCE_SUM).ok_or(NetError::Protocol {
-            what: "missing op",
-            detail: String::new(),
-        })?;
-        let job_id = self.next_job_id();
-        for t in 1..s {
-            let frame = Frame::control(MsgType::RunReduce, OP_REDUCE_SUM, job_id);
-            send_frame(&mut self.links[t - 1], &self.counters, &frame)?;
-        }
-        let own = job.make_block(0, &mut self.local, None)?;
-        let (block, log) = root_reduce(job.as_ref(), job_id, own, &plan, &mut self.links)?;
-        charge_reduce(&self.ledger, &plan, &log, "net.reduce_sum", false)?;
-        Ok(decode_value::<f64>(&block.0, &block.1)?)
+        self.run(OP_REDUCE_SUM, |core, call| {
+            core.reduce(call, None, "net.reduce_sum")
+        })
     }
 
     /// [`OP_QUERY_POINT`]: coordinate `j` of server `t`'s vector.
     pub fn query_point(&mut self, t: usize, j: usize) -> Result<f64, NetError> {
-        if t == 0 {
-            return self.local.get(j).copied().ok_or(NetError::Protocol {
+        if t == 0 && j >= self.local.len() {
+            return Err(NetError::Protocol {
                 what: "coordinate out of range",
                 detail: format!("j {j}"),
             });
         }
-        if t >= self.servers() {
-            return Err(NetError::Protocol {
-                what: "server out of range",
-                detail: format!("t {t}"),
-            });
-        }
-        self.ledger
-            .charge(t, Direction::Downstream, j.words(), "net.point");
-        let job_id = self.next_job_id();
-        let (desc, body) = encode_value(&j);
-        let frame = Frame::data(MsgType::QueryServer, OP_QUERY_POINT, job_id, desc, body);
-        send_frame(&mut self.links[t - 1], &self.counters, &frame)?;
-        let reply_frame = self.recv_from(t, MsgType::Reply, job_id)?;
-        let reply = decode_value::<f64>(&reply_frame.desc, &reply_frame.body)?;
-        self.ledger
-            .charge(t, Direction::Upstream, reply.words(), "net.point");
-        Ok(reply)
+        let request = Request::new(&j);
+        self.run(OP_QUERY_POINT, |core, call| {
+            core.query_server(t, call, &request, "net.point")
+        })
     }
 
     /// Sends every server a shutdown frame and waits for it to close its
     /// end, so callers can assert clean process exits.
     pub fn shutdown(mut self) -> Result<(), NetError> {
-        for link in &mut self.links {
-            send_frame_best_effort(link, &self.counters);
-        }
-        for link in &mut self.links {
+        self.core.send_shutdown();
+        for link in &mut self.core.links {
             // EOF confirms the server's event loop returned cleanly.
             match Frame::read_from(link) {
                 Err(NetError::Truncated { have: 0, .. }) => {}
@@ -260,12 +188,6 @@ impl RemoteCoordinator {
         }
         Ok(())
     }
-}
-
-/// Shutdown send that must not propagate errors (the peer may already be
-/// gone).
-fn send_frame_best_effort(link: &mut TcpStream, counters: &WireCounters) {
-    let _ = send_frame(link, counters, &Frame::control(MsgType::Shutdown, 0, 0));
 }
 
 #[cfg(test)]

@@ -556,6 +556,23 @@ const MAX_BUNDLE_DIM: u64 = 1 << 20;
 const MAX_BUNDLE_INDEP: u64 = 1 << 12;
 const MAX_BUNDLE_CANDIDATES: u64 = 1 << 24;
 
+/// Checks one decoded shape field: below `min` it is a bad value (a zero
+/// dimension, or a hash family weaker than pairwise), above `max` an
+/// oversized one.
+fn check_dim(what: &'static str, value: u64, min: u64, max: u64) -> Result<(), WireError> {
+    if value < min {
+        return Err(WireError::BadTag { what, value });
+    }
+    if value > max {
+        return Err(WireError::Oversized {
+            what,
+            len: value,
+            max,
+        });
+    }
+    Ok(())
+}
+
 /// Descriptor: construction seed + shape parameters (hash functions are
 /// re-derived locally from the seed, as the paper's model reconstructs
 /// sketch hashes from a broadcast seed). Body: every CountSketch counter
@@ -596,48 +613,18 @@ impl Wire for SketchBundle {
         let b = r.desc_f64("bundle threshold")?;
         let indep = u64::from(r.desc_u32("bundle g independence")?);
         let max_candidates = u64::from(r.desc_u32("bundle candidate cap")?);
-        if num_levels > MAX_BUNDLE_LEVELS {
-            return Err(WireError::Oversized {
-                what: "bundle levels",
-                len: num_levels,
-                max: MAX_BUNDLE_LEVELS,
-            });
-        }
-        if reps == 0 || reps > MAX_BUNDLE_REPS {
-            return Err(WireError::Oversized {
-                what: "bundle reps",
-                len: reps,
-                max: MAX_BUNDLE_REPS,
-            });
-        }
-        if groups == 0 || groups > MAX_BUNDLE_GROUPS {
-            return Err(WireError::Oversized {
-                what: "bundle groups",
-                len: groups,
-                max: MAX_BUNDLE_GROUPS,
-            });
-        }
-        if depth == 0 || width == 0 || depth > MAX_BUNDLE_DIM || width > MAX_BUNDLE_DIM {
-            return Err(WireError::Oversized {
-                what: "bundle hh dims",
-                len: depth.max(width),
-                max: MAX_BUNDLE_DIM,
-            });
-        }
-        if !(2..=MAX_BUNDLE_INDEP).contains(&indep) {
-            return Err(WireError::Oversized {
-                what: "bundle g independence",
-                len: indep,
-                max: MAX_BUNDLE_INDEP,
-            });
-        }
-        if max_candidates > MAX_BUNDLE_CANDIDATES {
-            return Err(WireError::Oversized {
-                what: "bundle candidate cap",
-                len: max_candidates,
-                max: MAX_BUNDLE_CANDIDATES,
-            });
-        }
+        check_dim("bundle levels", num_levels, 0, MAX_BUNDLE_LEVELS)?;
+        check_dim("bundle reps", reps, 1, MAX_BUNDLE_REPS)?;
+        check_dim("bundle groups", groups, 1, MAX_BUNDLE_GROUPS)?;
+        check_dim("bundle hh depth", depth, 1, MAX_BUNDLE_DIM)?;
+        check_dim("bundle hh width", width, 1, MAX_BUNDLE_DIM)?;
+        check_dim("bundle g independence", indep, 2, MAX_BUNDLE_INDEP)?;
+        check_dim(
+            "bundle candidate cap",
+            max_candidates,
+            0,
+            MAX_BUNDLE_CANDIDATES,
+        )?;
         if !b.is_finite() || b < 1.0 {
             return Err(WireError::BadTag {
                 what: "bundle threshold",
@@ -962,12 +949,22 @@ mod tests {
         let b = SketchBundle::new(&small_params(), 3, 64);
         let (desc, body) = encode_value(&b);
         // Descriptor: seed (8 bytes), then levels, reps and groups (4 each),
-        // hh depth at byte 20, hh width at 24, the threshold at 28..36.
-        for at in [20, 24] {
+        // hh depth at byte 20, hh width at 24, the threshold at 28..36 and
+        // the g independence at 36.
+        let fields = [
+            (12, "bundle reps", 0),
+            (16, "bundle groups", 0),
+            (20, "bundle hh depth", 0),
+            (24, "bundle hh width", 0),
+            (36, "bundle g independence", 0),
+            (36, "bundle g independence", 1),
+        ];
+        for (at, what, value) in fields {
             let mut bad = desc.clone();
-            bad[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
-            assert!(
-                decode_value::<SketchBundle>(&bad, &body).is_err(),
+            bad[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes());
+            assert_eq!(
+                decode_value::<SketchBundle>(&bad, &body).unwrap_err(),
+                WireError::BadTag { what, value },
                 "byte {at}"
             );
         }
