@@ -1,83 +1,17 @@
-//! Kernel performance sweep → `BENCH_kernels.json`.
+//! Kernel performance sweep (blocked and threaded kernels against the
+//! naive reference) → `BENCH_kernels.json`.
 //!
 //! ```text
-//! cargo run --release -p dlra-bench --bin kernels -- [--quick] \
-//!     [--sizes 256,512,1024] [--threads 1,2,4] [--reps 3] [--out PATH]
+//! cargo run --release -p dlra-bench --bin kernels -- [--quick] [--out PATH]
 //! ```
 //!
-//! Without `--out` the JSON document goes to stdout; a human-readable
-//! table always goes to stderr.
+//! `--quick` runs `KernelBenchSpec::quick()`, and no flag its `default()`.
+//! The JSON document is the only output, to `PATH` or else to stdout.
+//! A bad flag prints the usage and exits 2. The sweep only times, so it
+//! has no check to fail.
 
-use dlra_bench::kernels::{run, KernelBenchSpec};
+use dlra_bench::{cli, kernels};
 
-fn main() {
-    let mut spec = KernelBenchSpec::default();
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => {
-                let q = KernelBenchSpec::quick();
-                spec.sizes = q.sizes;
-                spec.reps = q.reps;
-            }
-            "--sizes" => {
-                spec.sizes = args
-                    .next()
-                    .expect("--sizes needs a value")
-                    .split(',')
-                    .map(|x| x.parse().expect("integer size"))
-                    .collect()
-            }
-            "--threads" => {
-                spec.threads = args
-                    .next()
-                    .expect("--threads needs a value")
-                    .split(',')
-                    .map(|x| x.parse().expect("integer thread count"))
-                    .collect()
-            }
-            "--reps" => {
-                spec.reps = args
-                    .next()
-                    .expect("--reps needs a value")
-                    .parse()
-                    .expect("integer reps")
-            }
-            "--seed" => {
-                spec.seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("integer seed")
-            }
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            other => panic!("unknown argument {other}; try --quick --sizes --threads --reps --out"),
-        }
-    }
-
-    let report = run(&spec);
-    eprintln!(
-        "{:>18} {:>8} {:>6} {:>8} {:>12} {:>10}",
-        "kernel", "impl", "n", "threads", "wall_s", "GFLOP/s"
-    );
-    for m in &report.results {
-        eprintln!(
-            "{:>18} {:>8} {:>6} {:>8} {:>12.6} {:>10.3}",
-            m.kernel, m.implementation, m.n, m.threads, m.wall_s, m.gflops
-        );
-    }
-    let biggest = spec.sizes.iter().copied().max().unwrap_or(0);
-    if let Some(speedup) = report.speedup_vs_naive("matmul", biggest, 1) {
-        eprintln!("matmul {biggest}: blocked 1-thread is {speedup:.2}x the naive reference");
-    }
-
-    let json = report.to_json();
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, json).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+fn main() -> std::process::ExitCode {
+    cli::sweep("kernels", kernels::KernelBenchSpec::quick, kernels::run)
 }

@@ -2,70 +2,16 @@
 //! `BENCH_obs.json`.
 //!
 //! ```text
-//! cargo run --release -p dlra-bench --bin obs -- [--quick] \
-//!     [--queries 256] [--datasets 4] [--n 1024] [--reps 5] [--out PATH]
+//! cargo run --release -p dlra-bench --bin obs -- [--quick] [--out PATH]
 //! ```
 //!
-//! Without `--out` the JSON document goes to stdout; a human-readable
-//! table always goes to stderr.
+//! `--quick` runs `ObsBenchSpec::quick()`, and no flag its `default()`.
+//! The JSON document is the only output, to `PATH` or else to stdout.
+//! A bad flag prints the usage and exits 2. A failed check (outputs that
+//! differ between the two modes) prints it, writes nothing and exits 1.
 
-use dlra_bench::obs::{run, ObsBenchSpec};
+use dlra_bench::{cli, obs};
 
-fn main() {
-    let mut spec = ObsBenchSpec::default();
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .parse::<usize>()
-                .unwrap_or_else(|_| panic!("{name} needs an integer"))
-        };
-        match arg.as_str() {
-            "--quick" => spec = ObsBenchSpec::quick(),
-            "--queries" => spec.queries = num("--queries"),
-            "--datasets" => spec.datasets = num("--datasets"),
-            "--servers" => spec.servers = num("--servers"),
-            "--n" => spec.n = num("--n"),
-            "--d" => spec.d = num("--d"),
-            "--reps" => spec.reps = num("--reps"),
-            "--seed" => {
-                spec.seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("integer seed")
-            }
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            other => panic!(
-                "unknown argument {other}; try --quick --queries --datasets --servers --n --d --reps --seed --out"
-            ),
-        }
-    }
-
-    let report = run(&spec);
-    eprintln!("{:>12} {:>12} {:>16}", "mode", "wall_s", "per_query_ns");
-    for m in &report.results {
-        eprintln!("{:>12} {:>12.6} {:>16.0}", m.mode, m.wall_s, m.per_query_ns);
-    }
-    eprintln!(
-        "overhead: {:+.2}% — registry saw {} (outputs identical: {})",
-        report.overhead_pct(),
-        report.snapshot.latency,
-        report.outputs_identical
-    );
-    assert!(
-        report.outputs_identical,
-        "metrics changed output bits — investigate before publishing numbers"
-    );
-
-    let json = report.to_json();
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, json).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+fn main() -> std::process::ExitCode {
+    cli::sweep("obs", obs::ObsBenchSpec::quick, obs::run)
 }

@@ -2,98 +2,17 @@
 //! `BENCH_planner.json`.
 //!
 //! ```text
-//! cargo run --release -p dlra-bench --bin planner -- [--quick] \
-//!     [--batches 1,4,16] [--n 2048] [--d 24] [--r 60] [--reps 3] [--out PATH]
+//! cargo run --release -p dlra-bench --bin planner -- [--quick] [--out PATH]
 //! ```
 //!
-//! Without `--out` the JSON document goes to stdout; a human-readable
-//! table always goes to stderr.
+//! `--quick` runs `PlannerBenchSpec::quick()`, and no flag its `default()`.
+//! The JSON document is the only output, to `PATH` or else to stdout.
+//! A bad flag prints the usage and exits 2. A failed check (outputs that
+//! differ between batched and unbatched submission) prints it, writes
+//! nothing and exits 1.
 
-use dlra_bench::planner::{run, PlannerBenchSpec};
+use dlra_bench::{cli, planner};
 
-fn main() {
-    let mut spec = PlannerBenchSpec::default();
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .parse::<usize>()
-                .unwrap_or_else(|_| panic!("{name} needs an integer"))
-        };
-        match arg.as_str() {
-            "--quick" => {
-                let q = PlannerBenchSpec::quick();
-                spec.n = q.n;
-                spec.d = q.d;
-                spec.r = q.r;
-                spec.reps = q.reps;
-            }
-            "--batches" => {
-                spec.batches = args
-                    .next()
-                    .expect("--batches needs a value")
-                    .split(',')
-                    .map(|x| x.parse().expect("integer batch size"))
-                    .collect()
-            }
-            "--n" => spec.n = num("--n"),
-            "--d" => spec.d = num("--d"),
-            "--r" => spec.r = num("--r"),
-            "--servers" => spec.servers = num("--servers"),
-            "--executors" => spec.executors = num("--executors"),
-            "--reps" => spec.reps = num("--reps"),
-            "--seed" => {
-                spec.seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("integer seed")
-            }
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            other => panic!(
-                "unknown argument {other}; try --quick --batches --n --d --r --servers --executors --reps --seed --out"
-            ),
-        }
-    }
-
-    let report = run(&spec);
-    eprintln!(
-        "{:>6} {:>10} {:>12} {:>8} {:>14} {:>14} {:>12}",
-        "batch", "mode", "wall_s", "preps", "prepare_words", "execute_words", "total_words"
-    );
-    for m in &report.results {
-        eprintln!(
-            "{:>6} {:>10} {:>12.6} {:>8} {:>14} {:>14} {:>12}",
-            m.batch,
-            m.mode,
-            m.wall_s,
-            m.preparations,
-            m.prepare_words,
-            m.execute_words,
-            m.total_words()
-        );
-    }
-    let bmax = spec.batches.iter().copied().max().unwrap_or(1);
-    if let (Some(red), Some(speed)) = (report.prepare_reduction(bmax), report.wall_speedup(bmax)) {
-        eprintln!(
-            "B = {bmax}: batching cut preparation words {red:.2}x, wall {speed:.2}x \
-             (outputs identical: {})",
-            report.outputs_identical
-        );
-    }
-    assert!(
-        report.outputs_identical,
-        "planner changed output bits — investigate before publishing numbers"
-    );
-
-    let json = report.to_json();
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, json).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+fn main() -> std::process::ExitCode {
+    cli::sweep("planner", planner::PlannerBenchSpec::quick, planner::run)
 }

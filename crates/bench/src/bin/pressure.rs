@@ -2,120 +2,17 @@
 //! and memory quota → `BENCH_pressure.json`.
 //!
 //! ```text
-//! cargo run --release -p dlra-bench --bin pressure -- [--quick] \
-//!     [--executors 3] [--servers 4] [--n 256] [--d 16] [--probe 64] \
-//!     [--wave 256] [--multipliers 2,4,10] [--max-queue 8] [--out PATH]
+//! cargo run --release -p dlra-bench --bin pressure -- [--quick] [--out PATH]
 //! ```
 //!
-//! Without `--out` the JSON document goes to stdout; a human-readable
-//! table always goes to stderr. The process aborts (and writes nothing)
-//! unless every wave stayed bounded — queue, memory, latency — and shed
-//! fast-fail stayed in microseconds.
+//! `--quick` runs `PressureSpec::quick()`, and no flag its `default()`.
+//! The JSON document is the only output, to `PATH` or else to stdout.
+//! A bad flag prints the usage and exits 2. A failed check (a wave whose
+//! queue, memory or latency went unbounded, or whose shed submissions
+//! did not fail fast) prints each violation, writes nothing and exits 1.
 
-use dlra_bench::pressure::{run, PressureSpec};
+use dlra_bench::{cli, pressure};
 
-fn main() {
-    let mut spec = PressureSpec::default();
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .parse::<usize>()
-                .unwrap_or_else(|_| panic!("{name} needs an integer"))
-        };
-        match arg.as_str() {
-            "--quick" => {
-                let q = PressureSpec::quick();
-                spec.probe = q.probe;
-                spec.wave = q.wave;
-            }
-            "--executors" => spec.executors = num("--executors").max(2),
-            "--servers" => spec.servers = num("--servers"),
-            "--n" => spec.n = num("--n"),
-            "--d" => spec.d = num("--d"),
-            "--probe" => spec.probe = num("--probe"),
-            "--wave" => spec.wave = num("--wave"),
-            "--max-queue" => spec.max_queue = num("--max-queue") as u64,
-            "--spill-every" => spec.spill_every = num("--spill-every").max(1),
-            "--multipliers" => {
-                spec.multipliers = args
-                    .next()
-                    .expect("--multipliers needs a value")
-                    .split(',')
-                    .map(|x| x.parse().expect("numeric multiplier"))
-                    .collect()
-            }
-            "--seed" => {
-                spec.seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("integer seed")
-            }
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            other => panic!(
-                "unknown argument {other}; try --quick --executors --servers --n --d \
-                 --probe --wave --multipliers --max-queue --spill-every --seed --out"
-            ),
-        }
-    }
-
-    let report = run(&spec);
-    eprintln!(
-        "capacity: {:.0} q/s on {} executors (mean service {:.0}us); bound {} in system, {} budget bytes",
-        report.capacity_qps,
-        spec.executors - 1,
-        report.probe_mean_s * 1e6,
-        spec.max_queue,
-        spec.budget()
-    );
-    eprintln!(
-        "{:>6} {:>9} {:>9} {:>6} {:>6} {:>12} {:>12} {:>14} {:>10} {:>14} {:>9}",
-        "mult",
-        "submitted",
-        "admitted",
-        "shed",
-        "other",
-        "p50_us",
-        "p99_us",
-        "shed_p99_us",
-        "in_system",
-        "resident_max",
-        "evictions"
-    );
-    for w in &report.waves {
-        eprintln!(
-            "{:>6} {:>9} {:>9} {:>6} {:>6} {:>12.1} {:>12.1} {:>14.1} {:>10} {:>14} {:>9}",
-            w.multiplier,
-            w.submitted,
-            w.admitted_ok,
-            w.shed,
-            w.other,
-            w.admitted_p50_s * 1e6,
-            w.admitted_p99_s * 1e6,
-            w.shed_submit_p99_micros,
-            w.max_in_system,
-            w.max_resident_bytes,
-            w.quota_evictions
-        );
-    }
-    let violations = report.violations();
-    for v in &violations {
-        eprintln!("VIOLATION: {v}");
-    }
-    assert!(
-        violations.is_empty(),
-        "the service failed to self-regulate — fix before publishing numbers"
-    );
-
-    let json = report.to_json();
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, json).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+fn main() -> std::process::ExitCode {
+    cli::sweep("pressure", pressure::PressureSpec::quick, pressure::run)
 }

@@ -2,107 +2,20 @@
 //! `BENCH_topology.json`.
 //!
 //! ```text
-//! cargo run --release -p dlra-bench --bin topology -- [--quick] \
-//!     [--servers 8,64,256] [--fanout 2] [--n 512] [--d 16] [--r 40] \
-//!     [--reps 3] [--out PATH]
+//! cargo run --release -p dlra-bench --bin topology -- [--quick] [--out PATH]
 //! ```
 //!
-//! Without `--out` the JSON document goes to stdout; a human-readable
-//! table always goes to stderr.
+//! `--quick` runs `TopologyBenchSpec::quick()`, and no flag its `default()`.
+//! The JSON document is the only output, to `PATH` or else to stdout.
+//! A bad flag prints the usage and exits 2. A failed check (outputs that
+//! differ between star and tree) prints it, writes nothing and exits 1.
 
-use dlra_bench::topology::{run, TopologyBenchSpec};
+use dlra_bench::{cli, topology};
 
-fn main() {
-    let mut spec = TopologyBenchSpec::default();
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .parse::<usize>()
-                .unwrap_or_else(|_| panic!("{name} needs an integer"))
-        };
-        match arg.as_str() {
-            "--quick" => {
-                let q = TopologyBenchSpec::quick();
-                spec.n = q.n;
-                spec.d = q.d;
-                spec.r = q.r;
-                spec.reps = q.reps;
-            }
-            "--servers" => {
-                spec.servers = args
-                    .next()
-                    .expect("--servers needs a value")
-                    .split(',')
-                    .map(|x| x.parse().expect("integer cluster size"))
-                    .collect()
-            }
-            "--fanout" => spec.fanout = num("--fanout"),
-            "--n" => spec.n = num("--n"),
-            "--d" => spec.d = num("--d"),
-            "--r" => spec.r = num("--r"),
-            "--reps" => spec.reps = num("--reps"),
-            "--seed" => {
-                spec.seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("integer seed")
-            }
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            other => panic!(
-                "unknown argument {other}; try --quick --servers --fanout --n --d --r --reps --seed --out"
-            ),
-        }
-    }
-
-    let report = run(&spec);
-    eprintln!(
-        "{:>8} {:>8} {:>12} {:>18} {:>21} {:>12} {:>10}",
-        "servers",
+fn main() -> std::process::ExitCode {
+    cli::sweep(
         "topology",
-        "wall_s",
-        "root_inbox_words",
-        "root_inbox_messages",
-        "total_words",
-        "identical"
-    );
-    for m in &report.results {
-        eprintln!(
-            "{:>8} {:>8} {:>12.6} {:>18} {:>21} {:>12} {:>10}",
-            m.servers,
-            m.topology,
-            m.wall_s,
-            m.root_inbox_words,
-            m.root_inbox_messages,
-            m.total_words,
-            m.outputs_identical
-        );
-    }
-    let smax = spec.servers.iter().copied().max().unwrap_or(1);
-    if let (Some(msgs), Some(words)) = (
-        report.inbox_message_reduction(smax),
-        report.inbox_word_reduction(smax),
-    ) {
-        eprintln!(
-            "s = {smax}: tree cut coordinator-inbox messages {msgs:.2}x, words {words:.2}x \
-             (outputs identical: {})",
-            report.outputs_identical
-        );
-    }
-    assert!(
-        report.outputs_identical,
-        "topology changed output bits — investigate before publishing numbers"
-    );
-
-    let json = report.to_json();
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, json).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+        topology::TopologyBenchSpec::quick,
+        topology::run,
+    )
 }

@@ -4,6 +4,7 @@
 //! starts the repository's performance trajectory — every future perf PR
 //! regenerates it and compares.
 
+use crate::cli::Report;
 use dlra_linalg::kernels::reference;
 use dlra_linalg::{set_threads, Matrix, Projector};
 use dlra_util::Rng;
@@ -190,9 +191,11 @@ impl KernelBenchReport {
                 && m.threads == threads
         })
     }
+}
 
+impl Report for KernelBenchReport {
     /// Serializes the report as the `BENCH_kernels.json` document.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("{\n");

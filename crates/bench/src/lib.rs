@@ -1,5 +1,8 @@
-//! Shared figure-reproduction machinery for the `fig1` / `fig2` binaries
-//! and the Criterion benches.
+//! The figure machinery behind the `fig1` / `fig2` binaries and the
+//! Criterion benches, and one module per sweep that writes a committed
+//! `BENCH_*.json` document. A sweep module holds a spec (`default()` is
+//! the committed run, `quick()` the CI run), a `run` function and a
+//! [`cli::Report`]; its binary is one call to [`cli::sweep`].
 
 #![forbid(unsafe_code)]
 pub mod cli;

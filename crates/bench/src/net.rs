@@ -14,6 +14,7 @@
 //! asserted bit-identical to the sequential reference per cell, so the
 //! latency column isolates pure transport cost.
 
+use crate::cli::Report;
 use dlra_comm::ledger::FRAME_WORDS;
 use dlra_core::prelude::*;
 use dlra_data::{noisy_low_rank, split_with_noise_shares};
@@ -250,9 +251,11 @@ impl NetBenchReport {
     pub fn bytes_per_word(&self, s: usize) -> Option<f64> {
         Some(self.find("socket", s)?.wire.bytes_per_word)
     }
+}
 
+impl Report for NetBenchReport {
     /// Serializes the report as the `BENCH_net.json` document.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("{\n");
@@ -293,6 +296,17 @@ impl NetBenchReport {
         );
         out.push_str("  }\n}\n");
         out
+    }
+
+    fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        if !self.outputs_identical {
+            v.push("a substrate changed output bits".to_string());
+        }
+        if !self.wire_audit_exact {
+            v.push("unexplained bytes on the wire".to_string());
+        }
+        v
     }
 }
 

@@ -11,6 +11,7 @@
 //! way. Outputs are asserted bit-identical between the two modes —
 //! observability must never perturb results.
 
+use crate::cli::Report;
 use dlra_core::prelude::*;
 use dlra_data::{noisy_low_rank, split_with_noise_shares};
 use dlra_linalg::Matrix;
@@ -179,9 +180,11 @@ impl ObsBenchReport {
         let on = self.results[1].per_query_ns;
         (on - off) / off * 100.0
     }
+}
 
+impl Report for ObsBenchReport {
     /// Serializes the report as the `BENCH_obs.json` document.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("{\n");
@@ -215,5 +218,35 @@ impl ObsBenchReport {
             self.snapshot.completed
         );
         out
+    }
+
+    fn violations(&self) -> Vec<String> {
+        if self.outputs_identical {
+            Vec::new()
+        } else {
+            vec!["the metrics registry changed output bits".to_string()]
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tiny_comparison_reports_both_modes_and_keeps_bits() {
+        let report = run(&ObsBenchSpec {
+            queries: 4,
+            n: 64,
+            reps: 1,
+            ..ObsBenchSpec::quick()
+        });
+        let modes: Vec<_> = report.results.iter().map(|m| m.mode).collect();
+        assert_eq!(modes, ["metrics_off", "metrics_on"]);
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
+        assert_eq!(report.snapshot.completed, 4);
+        let json = report.to_json();
+        assert!(json.contains("\"outputs_identical\": true"));
+        assert!(json.contains("\"queries_completed\": 4"));
     }
 }

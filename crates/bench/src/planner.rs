@@ -10,6 +10,7 @@
 //! bit-identical either way (asserted into the report), so the comparison
 //! isolates pure planning benefit.
 
+use crate::cli::Report;
 use dlra_core::prelude::*;
 use dlra_data::{noisy_low_rank, split_with_noise_shares};
 use dlra_linalg::Matrix;
@@ -292,9 +293,11 @@ impl PlannerBenchReport {
         let unbatched = self.find("unbatched", b)?;
         Some(unbatched.wall_s / batched.wall_s)
     }
+}
 
+impl Report for PlannerBenchReport {
     /// Serializes the report as the `BENCH_planner.json` document.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("{\n");
@@ -329,6 +332,14 @@ impl PlannerBenchReport {
         );
         out.push_str("  }\n}\n");
         out
+    }
+
+    fn violations(&self) -> Vec<String> {
+        if self.outputs_identical {
+            Vec::new()
+        } else {
+            vec!["the plan cache changed output bits".to_string()]
+        }
     }
 }
 

@@ -6,8 +6,9 @@
 //! tenants are loaded throughout to keep the memory quota under fire.
 //! Emits the machine-readable `BENCH_pressure.json`.
 //!
-//! What bounded self-regulation must look like, and what the binary
-//! asserts before writing the document:
+//! What bounded self-regulation must look like, and what
+//! [`PressureReport`]'s violations check before the binary writes the
+//! document:
 //!
 //! * **bounded queue** — the in-system gauge never exceeds the configured
 //!   admission bound, at any multiplier;
@@ -23,6 +24,7 @@
 //!   reclaims them under one lock; a concurrent reader can glimpse the
 //!   hand-off), and the quota sweep actually fires.
 
+use crate::cli::Report;
 use dlra_core::prelude::*;
 use dlra_data::{noisy_low_rank, split_with_noise_shares};
 use dlra_linalg::Matrix;
@@ -330,10 +332,12 @@ impl PressureReport {
         let effective = (self.spec.executors - 1).max(1) as f64;
         (self.spec.max_queue as f64 / effective + 2.0) * self.probe_mean_s * 16.0
     }
+}
 
+impl Report for PressureReport {
     /// Everything the acceptance bar demands, as human-readable
     /// violations; empty means the service self-regulated.
-    pub fn violations(&self) -> Vec<String> {
+    fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         let p99_bound = self.admitted_p99_bound_s();
         let byte_bound = self.spec.budget() + SPILL_BYTES;
@@ -383,7 +387,7 @@ impl PressureReport {
     }
 
     /// Serializes the report as the `BENCH_pressure.json` document.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("{\n");
@@ -438,5 +442,60 @@ impl PressureReport {
             self.violations().len()
         );
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The violations of a one-wave report with the quick spec's bounds
+    /// and a 1 ms mean service time (so an admitted p99 up to 96 ms
+    /// passes), after `change` edits a wave that meets every bound.
+    fn after(change: fn(&mut WaveMeasurement)) -> Vec<String> {
+        let spec = PressureSpec::quick();
+        let mut wave = WaveMeasurement {
+            multiplier: 4.0,
+            submitted: 96,
+            admitted_ok: 20,
+            shed: 76,
+            other: 0,
+            admitted_p50_s: 2e-3,
+            admitted_p99_s: 5e-3,
+            shed_submit_p99_micros: 4.0,
+            max_in_system: spec.max_queue,
+            max_resident_bytes: spec.budget() + SPILL_BYTES,
+            quota_evictions: 1,
+            drained_in_system: 1,
+        };
+        change(&mut wave);
+        let report = PressureReport {
+            probe_mean_s: 1e-3,
+            capacity_qps: 2000.0,
+            waves: vec![wave],
+            spec,
+        };
+        report.violations()
+    }
+
+    #[test]
+    fn violations_name_each_broken_bound() {
+        assert_eq!(after(|_| {}), Vec::<String>::new());
+        for (what, violations) in [
+            ("untyped/lost outcomes", after(|w| w.other = 1)),
+            ("never shed", after(|w| w.shed = 0)),
+            ("in-system peak", after(|w| w.max_in_system += 1)),
+            ("resident peak", after(|w| w.max_resident_bytes += 1)),
+            ("admitted p99", after(|w| w.admitted_p99_s = 1.0)),
+            (
+                "shed fast-fail p99",
+                after(|w| w.shed_submit_p99_micros = 1e3),
+            ),
+            ("outlived the drain", after(|w| w.drained_in_system = 2)),
+            ("quota eviction", after(|w| w.quota_evictions = 0)),
+        ] {
+            assert_eq!(violations.len(), 1, "{what}: {violations:?}");
+            assert!(violations[0].contains(what), "{what}: {violations:?}");
+        }
     }
 }

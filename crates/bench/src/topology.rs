@@ -12,6 +12,7 @@
 //! the star's words but fans them in over `⌈log₂ s⌉` levels, shrinking
 //! the root's inbox from `Θ(s)` to `Θ(log s)` messages per collective.
 
+use crate::cli::Report;
 use dlra_comm::{Cluster, Topology};
 use dlra_core::prelude::*;
 use dlra_data::{noisy_low_rank, split_with_noise_shares};
@@ -208,9 +209,11 @@ impl TopologyBenchReport {
         (tree.root_inbox_words > 0)
             .then(|| star.root_inbox_words as f64 / tree.root_inbox_words as f64)
     }
+}
 
+impl Report for TopologyBenchReport {
     /// Serializes the report as the `BENCH_topology.json` document.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("{\n");
@@ -250,6 +253,14 @@ impl TopologyBenchReport {
         );
         out.push_str("  }\n}\n");
         out
+    }
+
+    fn violations(&self) -> Vec<String> {
+        if self.outputs_identical {
+            Vec::new()
+        } else {
+            vec!["the combining tree changed output bits".to_string()]
+        }
     }
 }
 

@@ -7,8 +7,10 @@
 //!
 //! Dials the coordinator, joins the cluster under `server_id`, builds the
 //! deterministic demo state for `(server_id, dim)`, and serves the static
-//! remote op table until the coordinator sends shutdown (exit 0) or the
-//! link fails (exit 1 with a diagnostic on stderr).
+//! remote op table until the coordinator sends shutdown (exit 0), or until
+//! a frame it cannot serve (an unknown op, an out-of-range point query)
+//! or a failed link ends it (exit 1; the diagnostic goes to stderr and,
+//! when the link still takes a frame, to the coordinator).
 //!
 //! Configuration is argv-only — the process reads no environment
 //! variables, keeping the workspace's determinism contract (env knobs

@@ -117,6 +117,17 @@ impl<L> NetJob<L> {
         T: Wire,
         F: FnOnce(&mut L, &Q) -> T + Send + 'static,
     {
+        NetJob::try_reply_once(move |local: &mut L, request: &Q| Ok(compute(local, request)))
+    }
+
+    /// [`NetJob::reply_once`] whose `compute` may reject the request: its
+    /// error ends the server's loop, which reports it to the coordinator.
+    pub(crate) fn try_reply_once<Q, T, F>(compute: F) -> Self
+    where
+        Q: Wire,
+        T: Wire,
+        F: FnOnce(&mut L, &Q) -> Result<T, NetError> + Send + 'static,
+    {
         let compute = Mutex::new(Some(compute));
         let step: Step<L> = Box::new(move |_t, local, desc, body| {
             let request = decode_value::<Q>(desc, body)?;
@@ -124,7 +135,7 @@ impl<L> NetJob<L> {
                 what: "single-server query delivered twice",
                 detail: String::new(),
             })?;
-            Ok(encode_value(&compute(local, &request)))
+            Ok(encode_value(&compute(local, &request)?))
         });
         NetJob::new(JobKind::ReplyOnce, step, None)
     }

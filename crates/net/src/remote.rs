@@ -51,7 +51,12 @@ pub fn remote_job(op: u32) -> Option<Arc<NetJob<Vec<f64>>>> {
         }),
         OP_GATHER_SUM => NetJob::reply(sum),
         OP_REDUCE_SUM => NetJob::reduce(sum, |acc: &mut f64, r: f64| *acc += r),
-        OP_QUERY_POINT => NetJob::reply_once(|local: &mut Vec<f64>, &j: &usize| local[j]),
+        OP_QUERY_POINT => NetJob::try_reply_once(|local: &mut Vec<f64>, &j: &usize| {
+            local.get(j).copied().ok_or_else(|| NetError::Protocol {
+                what: "coordinate out of range",
+                detail: format!("coordinate {j}, dim {}", local.len()),
+            })
+        }),
         _ => return None,
     }))
 }
@@ -154,14 +159,9 @@ impl RemoteCoordinator {
         })
     }
 
-    /// [`OP_QUERY_POINT`]: coordinate `j` of server `t`'s vector.
+    /// [`OP_QUERY_POINT`]: coordinate `j` of server `t`'s vector. An
+    /// out-of-range `j` is an error, and it ends a remote server's process.
     pub fn query_point(&mut self, t: usize, j: usize) -> Result<f64, NetError> {
-        if t == 0 && j >= self.local.len() {
-            return Err(NetError::Protocol {
-                what: "coordinate out of range",
-                detail: format!("j {j}"),
-            });
-        }
         let request = Request::new(&j);
         self.run(OP_QUERY_POINT, |core, call| {
             core.query_server(t, call, &request, "net.point")

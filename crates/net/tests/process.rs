@@ -152,6 +152,37 @@ fn real_processes_match_reference_values_and_ledger() {
 }
 
 #[test]
+fn out_of_range_point_query_is_an_error_not_a_crash() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind coordinator");
+    let addr = listener.local_addr().expect("listener addr").to_string();
+    let mut children = spawn_servers(&addr);
+    let mut coord = RemoteCoordinator::accept(&listener, demo_state(0, DIM), S, Topology::Star)
+        .expect("bootstrap remote cluster");
+
+    // The coordinator's own state, then server 1's process.
+    for t in [0, 1] {
+        let err = coord.query_point(t, 99).expect_err("coordinate 99 of 6");
+        assert!(
+            err.to_string().contains("coordinate 99"),
+            "server {t}: {err}"
+        );
+    }
+    // Server 1 reported the error and exited; the others still serve.
+    let x = coord.query_point(2, 1).expect("in-range query");
+    assert_eq!(x.to_bits(), demo_state(2, DIM)[1].to_bits());
+
+    coord.shutdown().expect("shutdown");
+    let statuses: Vec<_> = children
+        .iter_mut()
+        .map(|child| child.wait().expect("wait for child"))
+        .collect();
+    assert_eq!(statuses[0].code(), Some(1), "server 1 exits with status 1");
+    for (i, status) in statuses.iter().enumerate().skip(1) {
+        assert!(status.success(), "server {} exited with {status}", i + 1);
+    }
+}
+
+#[test]
 fn oversized_server_id_is_rejected_at_bootstrap() {
     // A child claiming an out-of-range id must be rejected by the
     // coordinator's roster validation; the child then exits nonzero with a

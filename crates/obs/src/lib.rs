@@ -22,7 +22,7 @@ pub mod trace;
 
 pub use metrics::{
     CommCounters, DatasetMetrics, DatasetMetricsSnapshot, Histogram, HistogramSnapshot,
-    KernelPoolSnapshot, MetricsSnapshot, PlanCacheSnapshot, PressureSnapshot, ServicePressure,
+    KernelPoolSnapshot, MetricsSnapshot, PlanCacheStats, PressureSnapshot, ServicePressure,
     LATENCY_BUCKETS, LATENCY_BUCKET_BOUNDS_MICROS,
 };
 pub use trace::Span;

@@ -209,13 +209,13 @@ impl CommCounters {
     }
 }
 
-/// Plan-cache counters attached to a dataset snapshot (a copy of the
-/// runtime's `PlanCacheStats`, kept dependency-free here).
+/// A plan cache's cumulative counters: what the runtime's `PlanCache`
+/// counts, and what a dataset snapshot carries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheSnapshot {
-    /// Queries served from an already-prepared plan.
+pub struct PlanCacheStats {
+    /// Lookups served from a prepared plan.
     pub hits: u64,
-    /// Queries that had to prepare (or wait on an in-flight preparation).
+    /// Lookups that ran a preparation.
     pub misses: u64,
     /// Plans evicted by the LRU capacity bound.
     pub evictions: u64,
@@ -223,7 +223,7 @@ pub struct PlanCacheSnapshot {
     pub invalidations: u64,
 }
 
-impl PlanCacheSnapshot {
+impl PlanCacheStats {
     /// `hits / (hits + misses)`, 0 if no lookups.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -235,7 +235,7 @@ impl PlanCacheSnapshot {
     }
 }
 
-impl fmt::Display for PlanCacheSnapshot {
+impl fmt::Display for PlanCacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -264,8 +264,6 @@ pub struct DatasetMetrics {
     queue_depth: AtomicU64,
     in_flight: AtomicU64,
     resident_bytes: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
     latency: Histogram,
     prepare: Histogram,
     execute: Histogram,
@@ -344,15 +342,6 @@ impl DatasetMetrics {
         self.expired.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records whether a planned query hit the plan cache.
-    pub fn plan_outcome(&self, hit: bool) {
-        if hit {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Prepare-phase profile of a planned query: wall time of the plan
     /// lookup (including any build or wait-on-inflight) and, for the query
     /// that physically built the plan, the words the preparation charged.
@@ -370,8 +359,8 @@ impl DatasetMetrics {
         self.execute_comm.add(comm);
     }
 
-    /// A point-in-time copy. `name` and `plan_cache` start empty — the
-    /// service attaches them (the registry itself has no dataset identity).
+    /// A point-in-time copy. `name` and the plan-cache fields start empty —
+    /// the service attaches them (the registry has no identity or cache).
     pub fn snapshot(&self) -> DatasetMetricsSnapshot {
         DatasetMetricsSnapshot {
             name: String::new(),
@@ -385,8 +374,8 @@ impl DatasetMetrics {
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.plan_misses.load(Ordering::Relaxed),
+            plan_hits: 0,
+            plan_misses: 0,
             latency: self.latency.snapshot(),
             prepare: self.prepare.snapshot(),
             execute: self.execute.snapshot(),
@@ -424,9 +413,10 @@ pub struct DatasetMetricsSnapshot {
     pub in_flight: u64,
     /// Bytes of resident payload this dataset holds (0 after eviction).
     pub resident_bytes: u64,
-    /// Planned queries served from a cached preparation.
+    /// Planned queries served from a cached preparation (the plan cache's
+    /// hits; 0 without one).
     pub plan_hits: u64,
-    /// Planned queries that prepared (or waited on a preparation).
+    /// Planned queries that ran a preparation (the plan cache's misses).
     pub plan_misses: u64,
     /// Submit→resolve latency histogram.
     pub latency: HistogramSnapshot,
@@ -442,7 +432,7 @@ pub struct DatasetMetricsSnapshot {
     /// Words charged by planned queries past their shared preparation.
     pub execute_comm: LedgerSnapshot,
     /// Plan-cache counters for this dataset (attached by the service).
-    pub plan_cache: Option<PlanCacheSnapshot>,
+    pub plan_cache: Option<PlanCacheStats>,
 }
 
 impl DatasetMetricsSnapshot {
@@ -1128,15 +1118,11 @@ mod tests {
         );
         m.query_dequeued();
         m.query_rejected();
-        m.plan_outcome(true);
-        m.plan_outcome(false);
         let s = m.snapshot();
         assert_eq!(s.queue_depth, 0);
         assert_eq!(s.in_flight, 0);
         assert_eq!(s.completed, 1);
         assert_eq!(s.rejected, 1);
-        assert_eq!(s.plan_hits, 1);
-        assert_eq!(s.plan_misses, 1);
         assert_eq!(s.comm.total_words(), 6);
         assert_eq!(s.latency.count, 1);
     }
@@ -1200,7 +1186,7 @@ mod tests {
         m.set_resident_bytes(4096);
         let mut d = m.snapshot();
         d.name = "tenant-a".into();
-        d.plan_cache = Some(PlanCacheSnapshot {
+        d.plan_cache = Some(PlanCacheStats {
             hits: 3,
             misses: 1,
             evictions: 0,

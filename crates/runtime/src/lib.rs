@@ -79,7 +79,8 @@ use dlra_linalg::Matrix;
 
 pub use dlra_comm::Topology;
 pub use dlra_net::ThreadedCluster;
-pub use planner::{PlanCache, PlanCacheStats, PlanKey};
+pub use dlra_obs::metrics::PlanCacheStats;
+pub use planner::{PlanCache, PlanKey};
 pub use query::{Query, QueryBuilder, QueryError, QueryRequest};
 pub use service::{
     DatasetHandle, PlanUse, QueryOutcome, Service, ServiceConfig, ServiceError, Substrate, Ticket,

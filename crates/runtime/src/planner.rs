@@ -33,6 +33,7 @@
 use dlra_core::algorithm1::PreparedZPlan;
 use dlra_core::functions::EntryFunction;
 use dlra_core::Result;
+use dlra_obs::metrics::PlanCacheStats;
 use dlra_obs::trace;
 use dlra_sampler::ZSamplerParams;
 use dlra_util::sync::MutexExt;
@@ -108,45 +109,6 @@ impl PlanKey {
     /// The dataset id this key was built against.
     pub fn dataset(&self) -> u64 {
         self.dataset
-    }
-}
-
-/// Cache observability: cumulative counters since construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanCacheStats {
-    /// Requests served from an existing plan.
-    pub hits: u64,
-    /// Requests that ran a preparation.
-    pub misses: u64,
-    /// Plans evicted by the LRU bound.
-    pub evictions: u64,
-    /// Plans dropped by epoch invalidation.
-    pub invalidations: u64,
-}
-
-impl PlanCacheStats {
-    /// Hits over total lookups, `0.0` when the cache was never consulted.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-impl std::fmt::Display for PlanCacheStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} hits / {} misses ({:.1}% hit), {} evicted, {} invalidated",
-            self.hits,
-            self.misses,
-            self.hit_ratio() * 100.0,
-            self.evictions,
-            self.invalidations
-        )
     }
 }
 

@@ -108,7 +108,7 @@
 //! callers can tell "my query was bad" apart from "the pool is gone, retry
 //! elsewhere".
 
-use crate::planner::{PlanCache, PlanCacheStats, PlanKey};
+use crate::planner::{PlanCache, PlanKey};
 use crate::query::{Query, QueryError, QueryRequest};
 use dlra_comm::{Collectives, LedgerSnapshot, Topology};
 use dlra_core::algorithm1::{
@@ -119,7 +119,7 @@ use dlra_core::model::{MatrixServer, PartitionModel};
 use dlra_core::{CoreError, InterruptReason};
 use dlra_linalg::Matrix;
 use dlra_obs::metrics::{
-    DatasetMetrics, KernelPoolSnapshot, MetricsSnapshot, PlanCacheSnapshot, PressureSnapshot,
+    DatasetMetrics, KernelPoolSnapshot, MetricsSnapshot, PlanCacheStats, PressureSnapshot,
     ServicePressure,
 };
 use dlra_obs::trace;
@@ -1026,15 +1026,10 @@ impl Service {
                 let registry = dataset.metrics.as_ref()?;
                 let mut snap = registry.snapshot();
                 snap.name = dataset.name.clone();
-                snap.plan_cache = dataset.planner.as_ref().map(|planner| {
-                    let stats = planner.stats();
-                    PlanCacheSnapshot {
-                        hits: stats.hits,
-                        misses: stats.misses,
-                        evictions: stats.evictions,
-                        invalidations: stats.invalidations,
-                    }
-                });
+                snap.plan_cache = dataset.planner.as_ref().map(|planner| planner.stats());
+                let plans = snap.plan_cache.unwrap_or_default();
+                snap.plan_hits = plans.hits;
+                snap.plan_misses = plans.misses;
                 Some(snap)
             })
             .collect();
@@ -1634,7 +1629,6 @@ fn execute_on<C: Collectives<MatrixServer>>(
                 .map_err(map_execution)?;
             drop(lookup_span.arg("hit", cache_hit as u64));
             if let (Some(m), Some(start)) = (metrics, prep_start) {
-                m.plan_outcome(cache_hit);
                 let micros = start.elapsed().as_micros() as u64;
                 // Only a physically-paid preparation charges its ledger
                 // delta to `prepare_comm`; a hit's share is already there.

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use dlra_core::prelude::*;
     pub use dlra_obs::metrics::{
         DatasetMetricsSnapshot, HistogramSnapshot, KernelPoolSnapshot, MetricsSnapshot,
-        PlanCacheSnapshot, PressureSnapshot,
+        PressureSnapshot,
     };
     pub use dlra_runtime::{
         DatasetHandle, PlanCacheStats, PlanUse, Query, QueryError, QueryOutcome, Service,
