@@ -8,13 +8,14 @@ use crate::source::SourceFile;
 /// Modules on the ledger-deterministic path: their outputs and per-query
 /// communication ledgers must be bit-identical across substrates, thread
 /// counts, and plan-cache settings, so nothing inside them may branch on
-/// wall clock, ambient environment, or unordered iteration.
+/// wall clock, ambient environment, or unordered iteration. All of
+/// `dlra-linalg` is on it except the kernel pool (`threads.rs`), which
+/// reads `DLRA_THREADS` and times its workers.
 pub fn is_deterministic_module(path: &str) -> bool {
     path.starts_with("crates/core/src/")
         || path.starts_with("crates/sampler/src/")
         || path.starts_with("crates/comm/src/")
-        || path == "crates/linalg/src/kernels.rs"
-        || path == "crates/linalg/src/mersenne.rs"
+        || (path.starts_with("crates/linalg/src/") && path != "crates/linalg/src/threads.rs")
 }
 
 /// Crates under the no-panic serving contract: queries must resolve to
@@ -368,14 +369,20 @@ mod tests {
         let bad = "fn f() { let t = Instant::now(); }";
         assert_eq!(determinism(&parse("crates/core/src/a.rs", bad)).len(), 1);
         assert_eq!(determinism(&parse("crates/obs/src/a.rs", bad)).len(), 0);
-        assert_eq!(
-            determinism(&parse("crates/linalg/src/kernels.rs", bad)).len(),
-            1
-        );
+        for path in [
+            "crates/linalg/src/kernels.rs",
+            "crates/linalg/src/svd.rs",
+            "crates/linalg/src/lib.rs",
+        ] {
+            assert_eq!(determinism(&parse(path, bad)).len(), 1, "{path}");
+        }
         assert_eq!(
             determinism(&parse("crates/linalg/src/threads.rs", bad)).len(),
             0
         );
+        let ambient = "fn f() { let _ = std::env::var(\"DLRA_THREADS\"); }";
+        assert!(!env_determinism(&parse("crates/linalg/src/svd.rs", ambient)).is_empty());
+        assert!(env_determinism(&parse("crates/linalg/src/threads.rs", ambient)).is_empty());
     }
 
     #[test]

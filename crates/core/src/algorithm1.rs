@@ -326,12 +326,8 @@ fn sample_rows<C: Collectives<MatrixServer>>(
         SamplerKind::Uniform => {
             let sampler = UniformSampler { n: n as u64 };
             let draws = sampler.draw_many(cfg.r, &mut rng);
-            let pairs: Vec<(usize, f64)> =
-                draws.into_iter().map(|(i, q)| (i as usize, q)).collect();
-            Ok(fetch_rows(model, &pairs)?
-                .into_iter()
-                .map(FetchedRow::into_sampled)
-                .collect())
+            let indices: Vec<usize> = draws.iter().map(|&(i, _)| i as usize).collect();
+            Ok(fetch_rows(model, &indices)?.sampled(|j, _| draws[j].1))
         }
         SamplerKind::ExactOracle => {
             // Oracle: exact row weights from the (evaluation-only) global
@@ -342,16 +338,8 @@ fn sample_rows<C: Collectives<MatrixServer>>(
             if total <= 0.0 {
                 return Err(CoreError::SamplerExhausted);
             }
-            let pairs: Vec<(usize, f64)> = (0..cfg.r)
-                .map(|_| {
-                    let i = rng.weighted_index(&weights);
-                    (i, weights[i] / total)
-                })
-                .collect();
-            Ok(fetch_rows(model, &pairs)?
-                .into_iter()
-                .map(FetchedRow::into_sampled)
-                .collect())
+            let indices: Vec<usize> = (0..cfg.r).map(|_| rng.weighted_index(&weights)).collect();
+            Ok(fetch_rows(model, &indices)?.sampled(|j, _| weights[indices[j]] / total))
         }
         SamplerKind::Z(params) => {
             // Prepare-then-execute: one plan per repetition, consumed
@@ -386,54 +374,66 @@ fn z_rows_from_plan<C: Collectives<MatrixServer>>(
     }
     // Entry → row: an entry draw selects its row (§V: "If an entry
     // is sampled, then we choose the entire row as the sample").
-    let row_of = |coord: u64| (coord as usize) / d;
-    let pairs: Vec<(usize, f64)> = draws
-        .iter()
-        .map(|dr| (row_of(dr.coord), f64::NAN))
-        .collect();
+    let indices: Vec<usize> = draws.iter().map(|dr| (dr.coord as usize) / d).collect();
     // Fetch raw rows first; the row's reported probability is its
-    // z-mass over Ẑ, computable exactly from the fetched raw row.
-    let mut rows = fetch_rows(model, &pairs)?;
+    // z-mass over Ẑ, computable exactly from the fetched raw row, once per
+    // distinct row.
+    let rows = fetch_rows(model, &indices)?;
     let z_hat = prepared.z_hat();
-    for row in rows.iter_mut() {
-        let zmass: f64 = row.raw.iter().map(|&x| zfn.z(x)).sum();
-        row.q_hat = (zmass / z_hat).min(1.0);
-        // NaN-safe: reject zero, negative, and NaN probabilities.
-        if row.q_hat <= 0.0 || row.q_hat.is_nan() {
-            return Err(CoreError::SamplerExhausted);
-        }
+    let q_hat: Vec<f64> = rows
+        .raw
+        .iter()
+        .map(|raw| {
+            let zmass: f64 = raw.iter().map(|&x| zfn.z(x)).sum();
+            (zmass / z_hat).min(1.0)
+        })
+        .collect();
+    // NaN-safe: reject zero, negative, and NaN probabilities.
+    if q_hat.iter().any(|&q| q <= 0.0 || q.is_nan()) {
+        return Err(CoreError::SamplerExhausted);
     }
-    Ok(rows.into_iter().map(FetchedRow::into_sampled).collect())
+    Ok(rows.sampled(|_, at| q_hat[at]))
 }
 
-/// Internal extension of [`SampledRow`] carrying the raw (pre-`f`)
-/// aggregated row for probability computation.
-struct FetchedRow {
-    index: usize,
-    raw: Vec<f64>,
-    values: Vec<f64>,
-    q_hat: f64,
+/// One fetch's rows: each distinct index's aggregated raw row and its
+/// `f`-values, computed once however often the index was requested.
+struct FetchedRows {
+    /// The requested indices, repeats included, in request order.
+    indices: Vec<usize>,
+    /// Each request's position among the distinct rows.
+    at: Vec<usize>,
+    /// The distinct aggregated raw rows (pre-`f`), ascending by index.
+    raw: Vec<Vec<f64>>,
+    /// `f` applied to each distinct raw row.
+    values: Vec<Vec<f64>>,
 }
 
-impl FetchedRow {
-    fn into_sampled(self) -> SampledRow {
-        SampledRow {
-            index: self.index,
-            values: self.values,
-            q_hat: self.q_hat,
-        }
+impl FetchedRows {
+    /// One FKV input row per request; the `j`-th, whose row sits at
+    /// position `at` among the distinct rows, reports `q_hat(j, at)`.
+    fn sampled(&self, q_hat: impl Fn(usize, usize) -> f64) -> Vec<SampledRow> {
+        self.indices
+            .iter()
+            .zip(&self.at)
+            .enumerate()
+            .map(|(j, (&index, &at))| SampledRow {
+                index,
+                values: self.values[at].clone(),
+                q_hat: q_hat(j, at),
+            })
+            .collect()
     }
 }
 
 /// Algorithm 1 line 7: the coordinator requests each distinct sampled row;
 /// every server ships its local part (d words per row), and the coordinator
-/// assembles the aggregated raw rows and applies `f`.
+/// assembles the aggregated raw rows and applies `f` to each once.
 fn fetch_rows<C: Collectives<MatrixServer>>(
     model: &mut PartitionModel<C>,
-    pairs: &[(usize, f64)],
-) -> Result<Vec<FetchedRow>> {
+    indices: &[usize],
+) -> Result<FetchedRows> {
     let d = model.shape().1;
-    let mut distinct: Vec<usize> = pairs.iter().map(|&(i, _)| i).collect();
+    let mut distinct = indices.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
     let request: Vec<u64> = distinct.iter().map(|&i| i as u64).collect();
@@ -456,21 +456,18 @@ fn fetch_rows<C: Collectives<MatrixServer>>(
             }
         },
     );
-    let raw_rows: Vec<Vec<f64>> = summed.chunks_exact(d).map(<[f64]>::to_vec).collect();
-    let pos_of = |i: usize| distinct.binary_search(&i).expect("sampled row present");
-    Ok(pairs
+    let raw: Vec<Vec<f64>> = summed.chunks_exact(d).map(<[f64]>::to_vec).collect();
+    let values = raw.iter().map(|r| model.apply_f_to_raw_row(r)).collect();
+    let at = indices
         .iter()
-        .map(|&(i, q)| {
-            let raw = raw_rows[pos_of(i)].clone();
-            let values = model.apply_f_to_raw_row(&raw);
-            FetchedRow {
-                index: i,
-                raw,
-                values,
-                q_hat: q,
-            }
-        })
-        .collect())
+        .map(|i| distinct.binary_search(i).expect("sampled row present"))
+        .collect();
+    Ok(FetchedRows {
+        indices: indices.to_vec(),
+        at,
+        raw,
+        values,
+    })
 }
 
 /// A fetched global row: the aggregated raw entries `Σₜ Aᵗᵢ` and the
@@ -503,13 +500,14 @@ pub fn fetch_global_rows<C: Collectives<MatrixServer>>(
     model: &mut PartitionModel<C>,
     indices: &[usize],
 ) -> Result<Vec<GlobalRow>> {
-    let pairs: Vec<(usize, f64)> = indices.iter().map(|&i| (i, f64::NAN)).collect();
-    Ok(fetch_rows(model, &pairs)?
-        .into_iter()
-        .map(|f| GlobalRow {
-            index: f.index,
-            raw: f.raw,
-            values: f.values,
+    let rows = fetch_rows(model, indices)?;
+    Ok(indices
+        .iter()
+        .zip(&rows.at)
+        .map(|(&index, &at)| GlobalRow {
+            index,
+            raw: rows.raw[at].clone(),
+            values: rows.values[at].clone(),
         })
         .collect())
 }
@@ -656,6 +654,30 @@ mod tests {
             "upstream {} vs expected ≈ {expect}",
             out.comm.upstream_words
         );
+    }
+
+    #[test]
+    fn fetch_global_rows_answers_each_request_and_ships_each_row_once() {
+        let mut m = low_rank_model(3, 30, 8, 2, 0.1, 9);
+        let global = m.global_matrix();
+        fn fetch(m: &mut PartitionModel, indices: &[usize]) -> (Vec<GlobalRow>, u64) {
+            let before = m.cluster().comm().total_words();
+            let rows = fetch_global_rows(m, indices).unwrap();
+            (rows, m.cluster().comm().total_words() - before)
+        }
+        let (rows, words) = fetch(&mut m, &[3, 1, 3, 3, 0]);
+        assert_eq!(words, fetch(&mut m, &[0, 1, 3]).1);
+        let order: Vec<usize> = rows.iter().map(|r| r.index).collect();
+        assert_eq!(order, [3, 1, 3, 3, 0]);
+        for row in &rows {
+            assert_eq!(row.values, row.raw, "f is the identity");
+            for (x, y) in row.raw.iter().zip(global.row(row.index)) {
+                assert!((x - y).abs() < 1e-12, "row {}", row.index);
+            }
+        }
+        for repeat in [&rows[2], &rows[3]] {
+            assert_eq!(repeat.values, rows[0].values);
+        }
     }
 
     #[test]

@@ -98,7 +98,9 @@ pub fn build_b_matrix(rows: &[SampledRow]) -> Result<Matrix> {
 /// the factored `P = VVᵀ` and `‖BP‖²_F`; the captured energy drives the
 /// boosting comparison of §IV. The `d × d` matrix is never materialized —
 /// `V` itself is what protocols ship and apply. For an `m × d` `B`, `V` has
-/// `min(k, m, d)` columns.
+/// `min(k, m, d)` columns. A non-finite `B` (a NaN or ±∞ entry, or a
+/// squared norm that overflows) fails as
+/// `CoreError::Linalg(LinalgError::NonFinite(..))` before the SVD sweeps.
 pub fn fkv_projection(b: &Matrix, k: usize) -> Result<(Projector, f64)> {
     if k == 0 {
         return Err(CoreError::InvalidConfig("k must be positive".into()));
@@ -112,7 +114,7 @@ pub fn fkv_projection(b: &Matrix, k: usize) -> Result<(Projector, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlra_linalg::{best_rank_k, orthonormalize_columns};
+    use dlra_linalg::{best_rank_k, orthonormalize_columns, LinalgError};
     use dlra_util::Rng;
 
     fn exact_row_sampler(a: &Matrix, r: usize, rng: &mut Rng) -> Vec<SampledRow> {
@@ -444,5 +446,18 @@ mod tests {
     fn fkv_rejects_k_zero() {
         let b = Matrix::identity(3);
         assert!(fkv_projection(&b, 0).is_err());
+    }
+
+    #[test]
+    fn fkv_passes_on_the_svd_non_finite_error() {
+        let mut b = Matrix::gaussian(87, 256, &mut Rng::new(38));
+        for bad in [f64::INFINITY, f64::NAN, 1e200] {
+            b[(3, 5)] = bad;
+            let err = fkv_projection(&b, 4).unwrap_err();
+            assert!(
+                matches!(err, CoreError::Linalg(LinalgError::NonFinite(_))),
+                "{bad}: {err:?}"
+            );
+        }
     }
 }

@@ -125,40 +125,60 @@ pub(crate) mod isa {
 
 /// Compiles `$body_fn(args…)` under the baseline, AVX2, and AVX-512
 /// feature sets and dispatches on the detected ISA. On non-x86 targets
-/// only the baseline body exists.
+/// only the baseline body exists. `isa_dispatch!(vector, baseline => …)`
+/// gives the baseline level a body of its own, for a kernel whose vector
+/// form is slower than plain scalar code without AVX2.
 macro_rules! isa_dispatch {
-    ($base:ident => $(#[$doc:meta])* fn $name:ident($($arg:ident : $ty:ty),* $(,)?)) => {
+    ($body:ident => $($sig:tt)*) => {
+        isa_dispatch!($body, $body => $($sig)*);
+    };
+    ($vector:ident, $baseline:ident =>
+        $(#[$doc:meta])* fn $name:ident($($arg:ident : $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
         $(#[$doc])*
         #[allow(clippy::too_many_arguments)]
-        fn $name($($arg: $ty),*) {
+        fn $name($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
                 #[target_feature(enable = "avx2")]
                 #[allow(clippy::too_many_arguments)]
-                fn avx2($($arg: $ty),*) {
-                    $base($($arg),*)
+                fn avx2($($arg: $ty),*) $(-> $ret)? {
+                    $vector($($arg),*)
                 }
                 #[target_feature(enable = "avx512f,avx512vl")]
                 #[allow(clippy::too_many_arguments)]
-                fn avx512($($arg: $ty),*) {
-                    $base($($arg),*)
+                fn avx512($($arg: $ty),*) $(-> $ret)? {
+                    $vector($($arg),*)
                 }
                 match isa::detect() {
                     // SAFETY: the avx512f/avx512vl feature set was
                     // verified by `is_x86_feature_detected!` in
                     // `isa::detect`.
                     isa::Isa::Avx512 => return unsafe { avx512($($arg),*) },
-                    // SAFETY: the avx2/fma feature set was verified by
+                    // SAFETY: the avx2 feature was verified by
                     // `is_x86_feature_detected!` in `isa::detect`.
                     isa::Isa::Avx2 => return unsafe { avx2($($arg),*) },
                     isa::Isa::Scalar => {}
                 }
             }
-            $base($($arg),*)
+            $baseline($($arg),*)
         }
     };
 }
 pub(crate) use isa_dispatch;
+
+/// Runs `f` under every `isa_dispatch!` body the host supports, naming
+/// it, with the kernels pinned to this thread: the ISA override is
+/// thread-local, so pool workers would take the detected body. On
+/// non-x86 targets only the baseline body exists.
+#[cfg(test)]
+pub(crate) fn for_each_body(mut f: impl FnMut(&str)) {
+    #[cfg(target_arch = "x86_64")]
+    for level in isa::supported() {
+        crate::with_threads(1, || isa::with_forced(level, || f(&format!("{level:?}"))));
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    crate::with_threads(1, || f("baseline"));
+}
 
 /// `out = a · b` where `a` is `m × kk` and `b` is `kk × n`, all row-major.
 /// `out` must be zero-initialized.
@@ -603,6 +623,7 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use dlra_util::Rng;
+    use proptest::prelude::*;
 
     fn random(m: usize, n: usize, seed: u64) -> Matrix {
         let mut rng = Rng::new(seed);
@@ -651,18 +672,6 @@ mod tests {
         }
     }
 
-    /// Runs `f` under every `isa_dispatch!` body the host supports, with
-    /// the kernels pinned to this thread: the ISA override is thread-local,
-    /// so pool workers would take the detected body.
-    fn for_each_body(mut f: impl FnMut(&str)) {
-        #[cfg(target_arch = "x86_64")]
-        for level in isa::supported() {
-            crate::with_threads(1, || isa::with_forced(level, || f(&format!("{level:?}"))));
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        crate::with_threads(1, || f("baseline"));
-    }
-
     /// A Gaussian matrix with NaN, +∞ and −∞ planted at fixed entries.
     fn random_non_finite(m: usize, n: usize, seed: u64) -> Matrix {
         let mut a = random(m, n, seed);
@@ -681,6 +690,33 @@ mod tests {
         m.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `a·b` and `atᵀ·b` (`a` is `m × k`, `at` is `k × m`, `b` is `k × n`)
+    /// against the reference, bit for bit, under the body in force.
+    fn assert_gemms_match_reference(body: &str, a: &Matrix, at: &Matrix, b: &Matrix) {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let fast = a.matmul(b).unwrap();
+        let slow = reference::matmul(a, b).unwrap();
+        assert_eq!(bits(&fast), bits(&slow), "{body} matmul ({m},{k},{n})");
+        // The same shapes as `aᵀ·b`: contraction over `k` rows.
+        let fast = at.transpose_matmul(b).unwrap();
+        let slow = reference::transpose_matmul(at, b).unwrap();
+        assert_eq!(
+            bits(&fast),
+            bits(&slow),
+            "{body} transpose_matmul ({k},{m},{n})"
+        );
+    }
+
+    /// `aᵀa` against the reference, bit for bit, under the body in force.
+    fn assert_gram_matches_reference(body: &str, a: &Matrix) {
+        assert_eq!(
+            bits(&a.gram()),
+            bits(&reference::gram(a)),
+            "{body} gram {:?}",
+            a.shape()
+        );
+    }
+
     #[test]
     fn every_isa_body_is_bit_identical_to_reference() {
         // Shapes straddle the MR × JW register tile and the KC / NC blocks.
@@ -696,28 +732,39 @@ mod tests {
             for &(m, k, n) in &gemm {
                 let a = random_non_finite(m, k, 11 + (m * k) as u64);
                 let b = random_non_finite(k, n, 13 + (k * n) as u64);
-                let fast = a.matmul(&b).unwrap();
-                let slow = reference::matmul(&a, &b).unwrap();
-                assert_eq!(bits(&fast), bits(&slow), "{body} matmul ({m},{k},{n})");
-                // The same shapes as `aᵀ·b`: contraction over `k` rows.
                 let at = random_non_finite(k, m, 17 + (m * k) as u64);
-                let fast = at.transpose_matmul(&b).unwrap();
-                let slow = reference::transpose_matmul(&at, &b).unwrap();
-                assert_eq!(
-                    bits(&fast),
-                    bits(&slow),
-                    "{body} transpose_matmul ({k},{m},{n})"
-                );
+                assert_gemms_match_reference(body, &a, &at, &b);
             }
             for &(r, c) in &gram {
                 let a = random_non_finite(r, c, 19 + (r * c) as u64);
-                assert_eq!(
-                    bits(&a.gram()),
-                    bits(&reference::gram(&a)),
-                    "{body} gram ({r},{c})"
-                );
+                assert_gram_matches_reference(body, &a);
             }
         });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The same check on random shapes: up to three row quads, and
+        /// contraction and column counts on both sides of `KC`, `JW` and
+        /// `NC`.
+        #[test]
+        fn every_isa_body_is_bit_identical_on_random_shapes(
+            m in 1usize..3 * MR + 1,
+            k in 1usize..KC + 40,
+            n in 1usize..NC + 40,
+            seed in 0u64..u64::MAX,
+        ) {
+            let a = random_non_finite(m, k, seed);
+            let at = random_non_finite(k, m, seed ^ 1);
+            let b = random_non_finite(k, n, seed ^ 2);
+            // Gram widths up to three `JW` tiles, on the `k` rows.
+            let g = random_non_finite(k, 1 + n % (3 * JW), seed ^ 3);
+            for_each_body(|body| {
+                assert_gemms_match_reference(body, &a, &at, &b);
+                assert_gram_matches_reference(body, &g);
+            });
+        }
     }
 
     #[test]

@@ -17,17 +17,23 @@
 //!   `(A·V)·Vᵀ`, never materializing the `d × d` matrix;
 //! * [`qr`] — Householder thin QR and orthonormalization;
 //! * [`eigen`] — cyclic Jacobi eigensolver for symmetric matrices;
-//! * [`svd`](mod@svd) — one-sided Jacobi (Hestenes) singular value decomposition;
+//! * [`svd`](mod@svd) — one-sided Jacobi (Hestenes) singular value
+//!   decomposition, its sweep compiled through the same ISA dispatch;
 //! * [`lowrank`] — best rank-k approximations, projection matrices, and the
 //!   Frobenius-error helpers used by the paper's definitions of additive and
 //!   relative error.
 //!
 //! The multiplicative kernels keep a **fixed summation order** (ascending
 //! contraction index per output element), so every result is bit-identical
-//! across block sizes and thread counts — the substrate-equivalence
-//! guarantees of the protocol layers survive parallel kernels unchanged.
-//! The SVD is accurate to ~1e-12 on the reproduced sizes and is
-//! property-tested against reconstruction and orthogonality invariants.
+//! across block sizes, thread counts and ISA bodies — the
+//! substrate-equivalence guarantees of the protocol layers survive
+//! parallel kernels unchanged. Vector lanes only ever hold distinct output
+//! elements, never pieces of one sum. The SVD's Jacobi sweep follows the
+//! same rule: a pair's three column dots run in one pass as three
+//! sequential chains side by side, since splitting any one of them across
+//! lanes would regroup its sum and move the output bits. The SVD is
+//! accurate to ~1e-12 on the reproduced sizes and is property-tested
+//! against reconstruction and orthogonality invariants.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 pub mod eigen;
@@ -62,6 +68,9 @@ pub enum LinalgError {
     NoConvergence(&'static str),
     /// A rank / dimension argument is out of range.
     InvalidArgument(String),
+    /// The input holds a NaN or an infinity, or its squared norm
+    /// overflows (message names the operation).
+    NonFinite(&'static str),
 }
 
 impl std::fmt::Display for LinalgError {
@@ -70,6 +79,7 @@ impl std::fmt::Display for LinalgError {
             LinalgError::ShapeMismatch(m) => write!(f, "shape mismatch: {m}"),
             LinalgError::NoConvergence(op) => write!(f, "{op} failed to converge"),
             LinalgError::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
+            LinalgError::NonFinite(op) => write!(f, "{op}: input is not finite"),
         }
     }
 }

@@ -31,10 +31,22 @@
 //! canonical), the accumulator starts at the leading coefficient, and a
 //! last conditional subtract maps `[0, 2⁶¹ + 3]` onto `[0, p)`.
 //!
-//! The body is safe scalar Rust over blocks of 16 independent inputs. `isa_dispatch!` compiles it for baseline x86-64, AVX2 and
-//! AVX-512, where the compiler turns each block's limb products into
-//! vector multiplies; the lanes are distinct inputs, so no body can differ
-//! from another in any bit.
+//! The body is safe scalar Rust over blocks of 16 independent inputs.
+//! `isa_dispatch!` compiles it for AVX2 and AVX-512, where the compiler
+//! turns each block's limb products into vector multiplies; the lanes are
+//! distinct inputs, so no body can differ from another in any bit.
+//!
+//! # The baseline body: one input at a time
+//!
+//! Baseline x86-64 has 128-bit vectors, two limb products wide, and other
+//! targets get no vector body at all; there the limb products lose to the
+//! scalar 64 × 64 → 128-bit multiply. So the baseline level and non-x86
+//! targets evaluate one input at a time, as `KWiseHash::hash` does: with
+//! `x' = 8x` (the canonical `x < 2⁶¹`, so `x' < 2⁶⁴`), `a·x' = h·2⁶⁴ + l`
+//! gives `a·x = h·2⁶¹ + l/8 ≡ h + l/8` (`l` is a multiple of 8). For
+//! `a ≤ 2⁶¹ + 2` the sum `h + l/8 + c` stays below `2⁶³`, one fold brings
+//! it back to at most `2⁶¹ + 2`, and the same last conditional subtract
+//! makes it canonical, so this body returns the same residues.
 
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::isa;
@@ -66,7 +78,7 @@ pub fn poly_eval(coeffs: &[u64], xs: &[u64], out: &mut [u64]) {
     poly_eval_dispatch(coeffs, xs, out);
 }
 
-isa_dispatch!(poly_eval_body =>
+isa_dispatch!(poly_eval_body, poly_eval_scalar_body =>
     /// [`poly_eval`] at the widest supported ISA.
     fn poly_eval_dispatch(coeffs: &[u64], xs: &[u64], out: &mut [u64])
 );
@@ -95,6 +107,7 @@ fn step(a: u64, x0: u64, x1: u64, c: u64) -> u64 {
 }
 
 #[inline(always)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 fn poly_eval_body(coeffs: &[u64], xs: &[u64], out: &mut [u64]) {
     let (&lead, rest) = coeffs.split_last().expect("poly_eval checked");
     let mut xb = xs.chunks_exact(LANES);
@@ -124,23 +137,28 @@ fn poly_eval_body(coeffs: &[u64], xs: &[u64], out: &mut [u64]) {
     }
 }
 
+/// The baseline body: a 128-bit Horner, one input at a time (module docs).
+#[inline(always)]
+fn poly_eval_scalar_body(coeffs: &[u64], xs: &[u64], out: &mut [u64]) {
+    let (&lead, rest) = coeffs.split_last().expect("poly_eval checked");
+    for (&x, o) in xs.iter().zip(out) {
+        let x8 = u128::from(canonical(x) << 3);
+        let acc = rest.iter().rev().fold(lead, |acc, &c| {
+            let v = u128::from(acc) * x8;
+            let y = (v >> 64) as u64 + ((v as u64) >> 3) + c;
+            (y & P) + (y >> 61)
+        });
+        *o = if acc >= P { acc - P } else { acc };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::for_each_body;
     use dlra_sketch::KWiseHash;
     use dlra_util::Rng;
     use proptest::prelude::*;
-
-    /// Runs `f` under every compiled body this host can execute, naming
-    /// it, so the baseline body runs on every machine.
-    fn for_each_body(mut f: impl FnMut(&str)) {
-        #[cfg(target_arch = "x86_64")]
-        for isa in isa::supported() {
-            isa::with_forced(isa, || f(&format!("{isa:?}")));
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        f("baseline");
-    }
 
     /// The reduction edges: 0, p − 1, p, p + 1, 2⁶¹, 2p and `u64::MAX`.
     const EDGES: [u64; 7] = [0, P - 1, P, P + 1, 1 << 61, 2 * P, u64::MAX];
