@@ -10,7 +10,7 @@ use crate::source::SourceFile;
 /// counts, and plan-cache settings, so nothing inside them may branch on
 /// wall clock, ambient environment, or unordered iteration. All of
 /// `dlra-linalg` is on it except the kernel pool (`threads.rs`), which
-/// reads `DLRA_THREADS` and times its workers.
+/// times its workers.
 pub fn is_deterministic_module(path: &str) -> bool {
     path.starts_with("crates/core/src/")
         || path.starts_with("crates/sampler/src/")
@@ -35,11 +35,12 @@ pub fn in_panic_scope(path: &str) -> bool {
 /// `dlra-net` takes all configuration through typed parameters and the
 /// bootstrap roster, and `dlra-runtime` through `ServiceConfig`, so a
 /// cluster's wire transcript and a service's behaviour are pure functions
-/// of their inputs. The library's only env reads are the tracer's
-/// `DLRA_TRACE` (`dlra-obs`) and the kernel pool's `DLRA_THREADS`
-/// (`dlra-linalg`).
+/// of their inputs. All of `dlra-linalg` is in scope, the kernel pool
+/// included: its thread count comes from `set_threads` or the hardware.
+/// The library's only env read is the tracer's `DLRA_TRACE` (`dlra-obs`).
 pub fn in_env_scope(path: &str) -> bool {
     is_deterministic_module(path)
+        || path.starts_with("crates/linalg/src/")
         || path.starts_with("crates/net/src/")
         || path.starts_with("crates/runtime/src/")
 }
@@ -382,7 +383,7 @@ mod tests {
         );
         let ambient = "fn f() { let _ = std::env::var(\"DLRA_THREADS\"); }";
         assert!(!env_determinism(&parse("crates/linalg/src/svd.rs", ambient)).is_empty());
-        assert!(env_determinism(&parse("crates/linalg/src/threads.rs", ambient)).is_empty());
+        assert!(!env_determinism(&parse("crates/linalg/src/threads.rs", ambient)).is_empty());
     }
 
     #[test]

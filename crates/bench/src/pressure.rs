@@ -437,9 +437,8 @@ impl Report for PressureReport {
         out.push_str("  ],\n");
         let _ = writeln!(
             out,
-            "  \"summary\": {{\n    \"admitted_p99_bound_micros\": {:.1},\n    \"violations\": {}\n  }}\n}}",
-            self.admitted_p99_bound_s() * 1e6,
-            self.violations().len()
+            "  \"summary\": {{\n    \"admitted_p99_bound_micros\": {:.1}\n  }}\n}}",
+            self.admitted_p99_bound_s() * 1e6
         );
         out
     }

@@ -6,8 +6,8 @@
 //! * [`kernels`] — the cache-blocked, register-tiled, panel-parallel
 //!   implementations behind `matmul` / `transpose_matmul` / `gram` /
 //!   `transpose`, plus the retained naive [`kernels::reference`] baselines;
-//! * [`threads`](mod@threads) — the kernel thread-count knob ([`set_threads`] /
-//!   `DLRA_THREADS`, default = available parallelism), the scoped
+//! * [`threads`](mod@threads) — the kernel thread-count knob ([`set_threads`],
+//!   default = available parallelism), the scoped
 //!   [`with_threads`] override outer parallelism layers use to pin
 //!   kernels, and the persistent panel-worker pool the kernels run on;
 //! * [`mersenne`] — batched polynomial evaluation mod 2⁶¹ − 1, the

@@ -22,6 +22,14 @@
 //! regrouping anything. `isa_dispatch!` compiles that one sweep for
 //! baseline x86-64, AVX2 and AVX-512, and a proptest holds every body the
 //! host can run to the baseline's bits.
+//!
+//! # Large finite input
+//!
+//! The sweep skips a pair when `|γ| ≤ 1e-15·√(α·β)`. Once `‖a‖²_F`
+//! reaches 2⁵¹¹, `α·β` can overflow to ∞ and every pair would be skipped,
+//! so [`svd`] then sweeps a copy scaled down by a power of two and scales
+//! `σ` back up. Both steps are exact, `U` and `V` are scale-free, and
+//! below 2⁵¹¹ nothing is scaled.
 
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::isa;
@@ -129,6 +137,16 @@ pub fn svd(a: &Matrix) -> Result<Svd> {
             vt: eye(r, n),
         });
     }
+    // From 2⁵¹¹ on, sweep `2⁻ᵏ·a` with the least k that brings ‖·‖²_F
+    // below 2⁵¹¹ (module docs), and scale σ back by 2ᵏ.
+    let (total, up) = if total >= pow2(511) {
+        let exponent = (total.to_bits() >> 52) as i32 - 1023;
+        let k = (exponent - 509) / 2;
+        w.scale(pow2(-k));
+        (total * pow2(-2 * k), pow2(k))
+    } else {
+        (total, 1.0)
+    };
     let tol = 1e-15 * total;
     if !(0..MAX_SWEEPS).any(|_| !sweep(w.as_mut_slice(), len, v.as_mut_slice(), tol)) {
         return Err(LinalgError::NoConvergence("svd (one-sided Jacobi)"));
@@ -146,7 +164,7 @@ pub fn svd(a: &Matrix) -> Result<Svd> {
     let mut vs = Matrix::zeros(r, r);
     let mut s = Vec::with_capacity(r);
     for (out_j, &(sv, src_j)) in sigma.iter().enumerate() {
-        s.push(sv);
+        s.push(sv * up);
         // If sv == 0 the vector stays zero; harmless for our uses
         // (reconstruction multiplies it by σ = 0).
         if sv > 0.0 {
@@ -202,6 +220,12 @@ fn sweep_body(w: &mut [f64], len: usize, v: &mut [f64], tol: f64) -> bool {
         }
     }
     rotated
+}
+
+/// `2ᵉ`, exactly, for an exponent of a normal `f64`.
+fn pow2(e: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&e));
+    f64::from_bits(((1023 + e) as u64) << 52)
 }
 
 /// Rows `p < q` of the row-major `data` with `cols` columns.
@@ -437,6 +461,33 @@ mod tests {
                 let want = baseline.get_or_insert_with(|| got.clone());
                 prop_assert!(got == *want, "{body} body differs on {m}×{n}, seed {seed}");
             });
+        }
+    }
+
+    /// Entries from 1e78 up keep ‖a‖²_F finite but overflow `α·β` in the
+    /// skip test; the decomposition must still match the unscaled one, in
+    /// both orientations.
+    #[test]
+    fn large_finite_input_matches_the_unscaled_decomposition() {
+        let a = Matrix::gaussian(20, 8, &mut Rng::new(5));
+        for a in [a.clone(), a.transpose()] {
+            let want = svd(&a).unwrap();
+            for scale in [1e78, 1e100, 1e150] {
+                let got = svd(&a.scaled(scale)).unwrap();
+                for (g, w) in got.s.iter().zip(&want.s) {
+                    let rel = (g / scale - w).abs() / w;
+                    assert!(rel <= 1e-12, "σ {g:e} at scale {scale:e}, want {w:e}");
+                }
+                let utu = got.u.gram();
+                for (i, j) in (0..8).flat_map(|i| (0..8).map(move |j| (i, j))) {
+                    let eye = if i == j { 1.0 } else { 0.0 };
+                    let off = (utu[(i, j)] - eye).abs();
+                    assert!(
+                        off <= 1e-12,
+                        "UᵀU[{i},{j}] off by {off:e} at scale {scale:e}"
+                    );
+                }
+            }
         }
     }
 

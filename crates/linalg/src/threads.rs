@@ -8,8 +8,7 @@
 //!    workers use to pin kernels to one thread inside an already-parallel
 //!    substrate),
 //! 2. the last [`set_threads`] call,
-//! 3. the `DLRA_THREADS` environment variable (read once),
-//! 4. [`std::thread::available_parallelism`].
+//! 3. [`std::thread::available_parallelism`].
 //!
 //! Panels execute on a **persistent worker pool**, spawned lazily on the
 //! first parallel call and reused for every call after it — replacing the
@@ -41,7 +40,7 @@ thread_local! {
 }
 
 /// Sets the kernel thread count for the whole process (clamped to ≥ 1).
-/// Overrides `DLRA_THREADS` and the hardware default.
+/// Overrides the hardware default.
 pub fn set_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
 }
@@ -58,15 +57,9 @@ pub fn threads() -> usize {
     if t != 0 {
         return t;
     }
-    let resolved = std::env::var("DLRA_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+    let resolved = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     // Racing first calls resolve to the same value; a concurrent
     // `set_threads` may overwrite, which is the caller's intent anyway.
     THREADS.store(resolved, Ordering::Relaxed);

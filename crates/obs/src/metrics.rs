@@ -263,7 +263,6 @@ pub struct DatasetMetrics {
     rejected_overload: AtomicU64,
     queue_depth: AtomicU64,
     in_flight: AtomicU64,
-    resident_bytes: AtomicU64,
     latency: Histogram,
     prepare: Histogram,
     execute: Histogram,
@@ -301,12 +300,6 @@ impl DatasetMetrics {
     pub fn query_rejected_overload(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
         self.rejected_overload.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sets the resident-payload gauge to the dataset's current byte size
-    /// (recomputed by the service at load/reload; 0 after eviction).
-    pub fn set_resident_bytes(&self, bytes: u64) {
-        self.resident_bytes.store(bytes, Ordering::Relaxed);
     }
 
     /// An executor started running a query.
@@ -352,15 +345,16 @@ impl DatasetMetrics {
         }
     }
 
-    /// Execute-phase profile of a planned query: draw/fetch wall time and
-    /// the words charged past the shared preparation.
+    /// Execute-phase profile of a completed run, planned or not: its wall
+    /// time and the words it charged past any shared preparation.
     pub fn record_execute(&self, micros: u64, comm: &LedgerSnapshot) {
         self.execute.record_micros(micros);
         self.execute_comm.add(comm);
     }
 
-    /// A point-in-time copy. `name` and the plan-cache fields start empty —
-    /// the service attaches them (the registry has no identity or cache).
+    /// A point-in-time copy. `name`, `resident_bytes` and the plan-cache
+    /// fields start empty — the service attaches them (the registry has no
+    /// identity, payload or cache).
     pub fn snapshot(&self) -> DatasetMetricsSnapshot {
         DatasetMetricsSnapshot {
             name: String::new(),
@@ -373,7 +367,7 @@ impl DatasetMetrics {
             rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
+            resident_bytes: 0,
             plan_hits: 0,
             plan_misses: 0,
             latency: self.latency.snapshot(),
@@ -411,7 +405,8 @@ pub struct DatasetMetricsSnapshot {
     pub queue_depth: u64,
     /// Queries currently executing.
     pub in_flight: u64,
-    /// Bytes of resident payload this dataset holds (0 after eviction).
+    /// Bytes of resident payload this dataset holds (attached by the
+    /// service).
     pub resident_bytes: u64,
     /// Planned queries served from a cached preparation (the plan cache's
     /// hits; 0 without one).
@@ -422,14 +417,14 @@ pub struct DatasetMetricsSnapshot {
     pub latency: HistogramSnapshot,
     /// Prepare-phase wall time (planned queries only).
     pub prepare: HistogramSnapshot,
-    /// Execute-phase wall time (planned queries only).
+    /// Execute-phase wall time (every completed run, planned or not).
     pub execute: HistogramSnapshot,
     /// Total communication charged to completed queries (word-exact,
     /// deterministic across runs / thread counts / plan-cache settings).
     pub comm: LedgerSnapshot,
     /// Words physically charged by plan preparations on this dataset.
     pub prepare_comm: LedgerSnapshot,
-    /// Words charged by planned queries past their shared preparation.
+    /// Words charged by completed runs past any shared preparation.
     pub execute_comm: LedgerSnapshot,
     /// Plan-cache counters for this dataset (attached by the service).
     pub plan_cache: Option<PlanCacheStats>,
@@ -1183,9 +1178,9 @@ mod tests {
             },
         );
         m.query_rejected_overload();
-        m.set_resident_bytes(4096);
         let mut d = m.snapshot();
         d.name = "tenant-a".into();
+        d.resident_bytes = 4096;
         d.plan_cache = Some(PlanCacheStats {
             hits: 3,
             misses: 1,

@@ -26,6 +26,10 @@
 //!   running), and [`Ticket::wait_timeout`]. Failures are unified in the
 //!   [`ServiceError`] taxonomy ([`ServiceError::is_retryable`] /
 //!   [`ServiceError::is_caller_error`] classify it for backoff loops).
+//!   Every query follows one lifecycle: it resolves at submission or is
+//!   queued, and one executor function runs it through the gates, the
+//!   kernel budget, the substrate and one execute envelope, planned or
+//!   not; one match counts and traces every resolution.
 //!   Residency is copy-on-write (loading and dispatch clone `Matrix`
 //!   handles, never entry data), and a dead or shut-down executor pool
 //!   resolves every ticket to [`ServiceError::RuntimeUnavailable`]

@@ -35,6 +35,20 @@
 //! and [`ServiceError::is_caller_error`] classify the variants for
 //! retry/backoff loops.
 //!
+//! ## One query lifecycle
+//!
+//! A submission resolves at once when `k` exceeds the dataset's width,
+//! the dataset was evicted, admission sheds it or the pool is gone;
+//! otherwise it is admitted and queued. An executor runs a popped query
+//! through one function: the deadline, eviction and cancel gates, the
+//! kernel budget, the substrate, and one execute envelope — one
+//! `query.execute` span and one execute record, planned or not. A ticket
+//! that never runs is settled in one place, where a cancel that claimed it
+//! first wins; a dataset leaves residency through one function, for
+//! [`Service::evict`] and the quota sweep alike; and one match maps every
+//! resolution, at submission or in an executor, to its metrics counter and
+//! its trace instant.
+//!
 //! ## Self-regulation under pressure
 //!
 //! The service protects itself from overload with two mechanisms, both
@@ -430,8 +444,8 @@ struct Dataset {
     metrics: Option<Arc<DatasetMetrics>>,
     evicted: AtomicBool,
     /// Bytes of resident payload (Σ rows·cols·8 over servers); updated
-    /// under the resident write lock at load/reload, read by the quota
-    /// sweep.
+    /// under the `datasets` write lock at load, reload and retirement,
+    /// read by the quota sweep and by [`Service::metrics`].
     bytes: AtomicU64,
     /// Logical LRU tick of the last admission (or load/reload) touching
     /// this dataset — from the service's monotonic mint, never a clock, so
@@ -477,21 +491,28 @@ struct TicketShared {
     /// callers can detect shedding without consuming the one-shot result.
     shed: AtomicBool,
     submitted: Instant,
-    // dlra-lock-order: ticket.deadline
-    deadline: Mutex<Option<Instant>>,
+    /// The deadline in nanoseconds after `submitted`, `u64::MAX` for none.
+    /// Only ever lowered (`fetch_min`): a later, looser deadline never
+    /// relaxes an earlier one.
+    deadline: AtomicU64,
     /// Process-unique id correlating this query's trace events.
     query_id: u64,
 }
 
+/// `after` in nanoseconds, saturating at `u64::MAX` (about 584 years),
+/// which stands for "no deadline".
+fn nanos(after: Duration) -> u64 {
+    u64::try_from(after.as_nanos()).unwrap_or(u64::MAX)
+}
+
 impl TicketShared {
     fn new(deadline: Option<Duration>) -> Self {
-        let submitted = Instant::now();
         TicketShared {
             state: AtomicU8::new(ticket_state::PENDING),
             cancel_requested: AtomicBool::new(false),
             shed: AtomicBool::new(false),
-            submitted,
-            deadline: Mutex::new(deadline.and_then(|d| submitted.checked_add(d))),
+            submitted: Instant::now(),
+            deadline: AtomicU64::new(deadline.map_or(u64::MAX, nanos)),
             query_id: NEXT_QUERY_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -514,10 +535,23 @@ impl TicketShared {
             .map(|_| ())
     }
 
+    /// Settles a ticket that never runs: claims it `RESOLVED` and returns
+    /// `err`, unless a cancel claimed it first — then the cancel's
+    /// drop-before-execute guarantee wins and the ticket resolves to
+    /// [`ServiceError::Cancelled`], so `cancel() == true` always implies
+    /// exactly that one terminal state.
+    fn settle(&self, err: ServiceError) -> ServiceError {
+        match self.claim(ticket_state::RESOLVED) {
+            Err(ticket_state::CANCELLED) => ServiceError::Cancelled,
+            _ => err,
+        }
+    }
+
     fn deadline_expired(&self) -> bool {
-        self.deadline
-            .lock_recover()
-            .is_some_and(|at| Instant::now() >= at)
+        // A single tighten-only word that publishes no other data; Relaxed
+        // suffices.
+        let at = self.deadline.load(Ordering::Relaxed);
+        at != u64::MAX && nanos(self.submitted.elapsed()) >= at
     }
 }
 
@@ -573,13 +607,10 @@ impl Ticket {
     /// query whose deadline has expired by the time an executor reaches it
     /// resolves to [`ServiceError::Deadline`] without running.
     pub fn deadline(self, after: Duration) -> Self {
-        if let Some(at) = self.shared.submitted.checked_add(after) {
-            let mut slot = self.shared.deadline.lock_recover();
-            *slot = Some(match *slot {
-                Some(cur) => cur.min(at),
-                None => at,
-            });
-        }
+        // Single-variable and tighten-only, like the reads; Relaxed suffices.
+        self.shared
+            .deadline
+            .fetch_min(nanos(after), Ordering::Relaxed);
         self
     }
 
@@ -636,41 +667,15 @@ impl Ticket {
         }
     }
 
-    /// A ticket already resolved to `result` (submission-time failures).
-    /// The state moves to `RESOLVED`, so a later `cancel` truthfully
-    /// reports it was too late to change the outcome. If a cancel already
-    /// claimed the ticket, the cancel's drop-before-execute guarantee wins
-    /// and the ticket resolves to [`ServiceError::Cancelled`] instead —
-    /// `cancel() == true` always implies exactly that one terminal state.
-    fn resolved(shared: Arc<TicketShared>, result: Result<QueryOutcome, ServiceError>) -> Ticket {
-        let result = match shared.claim(ticket_state::RESOLVED) {
-            Ok(()) => result,
-            Err(won) if won == ticket_state::CANCELLED => Err(ServiceError::Cancelled),
-            Err(_) => result,
-        };
+    /// A ticket resolved at submission, settled to `err` (see
+    /// [`TicketShared::settle`]): the state moves to `RESOLVED`, so a
+    /// later `cancel` truthfully reports it was too late to change the
+    /// outcome.
+    fn resolved(shared: Arc<TicketShared>, err: ServiceError) -> Ticket {
         let (reply, rx) = mpsc::channel();
-        let _ = reply.send(result);
+        let _ = reply.send(Err(shared.settle(err)));
         Ticket { rx, shared }
     }
-}
-
-/// Resolves a ticket from outside the executor path (queue send failure,
-/// post-shutdown submission), honoring a cancel that already claimed it:
-/// `cancel() == true` must imply the ticket resolves to
-/// [`ServiceError::Cancelled`] — a caller that timed out in
-/// [`Ticket::wait_timeout`] and then cancelled must observe exactly one
-/// terminal state, even when it races a collapsing pool.
-fn deliver_terminal(
-    ticket: &TicketShared,
-    reply: &Sender<Result<QueryOutcome, ServiceError>>,
-    err: ServiceError,
-) {
-    let result = match ticket.claim(ticket_state::RESOLVED) {
-        Ok(()) => Err(err),
-        Err(won) if won == ticket_state::CANCELLED => Err(ServiceError::Cancelled),
-        Err(_) => Err(err),
-    };
-    let _ = reply.send(result);
 }
 
 enum Task {
@@ -695,7 +700,8 @@ enum Task {
 /// `ServicePressure::try_admit` succeeded and the dataset's `pending` pin
 /// was taken), dropped at terminal resolution. Because it rides inside
 /// [`Task::Query`], a task dropped without executing — a collapsing pool
-/// tearing down its queue — still balances the gauge and the pin.
+/// tearing down its queue, or a submission the pool can no longer take —
+/// still balances the gauge and the pin.
 struct AdmissionGuard {
     shared: Arc<Shared>,
     dataset: Arc<Dataset>,
@@ -724,6 +730,13 @@ struct Shared {
     plan_cache: usize,
     /// Whether per-dataset metrics registries are maintained.
     metrics: bool,
+    /// The substrate every query runs on.
+    substrate: Substrate,
+    /// The collective routing topology every query runs with.
+    topology: Topology,
+    /// Executor threads the pool started with; each query's kernel budget
+    /// is the process's kernel threads divided by it.
+    executors: usize,
     /// Live pressure state: the admission gauge, resident-byte total, and
     /// shed/quota-eviction counters. Always maintained (even with the
     /// metrics registry off) — admission control and the quota sweep read
@@ -769,8 +782,6 @@ struct Shared {
 /// ```
 pub struct Service {
     shared: Arc<Shared>,
-    substrate: Substrate,
-    topology: Topology,
     executors: Vec<JoinHandle<()>>,
     started: Instant,
 }
@@ -779,12 +790,17 @@ impl Service {
     /// Starts the executor pool. Datasets are loaded afterwards with
     /// [`Service::load`].
     pub fn new(config: ServiceConfig) -> Self {
+        let (queue, tasks) = mpsc::channel::<Task>();
+        let total = config.executors.max(1);
         let shared = Arc::new(Shared {
-            queue: RwLock::new(None),
+            queue: RwLock::new(Some(queue)),
             datasets: RwLock::new(HashMap::new()),
             next_dataset_id: AtomicU64::new(0),
             plan_cache: config.plan_cache,
             metrics: config.metrics,
+            substrate: config.substrate,
+            topology: config.topology,
+            executors: total,
             pressure: ServicePressure::new(),
             lru_tick: AtomicU64::new(0),
             max_queue_depth: config.max_queue_depth.map(|n| n as u64),
@@ -797,21 +813,17 @@ impl Service {
             // when on is two clock reads per pool section.
             dlra_linalg::set_pool_profiling(true);
         }
-        let (queue, tasks) = mpsc::channel::<Task>();
-        *shared.queue.write_recover() = Some(queue);
         let tasks = Arc::new(Mutex::new(tasks));
-        let total = config.executors.max(1);
         let executors = (0..total)
             .map(|i| {
                 let tasks = Arc::clone(&tasks);
-                let substrate = config.substrate;
-                let topology = config.topology;
+                let shared = Arc::clone(&shared);
                 // dlra-allow(thread-discipline): the service executor pool
                 // is itself a sanctioned long-lived pool — workers are
                 // created once per Service and joined in shutdown().
                 std::thread::Builder::new()
                     .name(format!("dlra-executor-{i}"))
-                    .spawn(move || executor_loop(&tasks, substrate, topology, total))
+                    .spawn(move || executor_loop(&shared, &tasks))
                     // dlra-allow(panic-policy): spawn fails only on OS
                     // thread exhaustion at Service construction, before any
                     // query exists to resolve to a typed error.
@@ -820,8 +832,6 @@ impl Service {
             .collect();
         Service {
             shared,
-            substrate: config.substrate,
-            topology: config.topology,
             executors,
             started: Instant::now(),
         }
@@ -861,9 +871,6 @@ impl Service {
             last_used: AtomicU64::new(tick),
             pending: AtomicU64::new(0),
         });
-        if let Some(m) = dataset.metrics.as_deref() {
-            m.set_resident_bytes(bytes);
-        }
         self.shared.pressure.add_resident_bytes(bytes);
         datasets.insert(name.to_string(), Arc::clone(&dataset));
         // The newcomer is protected: a load larger than the whole budget
@@ -907,9 +914,6 @@ impl Service {
         // Byte accounting: `swap` claims the old payload's bytes exactly
         // once, so a racing evict can never double-subtract.
         let old_bytes = dataset.bytes.swap(new_bytes, Ordering::Relaxed);
-        if let Some(m) = dataset.metrics.as_deref() {
-            m.set_resident_bytes(new_bytes);
-        }
         self.shared.pressure.sub_resident_bytes(old_bytes);
         self.shared.pressure.add_resident_bytes(new_bytes);
         // Tick mint: uniqueness + monotonicity come from RMW atomicity.
@@ -926,28 +930,10 @@ impl Service {
     /// The name becomes immediately available for a fresh [`Service::load`]
     /// (with a new dataset id — stale handles keep reporting eviction).
     pub fn evict(&self, name: &str) -> Result<(), ServiceError> {
-        let dataset = self
-            .shared
-            .datasets
-            .write_recover()
-            .remove(name)
-            .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))?;
-        // Release pairs with the Acquire loads in dispatch/execute: a
-        // thread that sees the flag also sees the map removal above.
-        dataset.evicted.store(true, Ordering::Release);
-        if let Some(planner) = &dataset.planner {
-            // No key can ever carry this epoch (epochs count up from 0), so
-            // this drops every settled plan of the evicted dataset.
-            planner.retain_epoch(u64::MAX);
-        }
-        // `swap` claims the payload's bytes exactly once (a racing reload
-        // claimed them first if it got there before us).
-        let bytes = dataset.bytes.swap(0, Ordering::Relaxed);
-        self.shared.pressure.sub_resident_bytes(bytes);
-        if let Some(m) = dataset.metrics.as_deref() {
-            m.set_resident_bytes(0);
-        }
-        Ok(())
+        let mut datasets = self.shared.datasets.write_recover();
+        retire(&self.shared, &mut datasets, name)
+            .map(drop)
+            .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))
     }
 
     /// The handle of a resident dataset, or `None`.
@@ -974,12 +960,12 @@ impl Service {
 
     /// The substrate queries run on.
     pub fn substrate(&self) -> Substrate {
-        self.substrate
+        self.shared.substrate
     }
 
     /// The collective routing topology queries run with.
     pub fn topology(&self) -> Topology {
-        self.topology
+        self.shared.topology
     }
 
     /// Number of executor threads.
@@ -999,10 +985,11 @@ impl Service {
 
     /// A point-in-time metrics snapshot — one entry per resident dataset
     /// (in load order) with outcome counters, queue/in-flight gauges,
-    /// latency and phase histograms, word-exact communication totals, and
-    /// plan-cache counters — plus the kernel pool's thread count,
-    /// parallelism watermark, and profiling accumulators. `None` when the
-    /// registry is disabled (`ServiceConfig::metrics = false`).
+    /// resident bytes, latency and phase histograms, word-exact
+    /// communication totals, and plan-cache counters — plus the kernel
+    /// pool's thread count, parallelism watermark, and profiling
+    /// accumulators. `None` when the registry is disabled
+    /// (`ServiceConfig::metrics = false`).
     ///
     /// Export with [`MetricsSnapshot::to_json`],
     /// [`MetricsSnapshot::to_prometheus`], or `Display`.
@@ -1026,6 +1013,7 @@ impl Service {
                 let registry = dataset.metrics.as_ref()?;
                 let mut snap = registry.snapshot();
                 snap.name = dataset.name.clone();
+                snap.resident_bytes = dataset.bytes.load(Ordering::Relaxed);
                 snap.plan_cache = dataset.planner.as_ref().map(|planner| planner.stats());
                 let plans = snap.plan_cache.unwrap_or_default();
                 snap.plan_hits = plans.hits;
@@ -1103,45 +1091,19 @@ impl DatasetHandle {
     ///
     /// Never panics and never blocks on execution: submission-time
     /// failures (evicted dataset, `k` exceeding the dataset's column
-    /// count, dead pool) come back through the ticket, typed.
+    /// count, a shed, dead pool) come back through the ticket, typed.
     pub fn submit(&self, query: &Query) -> Ticket {
-        let shared = Arc::new(TicketShared::new(query.deadline));
+        let ticket = Arc::new(TicketShared::new(query.deadline));
         let d = self.dataset.resident.read_recover().shape.1;
         let k = query.request.cfg.k;
         if k > d {
-            self.reject(&shared);
-            return Ticket::resolved(
-                shared,
-                Err(ServiceError::InvalidQuery(
-                    QueryError::RankExceedsDimension { k, d },
-                )),
-            );
+            let err = QueryError::RankExceedsDimension { k, d };
+            return self.reject(ticket, ServiceError::InvalidQuery(err));
         }
-        self.dispatch(query.request.clone(), shared)
-    }
-
-    /// Records a submission-time rejection (metrics + trace).
-    fn reject(&self, shared: &TicketShared) {
-        if let Some(m) = self.dataset.metrics.as_deref() {
-            m.query_rejected();
-        }
-        trace::instant(
-            "query",
-            "query.reject",
-            &[("qid", shared.query_id), ("dataset", self.dataset.id)],
-        );
-    }
-
-    fn dispatch(&self, request: QueryRequest, shared: Arc<TicketShared>) -> Ticket {
-        // Acquire pairs with the Release store in `Service::evict`.
+        // Acquire pairs with the Release store in `retire`.
         if self.dataset.evicted.load(Ordering::Acquire) {
-            self.reject(&shared);
-            return Ticket::resolved(
-                shared,
-                Err(ServiceError::DatasetEvicted {
-                    dataset: self.dataset.name.clone(),
-                }),
-            );
+            let dataset = self.dataset.name.clone();
+            return self.reject(ticket, ServiceError::DatasetEvicted { dataset });
         }
         // Admission decision: one atomic bound-check-and-increment, no
         // locks, no clocks — a shed submission resolves here in O(µs)
@@ -1149,18 +1111,10 @@ impl DatasetHandle {
         if let Err(queue_depth) = self.shared.pressure.try_admit(self.shared.max_queue_depth) {
             // Written before the ticket is handed back, on this thread;
             // Relaxed is enough for every later `Ticket::shed` read.
-            shared.shed.store(true, Ordering::Relaxed);
-            if let Some(m) = self.dataset.metrics.as_deref() {
-                m.query_rejected_overload();
-            }
-            trace::instant(
-                "query",
-                "query.shed",
-                &[("qid", shared.query_id), ("dataset", self.dataset.id)],
-            );
+            ticket.shed.store(true, Ordering::Relaxed);
             // `try_admit` only fails when a bound is configured.
             let limit = self.shared.max_queue_depth.unwrap_or(0);
-            return Ticket::resolved(shared, Err(ServiceError::Overloaded { queue_depth, limit }));
+            return self.reject(ticket, ServiceError::Overloaded { queue_depth, limit });
         }
         // Admitted: pin the dataset against quota eviction and mark it
         // most-recently-used before the guard exists, so the guard's drop
@@ -1170,74 +1124,43 @@ impl DatasetHandle {
         self.dataset.pending.fetch_add(1, Ordering::Relaxed);
         let tick = self.shared.lru_tick.fetch_add(1, Ordering::Relaxed) + 1;
         self.dataset.last_used.store(tick, Ordering::Relaxed);
-        let admission = AdmissionGuard {
-            shared: Arc::clone(&self.shared),
-            dataset: Arc::clone(&self.dataset),
-        };
         let (reply, rx) = mpsc::channel();
-        let ticket = Ticket {
-            rx,
-            shared: Arc::clone(&shared),
+        let task = Task::Query {
+            dataset: Arc::clone(&self.dataset),
+            request: Box::new(query.request.clone()),
+            ticket: Arc::clone(&ticket),
+            reply,
+            admission: AdmissionGuard {
+                shared: Arc::clone(&self.shared),
+                dataset: Arc::clone(&self.dataset),
+            },
         };
-        match self.shared.queue.read_recover().as_ref() {
-            Some(queue) => {
-                let task = Task::Query {
-                    dataset: Arc::clone(&self.dataset),
-                    request: Box::new(request),
-                    ticket: shared,
-                    reply,
-                    admission,
-                };
-                match queue.send(task) {
-                    Ok(()) => {
-                        // Counted only once actually enqueued: the matching
-                        // `query_dequeued` runs when an executor pops it
-                        // (shutdown drains the queue, so every enqueued
-                        // task is eventually popped).
-                        if let Some(m) = self.dataset.metrics.as_deref() {
-                            m.query_submitted();
-                        }
-                        trace::instant(
-                            "query",
-                            "query.submit",
-                            &[
-                                ("qid", ticket.shared.query_id),
-                                ("dataset", self.dataset.id),
-                            ],
-                        );
-                    }
-                    Err(mpsc::SendError(task)) => {
-                        // Every executor has exited (the pop side of the
-                        // queue is gone): deliver the failure through the
-                        // ticket, honoring a cancel that already claimed
-                        // it, and release the admission the query never
-                        // got to use.
-                        match task {
-                            Task::Query {
-                                reply,
-                                ticket,
-                                admission,
-                                ..
-                            } => {
-                                self.reject(&ticket);
-                                deliver_terminal(&ticket, &reply, runtime_unavailable());
-                                drop(admission);
-                            }
-                            #[cfg(test)]
-                            Task::Poison => unreachable!("dispatch only sends queries"),
-                        }
-                    }
-                }
-            }
-            // Shut down: the ticket must still resolve, and the admission
-            // must be released (the query never entered the system).
-            None => {
-                self.reject(&ticket.shared);
-                deliver_terminal(&ticket.shared, &reply, runtime_unavailable());
-                drop(admission);
-            }
+        let queued = match self.shared.queue.read_recover().as_ref() {
+            Some(queue) => queue.send(task).is_ok(),
+            None => false,
+        };
+        if !queued {
+            // Shut down, or every executor exited (the pop side of the
+            // queue is gone): the ticket still resolves, and the unsent
+            // task releases its admission when it drops.
+            return self.reject(ticket, runtime_unavailable());
         }
-        ticket
+        // Counted only once actually enqueued: the matching
+        // `query_dequeued` runs when an executor pops it (shutdown drains
+        // the queue, so every enqueued task is eventually popped).
+        if let Some(m) = self.dataset.metrics.as_deref() {
+            m.query_submitted();
+        }
+        let args = [("qid", ticket.query_id), ("dataset", self.dataset.id)];
+        trace::instant("query", "query.submit", &args);
+        Ticket { rx, shared: ticket }
+    }
+
+    /// Resolves a submission that never reaches an executor: recorded,
+    /// then settled.
+    fn reject(&self, ticket: Arc<TicketShared>, err: ServiceError) -> Ticket {
+        record_resolution(&self.dataset, &ticket, false, Err(&err));
+        Ticket::resolved(ticket, err)
     }
 
     /// The name this dataset is resident under.
@@ -1262,7 +1185,7 @@ impl DatasetHandle {
 
     /// Whether the dataset has been evicted.
     pub fn is_evicted(&self) -> bool {
-        // Acquire pairs with the Release store in `Service::evict`.
+        // Acquire pairs with the Release store in `retire`.
         self.dataset.evicted.load(Ordering::Acquire)
     }
 
@@ -1300,6 +1223,34 @@ fn locals_bytes(locals: &[Matrix]) -> u64 {
         .sum()
 }
 
+/// Takes `name` out of residency, for [`Service::evict`] and the quota
+/// sweep alike: the dataset leaves the registry and is flagged evicted
+/// (queued queries addressed to it resolve to
+/// [`ServiceError::DatasetEvicted`], executing ones finish against the
+/// payload they hold), its plan-cache partition is purged, and its bytes
+/// leave the resident total. `None` when no dataset has that name.
+fn retire(
+    shared: &Shared,
+    datasets: &mut HashMap<String, Arc<Dataset>>,
+    name: &str,
+) -> Option<Arc<Dataset>> {
+    let dataset = datasets.remove(name)?;
+    // Release pairs with the Acquire loads at submission and at the
+    // executor's gates: a thread that sees the flag also sees the removal.
+    dataset.evicted.store(true, Ordering::Release);
+    if let Some(planner) = &dataset.planner {
+        // No key can ever carry this epoch (epochs count up from 0), so
+        // every settled plan drops; a preparation still in flight delivers
+        // to its waiters but is never re-cached (the executor's
+        // post-execution sweep re-runs retain against the evicted flag).
+        planner.retain_epoch(u64::MAX);
+    }
+    // `swap` leaves 0 behind, so the bytes are released exactly once.
+    let bytes = dataset.bytes.swap(0, Ordering::Relaxed);
+    shared.pressure.sub_resident_bytes(bytes);
+    Some(dataset)
+}
+
 /// The quota sweep: while the resident total exceeds the budget, evict the
 /// least-recently-dispatched dataset that is neither pinned (admitted
 /// queries in flight — their plans and payloads must stay live) nor
@@ -1329,30 +1280,10 @@ fn enforce_budget(
             // the choice never depends on HashMap iteration order.
             .min_by_key(|d| d.last_used.load(Ordering::Relaxed))
             .map(|d| d.name.clone());
-        let Some(name) = victim else {
+        let Some(dataset) = victim.and_then(|name| retire(shared, datasets, &name)) else {
             break;
         };
-        let Some(dataset) = datasets.remove(&name) else {
-            break;
-        };
-        // Release pairs with the Acquire loads in dispatch/execute — the
-        // same contract as `Service::evict`.
-        dataset.evicted.store(true, Ordering::Release);
-        if let Some(planner) = &dataset.planner {
-            // No key can ever carry this epoch, so every settled plan of
-            // the victim drops; a preparation still in flight delivers to
-            // its waiters but is never re-cached (the executor's
-            // post-execution sweep re-runs retain against the evicted
-            // flag).
-            planner.retain_epoch(u64::MAX);
-        }
-        // `swap` claims the bytes exactly once against racing evictors.
-        let bytes = dataset.bytes.swap(0, Ordering::Relaxed);
-        shared.pressure.sub_resident_bytes(bytes);
         shared.pressure.record_pressure_eviction();
-        if let Some(m) = dataset.metrics.as_deref() {
-            m.set_resident_bytes(0);
-        }
         trace::instant("service", "dataset.quota_evict", &[("dataset", dataset.id)]);
     }
 }
@@ -1387,12 +1318,7 @@ fn validate_locals(locals: &[Matrix]) -> Result<(usize, usize), ServiceError> {
     Ok((n, d))
 }
 
-fn executor_loop(
-    tasks: &Mutex<Receiver<Task>>,
-    substrate: Substrate,
-    topology: Topology,
-    executors: usize,
-) {
+fn executor_loop(shared: &Shared, tasks: &Mutex<Receiver<Task>>) {
     loop {
         // Hold the queue lock only for the pop, not the run.
         let popped = tasks.lock_recover().recv();
@@ -1404,7 +1330,7 @@ fn executor_loop(
                 reply,
                 admission,
             }) => {
-                let result = run_query(&dataset, substrate, topology, executors, &request, &ticket);
+                let result = run_query(shared, &dataset, &request, &ticket);
                 // Execution is over: release the admission (and the pin)
                 // *before* delivering, so a caller returning from `wait`
                 // observes the gauge already decremented — the channel's
@@ -1421,15 +1347,12 @@ fn executor_loop(
     }
 }
 
-/// Observability envelope around [`run_query_inner`]: records the queue
-/// wait, the run span, and classifies the terminal outcome into the
-/// dataset's metric counters. Pure bookkeeping — the result passes
-/// through untouched.
+/// Runs one popped query to its resolution: the deadline, eviction and
+/// cancel gates, the kernel budget, the substrate, the execution, and the
+/// outcome record.
 fn run_query(
-    dataset: &Arc<Dataset>,
-    substrate: Substrate,
-    topology: Topology,
-    executors: usize,
+    shared: &Shared,
+    dataset: &Dataset,
     request: &QueryRequest,
     ticket: &TicketShared,
 ) -> Result<QueryOutcome, ServiceError> {
@@ -1437,159 +1360,121 @@ fn run_query(
     if let Some(m) = metrics {
         m.query_dequeued();
     }
-    trace::complete_since(
-        "query",
-        "query.queue",
-        ticket.submitted,
-        &[("qid", ticket.query_id), ("dataset", dataset.id)],
-    );
-    let result = {
-        let _span = trace::span("query", "query.run")
-            .arg("qid", ticket.query_id)
-            .arg("dataset", dataset.id);
-        if let Some(m) = metrics {
-            m.query_started();
-        }
-        let result = run_query_inner(dataset, substrate, topology, executors, request, ticket);
-        if let Some(m) = metrics {
-            m.query_finished();
+    let args = [("qid", ticket.query_id), ("dataset", dataset.id)];
+    trace::complete_since("query", "query.queue", ticket.submitted, &args);
+    let run_span = trace::span("query", "query.run")
+        .arg("qid", ticket.query_id)
+        .arg("dataset", dataset.id);
+    if let Some(m) = metrics {
+        m.query_started();
+    }
+    // Terminal gates first: a deadline or eviction settles the ticket
+    // without ever claiming it as started. Settling is itself a claim out
+    // of PENDING, so a concurrent `cancel` cannot be told "the query was
+    // dropped" while a different outcome is delivered — whoever wins the
+    // compare-exchange names the outcome. The eviction flag's Acquire
+    // pairs with the Release store in `retire`.
+    let result = if ticket.deadline_expired() {
+        Err(ticket.settle(ServiceError::Deadline))
+    } else if dataset.evicted.load(Ordering::Acquire) {
+        let name = dataset.name.clone();
+        Err(ticket.settle(ServiceError::DatasetEvicted { dataset: name }))
+    } else if ticket.claim(ticket_state::STARTED).is_err() {
+        // A cancel got there first: `cancel()` returned true, so the query
+        // must never run.
+        Err(ServiceError::Cancelled)
+    } else {
+        // O(s) handle clones of the shared payload: each `Matrix` clone
+        // bumps a refcount, no entry data moves.
+        let (parts, epoch) = {
+            let resident = dataset.resident.read_recover();
+            (resident.locals.to_vec(), resident.epoch)
+        };
+        let topology = shared.topology;
+        // Executor-layer kernel budgeting: coordinator-side kernels (the
+        // SVD of B, gram products) share the process kernel-thread budget
+        // across executors instead of each claiming all of it. Thread
+        // counts never change bits, so this is invisible to the
+        // equivalence suites. The budget is read outside the override so
+        // `set_threads` changes are picked up per query.
+        let budget = (dlra_linalg::threads() / shared.executors).max(1);
+        let result = dlra_linalg::with_threads(budget, || match shared.substrate {
+            Substrate::Sequential => execute_on(parts, epoch, dataset, request, ticket, |l| {
+                dlra_comm::Cluster::with_topology(l, topology)
+            }),
+            Substrate::Threaded => execute_on(parts, epoch, dataset, request, ticket, |l| {
+                dlra_net::ThreadedCluster::with_topology(l, topology)
+            }),
+            Substrate::Socket => execute_on(parts, epoch, dataset, request, ticket, |l| {
+                dlra_net::SocketCluster::with_topology(l, topology)
+            }),
+        });
+        // A reload (or eviction) may have landed between our epoch
+        // snapshot and any plan this query inserted: its `retain_epoch`
+        // ran before the insertion, so sweep again against the *current*
+        // state. The query's own result is untouched (it correctly
+        // answered against the data it dispatched with); this only stops
+        // a dead-epoch plan from squatting in an LRU slot until capacity
+        // pressure evicts it.
+        if let Some(cache) = dataset.planner.as_deref() {
+            // Acquire pairs with the Release store in `retire`.
+            if dataset.evicted.load(Ordering::Acquire) {
+                cache.retain_epoch(u64::MAX);
+            } else {
+                let now = dataset.resident.read_recover().epoch;
+                if now != epoch {
+                    cache.retain_epoch(now);
+                }
+            }
         }
         result
     };
-    let qid = [("qid", ticket.query_id)];
-    match &result {
-        Ok(outcome) => {
+    if let Some(m) = metrics {
+        m.query_finished();
+    }
+    drop(run_span);
+    record_resolution(dataset, ticket, true, result.as_ref());
+    result
+}
+
+/// Counts a resolution in the dataset's metrics and marks it in the trace:
+/// the one map from outcome to counter and instant, for resolutions at
+/// submission (`popped == false`: rejections and sheds) and in an
+/// executor alike.
+fn record_resolution(
+    dataset: &Dataset,
+    ticket: &TicketShared,
+    popped: bool,
+    result: Result<&QueryOutcome, &ServiceError>,
+) {
+    use DatasetMetrics as M;
+    use ServiceError as E;
+    let metrics = dataset.metrics.as_deref();
+    let (count, name): (fn(&M), &str) = match (result, popped) {
+        (Ok(outcome), _) => {
             if let Some(m) = metrics {
                 let latency = ticket.submitted.elapsed().as_micros() as u64;
                 m.query_completed(latency, &outcome.output.comm);
             }
-            trace::instant("query", "query.complete", &qid);
+            (|_| {}, "query.complete")
         }
-        Err(ServiceError::Cancelled) => {
-            if let Some(m) = metrics {
-                m.query_cancelled();
-            }
-            trace::instant("query", "query.cancelled", &qid);
-        }
-        Err(ServiceError::Deadline) => {
-            if let Some(m) = metrics {
-                m.query_expired();
-            }
-            trace::instant("query", "query.deadline", &qid);
-        }
-        Err(ServiceError::DatasetEvicted { .. }) => {
-            if let Some(m) = metrics {
-                m.query_rejected();
-            }
-            trace::instant("query", "query.evicted", &qid);
-        }
-        Err(_) => {
-            if let Some(m) = metrics {
-                m.query_failed();
-            }
-            trace::instant("query", "query.failed", &qid);
-        }
-    }
-    result
-}
-
-/// Pre-execution gatekeeping plus the kernel-budgeted protocol run.
-fn run_query_inner(
-    dataset: &Arc<Dataset>,
-    substrate: Substrate,
-    topology: Topology,
-    executors: usize,
-    request: &QueryRequest,
-    ticket: &TicketShared,
-) -> Result<QueryOutcome, ServiceError> {
-    // Terminal gates first: a deadline or eviction resolves the ticket
-    // without ever claiming it as started. Each resolution is itself a
-    // claim out of PENDING, so a concurrent `cancel` cannot be told "the
-    // query was dropped" while a different outcome is delivered — whoever
-    // wins the compare-exchange names the outcome.
-    if ticket.deadline_expired() {
-        return match ticket.claim(ticket_state::RESOLVED) {
-            Ok(()) => Err(ServiceError::Deadline),
-            Err(_) => Err(ServiceError::Cancelled),
-        };
-    }
-    // Acquire pairs with the Release store in `Service::evict`.
-    if dataset.evicted.load(Ordering::Acquire) {
-        return match ticket.claim(ticket_state::RESOLVED) {
-            Ok(()) => Err(ServiceError::DatasetEvicted {
-                dataset: dataset.name.clone(),
-            }),
-            Err(_) => Err(ServiceError::Cancelled),
-        };
-    }
-    // Claim the query for execution: if a cancel got there first, honor
-    // it — `cancel()` returned true, so the query must never run.
-    if ticket.claim(ticket_state::STARTED).is_err() {
-        return Err(ServiceError::Cancelled);
-    }
-    // Executor-layer kernel budgeting: coordinator-side kernels (the SVD
-    // of B, gram products) share the process kernel-thread budget across
-    // executors instead of each claiming all of it. Thread counts never
-    // change bits, so this is invisible to the equivalence suites. The
-    // budget is read outside the override so `set_threads` changes are
-    // picked up per query.
-    let budget = (dlra_linalg::threads() / executors).max(1);
-    dlra_linalg::with_threads(budget, || {
-        execute(dataset, substrate, topology, request, ticket)
-    })
-}
-
-/// Runs one query on its private model instance, consulting the dataset's
-/// planner partition when the query is eligible.
-fn execute(
-    dataset: &Arc<Dataset>,
-    substrate: Substrate,
-    topology: Topology,
-    request: &QueryRequest,
-    ticket: &TicketShared,
-) -> Result<QueryOutcome, ServiceError> {
-    // O(s) handle clones of the shared payload: each `Matrix` clone bumps a
-    // refcount, no entry data moves.
-    let (parts, epoch) = {
-        let resident = dataset.resident.read_recover();
-        let parts: Vec<Matrix> = resident.locals.iter().cloned().collect();
-        (parts, resident.epoch)
+        (Err(E::Overloaded { .. }), _) => (M::query_rejected_overload, "query.shed"),
+        (Err(_), false) => (M::query_rejected, "query.reject"),
+        (Err(E::Cancelled), true) => (M::query_cancelled, "query.cancelled"),
+        (Err(E::Deadline), true) => (M::query_expired, "query.deadline"),
+        (Err(E::DatasetEvicted { .. }), true) => (M::query_rejected, "query.evicted"),
+        (Err(_), true) => (M::query_failed, "query.failed"),
     };
-    let result = match substrate {
-        Substrate::Sequential => execute_on(parts, epoch, dataset, request, ticket, |l| {
-            dlra_comm::Cluster::with_topology(l, topology)
-        }),
-        Substrate::Threaded => execute_on(parts, epoch, dataset, request, ticket, |l| {
-            dlra_net::ThreadedCluster::with_topology(l, topology)
-        }),
-        Substrate::Socket => execute_on(parts, epoch, dataset, request, ticket, |l| {
-            dlra_net::SocketCluster::with_topology(l, topology)
-        }),
-    };
-    // A reload (or eviction) may have landed between our epoch snapshot and
-    // any plan this query inserted: its `retain_epoch` ran before the
-    // insertion, so sweep again against the *current* state. The query's
-    // own result is untouched (it correctly answered against the data it
-    // dispatched with); this only stops a dead-epoch plan from squatting in
-    // an LRU slot until capacity pressure evicts it.
-    if let Some(cache) = dataset.planner.as_deref() {
-        // Acquire pairs with the Release store in `Service::evict`.
-        if dataset.evicted.load(Ordering::Acquire) {
-            cache.retain_epoch(u64::MAX);
-        } else {
-            let now = dataset.resident.read_recover().epoch;
-            if now != epoch {
-                cache.retain_epoch(now);
-            }
-        }
+    if let Some(m) = metrics {
+        count(m);
     }
-    result
+    let args = [("qid", ticket.query_id), ("dataset", dataset.id)];
+    trace::instant("query", name, &args);
 }
 
 /// The stop signal an executing query polls between protocol phases:
-/// cancellation wins over an expired deadline (matching the checkpoint
-/// order below), and `None` means "keep going". Acquire pairs with the
-/// Release store in [`Ticket::cancel`].
+/// cancellation wins over an expired deadline, and `None` means "keep
+/// going". Acquire pairs with the Release store in [`Ticket::cancel`].
 fn interrupt_reason(ticket: &TicketShared) -> Option<InterruptReason> {
     if ticket.cancel_requested.load(Ordering::Acquire) {
         Some(InterruptReason::Cancelled)
@@ -1602,9 +1487,10 @@ fn interrupt_reason(ticket: &TicketShared) -> Option<InterruptReason> {
 
 /// Builds the query's private model over `parts` (the dataset's payload at
 /// `epoch`) on the cluster `cluster` constructs, and runs it — from the
-/// dataset's shared plan when the query is eligible. The model's
-/// query-local scratch (injected coordinates, residual views) is freshly
-/// allocated per query.
+/// dataset's shared plan when the query is eligible — inside one
+/// `query.execute` span and one execute record, planned or not. The
+/// model's query-local scratch (injected coordinates, residual views) is
+/// freshly allocated per query.
 fn execute_on<C: Collectives<MatrixServer>>(
     parts: Vec<Matrix>,
     epoch: u64,
@@ -1615,20 +1501,17 @@ fn execute_on<C: Collectives<MatrixServer>>(
 ) -> Result<QueryOutcome, ServiceError> {
     let model =
         &mut PartitionModel::with_substrate(parts, request.f, cluster).map_err(map_execution)?;
-    let d = model.shape().1;
-    if let (Some(cache), SamplerKind::Z(params)) =
-        (dataset.planner.as_deref(), &request.cfg.sampler)
-    {
-        if request.plannable(d) {
-            let metrics = dataset.metrics.as_deref();
+    let metrics = dataset.metrics.as_deref();
+    let plan = match (dataset.planner.as_deref(), &request.cfg.sampler) {
+        (Some(cache), SamplerKind::Z(params)) if request.plannable(model.shape().1) => {
             let key = PlanKey::new(dataset.id, &request.f, params, request.cfg.seed, epoch);
-            let prep_start = metrics.map(|_| Instant::now());
+            let start = metrics.map(|_| Instant::now());
             let lookup_span = trace::span("plan", "plan.lookup").arg("qid", ticket.query_id);
             let (plan, cache_hit) = cache
                 .get_or_prepare(&key, || prepare_z_plan(model, params, request.cfg.seed))
                 .map_err(map_execution)?;
             drop(lookup_span.arg("hit", cache_hit as u64));
-            if let (Some(m), Some(start)) = (metrics, prep_start) {
+            if let (Some(m), Some(start)) = (metrics, start) {
                 let micros = start.elapsed().as_micros() as u64;
                 // Only a physically-paid preparation charges its ledger
                 // delta to `prepare_comm`; a hit's share is already there.
@@ -1637,51 +1520,40 @@ fn execute_on<C: Collectives<MatrixServer>>(
             // The drop-before-execute checkpoint: the (possibly shared)
             // preparation stays cached for other queries either way, but a
             // cancelled or expired query pays no draw/fetch phase.
-            // Acquire pairs with the Release store in `Ticket::cancel`.
-            if ticket.cancel_requested.load(Ordering::Acquire) {
-                return Err(ServiceError::Cancelled);
+            if let Some(reason) = interrupt_reason(ticket) {
+                return Err(map_execution(CoreError::Interrupted(reason)));
             }
-            if ticket.deadline_expired() {
-                return Err(ServiceError::Deadline);
-            }
-            let exec_start = metrics.map(|_| Instant::now());
-            let exec_span = trace::span("query", "query.execute").arg("qid", ticket.query_id);
-            let mut output =
-                run_algorithm1_with_plan_interruptible(model, &request.cfg, &plan, &|| {
-                    interrupt_reason(ticket)
-                })
-                .map_err(map_execution)?;
-            drop(exec_span);
-            if let (Some(m), Some(start)) = (metrics, exec_start) {
-                let micros = start.elapsed().as_micros() as u64;
-                // Pre-fold delta: the draw/fetch phase only.
-                m.record_execute(micros, &output.comm);
-            }
-            // Per-query accounting stays identical to an unplanned run:
-            // the preparation delta is deterministic, so prepare + execute
-            // is exactly what this query would have charged alone.
-            output.comm = plan.prepare_comm + output.comm;
-            return Ok(QueryOutcome {
-                output,
-                plan: Some(PlanUse {
-                    prepare_comm: plan.prepare_comm,
-                    cache_hit,
-                }),
-            });
+            Some((plan, cache_hit))
         }
+        _ => None,
+    };
+    let interrupt = || interrupt_reason(ticket);
+    let start = metrics.map(|_| Instant::now());
+    let span = trace::span("query", "query.execute").arg("qid", ticket.query_id);
+    let mut output = match &plan {
+        Some((plan, _)) => {
+            run_algorithm1_with_plan_interruptible(model, &request.cfg, plan, &interrupt)
+        }
+        None => run_algorithm1_interruptible(model, &request.cfg, &interrupt),
     }
-    let metrics = dataset.metrics.as_deref();
-    let exec_start = metrics.map(|_| Instant::now());
-    let exec_span = trace::span("query", "query.execute").arg("qid", ticket.query_id);
-    let result = run_algorithm1_interruptible(model, &request.cfg, &|| interrupt_reason(ticket))
-        .map(|output| QueryOutcome { output, plan: None })
-        .map_err(map_execution);
-    drop(exec_span);
-    if let (Some(m), Some(start), Ok(outcome)) = (metrics, exec_start, &result) {
+    .map_err(map_execution)?;
+    drop(span);
+    if let (Some(m), Some(start)) = (metrics, start) {
         let micros = start.elapsed().as_micros() as u64;
-        m.record_execute(micros, &outcome.output.comm);
+        // A planned run's delta is pre-fold: the draw/fetch phase only.
+        m.record_execute(micros, &output.comm);
     }
-    result
+    let plan = plan.map(|(plan, cache_hit)| {
+        // Per-query accounting stays identical to an unplanned run: the
+        // preparation delta is deterministic, so prepare + execute is
+        // exactly what this query would have charged alone.
+        output.comm = plan.prepare_comm + output.comm;
+        PlanUse {
+            prepare_comm: plan.prepare_comm,
+            cache_hit,
+        }
+    });
+    Ok(QueryOutcome { output, plan })
 }
 
 #[cfg(test)]

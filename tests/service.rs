@@ -10,6 +10,8 @@
 //!   query resolves without running), `wait_timeout`.
 //! * The typed builder rejects malformed queries at construction; the
 //!   dataset-shape check resolves eagerly at submission.
+//! * One dataset driven through every resolution a caller can observe
+//!   keeps every metrics counter, gauge and pressure figure exact.
 //!
 //! Every test runs once per column of `support::service_columns`:
 //! {threaded, socket} × {default, plan cache 0, plan cache 32, tree:2 with
@@ -683,6 +685,161 @@ fn non_finite_entries_are_rejected_at_load_and_reload() {
             "the old data must keep serving"
         );
         assert_eq!(after.output.rows, before.output.rows);
+    }
+}
+
+/// One dataset driven through every resolution a caller can observe — a
+/// planned and an unplanned completion, a `k > d` rejection, a shed, a
+/// cancel and two expired deadlines while queued, a protocol failure and a
+/// submission after shutdown — with every counter and gauge of its metrics
+/// snapshot, and the service's pressure, asserted exactly.
+#[test]
+fn every_resolution_is_counted_exactly_once() {
+    use dlra::comm::LedgerSnapshot;
+    use dlra::core::CoreError;
+    for column in support::service_columns() {
+        let planning = column.plan_cache > 0;
+        // Two blockers, a cancel and two deadlines fill the bound exactly.
+        let mut service = Service::new(ServiceConfig {
+            max_queue_depth: Some(5),
+            ..column.config(1)
+        });
+        let handle = service.load("d", shares(2, 512, 16, 4, 71)).unwrap();
+        let mut completed = Vec::new();
+
+        // Planned (a miss, then a hit) and unplanned completions.
+        for hit in [false, true] {
+            let outcome = handle.submit(&z_query(2, 30, 5)).wait().unwrap();
+            assert_eq!(outcome.plan.map(|p| p.cache_hit), planning.then_some(hit));
+            completed.push(outcome);
+        }
+        let outcome = handle.submit(&uniform_query(2, 20, 6)).wait().unwrap();
+        assert!(outcome.plan.is_none());
+        completed.push(outcome);
+
+        // Rejected at submission: k exceeds d.
+        assert!(matches!(
+            handle.submit(&uniform_query(17, 10, 1)).wait(),
+            Err(ServiceError::InvalidQuery(
+                QueryError::RankExceedsDimension { k: 17, d: 16 }
+            ))
+        ));
+
+        // Queued behind the blockers: a cancel, a deadline expired at
+        // submission, and a deadline that only `Ticket::deadline` sets.
+        let blockers = submit_blockers(&handle, 2);
+        let cancelled = handle.submit(&z_query(2, 30, 7));
+        assert!(cancelled.cancel());
+        let expired = handle.submit(
+            &Query::rank(2)
+                .samples(30)
+                .sampler(SamplerKind::Z(ZSamplerParams::default()))
+                .seed(8)
+                .deadline(Duration::ZERO)
+                .build()
+                .unwrap(),
+        );
+        let unbounded = Query::rank(2)
+            .samples(30)
+            .sampler(SamplerKind::Z(ZSamplerParams::default()))
+            .seed(9)
+            .deadline(Duration::MAX)
+            .build()
+            .unwrap();
+        let tightened = handle.submit(&unbounded).deadline(Duration::ZERO);
+
+        // The bound is full: the next submission sheds.
+        let shed = handle.submit(&uniform_query(2, 20, 10));
+        assert!(shed.shed());
+        assert!(matches!(
+            shed.wait(),
+            Err(ServiceError::Overloaded {
+                queue_depth: 5,
+                limit: 5
+            })
+        ));
+        assert!(matches!(cancelled.wait(), Err(ServiceError::Cancelled)));
+        assert!(matches!(expired.wait(), Err(ServiceError::Deadline)));
+        assert!(matches!(tightened.wait(), Err(ServiceError::Deadline)));
+        for blocker in blockers {
+            completed.push(blocker.wait().unwrap());
+        }
+
+        // A protocol failure: no Z mass to sample from.
+        let zeros = vec![dlra::linalg::Matrix::zeros(64, 16); 2];
+        service.reload("d", zeros).unwrap();
+        assert!(matches!(
+            handle.submit(&z_query(2, 30, 11)).wait(),
+            Err(ServiceError::Execution(CoreError::SamplerExhausted))
+        ));
+
+        // After shutdown every submission resolves to RuntimeUnavailable.
+        service.shutdown();
+        assert!(matches!(
+            handle.submit(&uniform_query(2, 20, 12)).wait(),
+            Err(ServiceError::RuntimeUnavailable(_))
+        ));
+
+        let metrics = service.metrics().expect("metrics are on");
+        assert_eq!(metrics.datasets.len(), 1);
+        let snap = &metrics.datasets[0];
+        let counters = (
+            snap.submitted,
+            snap.completed,
+            snap.failed,
+            snap.cancelled,
+            snap.expired,
+            snap.rejected,
+            snap.rejected_overload,
+        );
+        assert_eq!(counters, (9, 5, 1, 1, 2, 3, 1), "{snap}");
+        assert_eq!((snap.queue_depth, snap.in_flight), (0, 0));
+        assert_eq!(snap.resident_bytes, 2 * 64 * 16 * 8);
+        // Latency and execute count the completions; prepare counts the
+        // planned ones (the failed preparation records nothing).
+        let planned = if planning { 4 } else { 0 };
+        let counts = (snap.latency.count, snap.prepare.count, snap.execute.count);
+        assert_eq!(counts, (5, planned, 5));
+        let (hits, misses) = if planning { (1, 3) } else { (0, 0) };
+        assert_eq!((snap.plan_hits, snap.plan_misses), (hits, misses));
+        let expected_cache = planning.then_some(PlanCacheStats {
+            hits,
+            misses,
+            evictions: 0,
+            invalidations: 3,
+        });
+        assert_eq!(snap.plan_cache, expected_cache);
+
+        // Words: every completion's charge; a preparation's words count
+        // once, for the query that paid it.
+        let mut comm = LedgerSnapshot::default();
+        let (mut paid, mut shared) = (comm, comm);
+        for outcome in &completed {
+            comm += outcome.output.comm;
+            match outcome.plan {
+                Some(plan) if plan.cache_hit => shared += plan.prepare_comm,
+                Some(plan) => paid += plan.prepare_comm,
+                None => {}
+            }
+        }
+        assert_eq!(snap.comm, comm);
+        assert_eq!(snap.prepare_comm, paid);
+        assert_eq!(snap.execute_comm + paid + shared, comm);
+
+        assert_eq!(
+            service.pressure(),
+            PressureSnapshot {
+                admitted: 0,
+                max_queue_depth: Some(5),
+                resident_bytes: 2 * 64 * 16 * 8,
+                memory_budget: None,
+                rejected_overload: 1,
+                evicted_under_pressure: 0,
+            }
+        );
+        service.evict("d").unwrap();
+        assert_eq!(service.pressure().resident_bytes, 0);
+        assert!(service.metrics().unwrap().datasets.is_empty());
     }
 }
 

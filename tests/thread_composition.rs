@@ -1,6 +1,6 @@
 //! Kernel/runtime thread composition: the threaded substrate's server
 //! workers pin kernel threading to 1 (`dlra_linalg::with_threads`), so
-//! `s` server workers × `DLRA_THREADS` kernel threads can never
+//! `s` server workers × the process's kernel threads can never
 //! oversubscribe multiplicatively — and service executors budget
 //! coordinator-side kernels at `max(1, total/executors)`, so high
 //! executor counts cannot oversubscribe either. Proved through the kernel
