@@ -2,9 +2,11 @@
 //! matrices, the coordinator's FKV step (Algorithm 1 lines 7–8) at the
 //! shapes the service runs, best rank-k, QR, and the dense matmul backbone.
 //!
-//! The FKV step's `B` has one row per distinct sampled index, so its SVD
-//! runs on `m × d` with `m ≤ r = Θ(k²/ε²)` draws; `fkv_step` times
-//! `build_b_matrix` + `fkv_projection` from the `r` per-draw rows.
+//! The FKV step's `B` has one row per distinct sampled index, so it is
+//! `m × d` with `m ≤ r = Θ(k²/ε²)` draws; `fkv_step` times
+//! `build_b_matrix` + `fkv_projection` from the `r` per-draw rows, on both
+//! sides of `m = d`: the projection reduces a wide `B` by an LQ and a tall
+//! one by a QR before its Jacobi sweeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlra_core::{build_b_matrix, fkv_projection, SampledRow};
@@ -50,9 +52,14 @@ fn draws(r: usize, m: usize, d: usize, rng: &mut Rng) -> Vec<SampledRow> {
 fn bench_fkv_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("fkv_step");
     group.sample_size(10);
-    let (k, d) = (12, 256);
-    // warm_svd's measured shape, then cold_prepare's.
-    for &(r, m) in &[(500usize, 150usize), (200, 90)] {
+    let k = 12;
+    // warm_svd's measured shape and cold_prepare's, both wide (m < d: the
+    // LQ branch), then a tall one (m ≥ d: the QR branch).
+    for &(r, m, d) in &[
+        (500usize, 150usize, 256usize),
+        (200, 90, 256),
+        (500, 150, 40),
+    ] {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("r{r}_m{m}_d{d}_k{k}")),
             &(r, m),
@@ -80,7 +87,7 @@ fn bench_qr(c: &mut Criterion) {
     c.bench_function("householder_qr_256x64", |b| {
         let mut rng = Rng::new(3);
         let a = Matrix::gaussian(256, 64, &mut rng);
-        b.iter(|| black_box(householder_qr(&a).unwrap().1.frobenius_norm()));
+        b.iter(|| black_box(householder_qr(&a).unwrap().r().frobenius_norm()));
     });
 }
 

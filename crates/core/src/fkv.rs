@@ -8,12 +8,17 @@
 //! draws of the same index `i` merge into one term `wᵢ·AᵢᵀAᵢ` with
 //! `wᵢ = Σ over i's draws of 1/(r·Q̂)`. [`build_b_matrix`] therefore
 //! returns one row `√wᵢ·Aᵢ` per *distinct* sampled index: the same `BᵀB`
-//! in exact arithmetic, with `m ≤ r` rows to decompose instead of `r`. The
-//! unit tests here exercise those lemmas numerically and check the
-//! collapsed `B` against the one-row-per-draw one.
+//! in exact arithmetic, with `m ≤ r` rows to decompose instead of `r`.
+//! [`fkv_projection`] then needs only `σ` and the top-k right singular
+//! vectors, which [`top_right_svd`] computes on `B`'s `min(m, d)`-square
+//! triangular factor: an LQ of `B` when m < d (both benchmark workloads),
+//! a QR otherwise, then the Jacobi sweeps on the small factor. The unit
+//! tests here exercise those lemmas numerically, check the collapsed `B`
+//! against the one-row-per-draw one, and check the projection against the
+//! direct `svd` of `B`.
 
 use crate::{CoreError, Result};
-use dlra_linalg::{svd, Matrix, Projector};
+use dlra_linalg::{top_right_svd, Matrix, Projector};
 
 /// One sampled global row with its reported probability.
 #[derive(Debug, Clone)]
@@ -32,8 +37,8 @@ pub struct SampledRow {
 /// `B` has one row per distinct [`SampledRow::index`], in ascending index
 /// order: `Aᵢ·√wᵢ` with `wᵢ = Σ 1/(r·Q̂)` over that index's draws, summed
 /// in draw order, where `r = rows.len()`. Its `BᵀB` is the one-row-per-draw
-/// matrix's (see the module docs), while the SVD that follows runs on
-/// `m ≤ r` rows. Draws of one index must carry bitwise-equal `values`;
+/// matrix's (see the module docs), while the projection that follows works
+/// on `m ≤ r` rows. Draws of one index must carry bitwise-equal `values`;
 /// their `Q̂` may differ.
 pub fn build_b_matrix(rows: &[SampledRow]) -> Result<Matrix> {
     if rows.is_empty() {
@@ -98,23 +103,23 @@ pub fn build_b_matrix(rows: &[SampledRow]) -> Result<Matrix> {
 /// the factored `P = VVᵀ` and `‖BP‖²_F`; the captured energy drives the
 /// boosting comparison of §IV. The `d × d` matrix is never materialized —
 /// `V` itself is what protocols ship and apply. For an `m × d` `B`, `V` has
-/// `min(k, m, d)` columns. A non-finite `B` (a NaN or ±∞ entry, or a
-/// squared norm that overflows) fails as
-/// `CoreError::Linalg(LinalgError::NonFinite(..))` before the SVD sweeps.
+/// `min(k, m, d)` columns, and matches the direct `svd` of `B` in all but
+/// its low bits. A non-finite `B` (a NaN or ±∞ entry, or a squared norm
+/// that overflows) fails as `CoreError::Linalg(LinalgError::NonFinite(..))`
+/// before any work.
 pub fn fkv_projection(b: &Matrix, k: usize) -> Result<(Projector, f64)> {
     if k == 0 {
         return Err(CoreError::InvalidConfig("k must be positive".into()));
     }
-    let dec = svd(b)?;
-    let p = dec.top_right_projector(k);
-    let captured: f64 = dec.s.iter().take(k).map(|x| x * x).sum();
-    Ok((p, captured))
+    let (s, v) = top_right_svd(b, k)?;
+    let captured: f64 = s.iter().take(k).map(|x| x * x).sum();
+    Ok((Projector::from_basis(v), captured))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlra_linalg::{best_rank_k, orthonormalize_columns, LinalgError};
+    use dlra_linalg::{best_rank_k, orthonormalize_columns, svd, LinalgError};
     use dlra_util::Rng;
 
     fn exact_row_sampler(a: &Matrix, r: usize, rng: &mut Rng) -> Vec<SampledRow> {
@@ -199,7 +204,7 @@ mod tests {
     #[test]
     fn collapse_matches_per_draw_on_gaussian() {
         // 80 draws over 60 rows repeat indices; m ≥ d, so both builders'
-        // SVDs take the tall branch.
+        // projections take the tall (QR) branch.
         let mut rng = Rng::new(21);
         let a = Matrix::gaussian(60, 12, &mut rng);
         let rows = exact_row_sampler(&a, 80, &mut rng);
@@ -211,7 +216,8 @@ mod tests {
     #[test]
     fn collapse_matches_per_draw_when_m_falls_below_d() {
         // 60 draws over 16 rows with d = 24: the per-draw B (60 × 24) takes
-        // the tall SVD branch, the collapsed one (≤ 16 × 24) the wide one.
+        // the tall (QR) branch, the collapsed one (≤ 16 × 24) the wide (LQ)
+        // one.
         let mut rng = Rng::new(22);
         let a = Matrix::gaussian(16, 24, &mut rng);
         let rows = exact_row_sampler(&a, 60, &mut rng);
@@ -450,14 +456,175 @@ mod tests {
 
     #[test]
     fn fkv_passes_on_the_svd_non_finite_error() {
-        let mut b = Matrix::gaussian(87, 256, &mut Rng::new(38));
-        for bad in [f64::INFINITY, f64::NAN, 1e200] {
-            b[(3, 5)] = bad;
-            let err = fkv_projection(&b, 4).unwrap_err();
-            assert!(
-                matches!(err, CoreError::Linalg(LinalgError::NonFinite(_))),
-                "{bad}: {err:?}"
-            );
+        // Wide (the LQ branch) and tall (the QR branch).
+        for (m, d) in [(87, 256), (300, 40)] {
+            let mut b = Matrix::gaussian(m, d, &mut Rng::new(38));
+            for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e200] {
+                b[(3, 5)] = bad;
+                let err = fkv_projection(&b, 4).unwrap_err();
+                assert!(
+                    matches!(err, CoreError::Linalg(LinalgError::NonFinite(_))),
+                    "{bad} in {m}×{d}: {err:?}"
+                );
+            }
         }
+    }
+
+    /// The k ≤ rank of `b` across whose eigengap `σₖ² − σₖ₊₁²` (at least
+    /// 1e-3 of `σ₁²`) the top-k projector is well-defined.
+    fn gapped_ks(b: &Matrix) -> Vec<usize> {
+        let sigma_sq: Vec<f64> = svd(b).unwrap().s.iter().map(|x| x * x).collect();
+        (1..=sigma_sq.len())
+            .filter(|&k| {
+                let gap = sigma_sq[k - 1] - sigma_sq.get(k).copied().unwrap_or(0.0);
+                gap > 0.0 && gap >= 1e-3 * sigma_sq[0]
+            })
+            .collect()
+    }
+
+    /// `‖P − P_ref‖_F / ‖P_ref‖_F`.
+    fn projector_error(p: &Projector, p_ref: &Projector) -> f64 {
+        let want = p_ref.to_dense();
+        p.to_dense().sub(&want).unwrap().frobenius_norm() / want.frobenius_norm()
+    }
+
+    /// Checks `fkv_projection` against the direct `svd` of `b` at every k
+    /// up to `min(m, d) + 2`: the captured energy to 1e-12 relative, `V`'s
+    /// width `min(k, m, d)`, and across every eigengap the projector `VVᵀ`
+    /// to 1e-12 relative. Returns the k whose projector was compared.
+    fn assert_matches_direct_svd(b: &Matrix) -> Vec<usize> {
+        let (m, d) = b.shape();
+        let direct = svd(b).unwrap();
+        let gapped = gapped_ks(b);
+        for k in 1..=m.min(d) + 2 {
+            let (p, captured) = fkv_projection(b, k).unwrap();
+            let want: f64 = direct.s.iter().take(k).map(|x| x * x).sum();
+            assert!(
+                (captured - want).abs() <= 1e-12 * want,
+                "{m}×{d}, k = {k}: captured {captured:e}, want {want:e}"
+            );
+            assert_eq!(p.rank(), k.min(m).min(d), "{m}×{d}, k = {k}");
+            if gapped.contains(&k) {
+                let err = projector_error(&p, &direct.top_right_projector(k));
+                assert!(
+                    err < 1e-12,
+                    "{m}×{d}, k = {k}: projector differs by {err:e}"
+                );
+            }
+        }
+        gapped
+    }
+
+    #[test]
+    fn projection_matches_direct_svd_on_every_shape() {
+        // Wide (the LQ branch), tall and square (the QR branch), one row,
+        // and one column; every shape also runs k past min(m, d).
+        let mut rng = Rng::new(26);
+        for (m, d) in [(20, 48), (5, 30), (60, 12), (16, 16), (1, 24), (24, 1)] {
+            let b = Matrix::gaussian(m, d, &mut rng);
+            assert!(!assert_matches_direct_svd(&b).is_empty(), "{m}×{d}");
+        }
+    }
+
+    #[test]
+    fn projection_matches_direct_svd_on_rank_deficient_and_zero_input() {
+        let mut rng = Rng::new(27);
+        for (m, d) in [(30, 20), (10, 40)] {
+            let low = Matrix::gaussian(m, 3, &mut rng);
+            let b = low.matmul(&Matrix::gaussian(3, d, &mut rng)).unwrap();
+            assert!(assert_matches_direct_svd(&b).contains(&3), "{m}×{d}");
+        }
+        // No eigengap at all: σ = 0 and the identity's first columns, as
+        // `svd` gives.
+        for (m, d) in [(8, 20), (30, 6)] {
+            let b = Matrix::zeros(m, d);
+            assert!(assert_matches_direct_svd(&b).is_empty());
+            for k in [1, 4, 9] {
+                let (p, captured) = fkv_projection(&b, k).unwrap();
+                assert_eq!(captured, 0.0);
+                assert_eq!(p.basis(), &svd(&b).unwrap().top_right_vectors(k));
+            }
+        }
+    }
+
+    #[test]
+    fn projection_of_large_finite_input_matches_the_unscaled_one() {
+        // ‖B‖²_F ≥ 2⁵¹¹: B is scaled down by a power of two before the
+        // reduction, and the energy scaled back.
+        let mut rng = Rng::new(28);
+        for (m, d) in [(12, 40), (40, 12)] {
+            let b = Matrix::gaussian(m, d, &mut rng);
+            let gapped = gapped_ks(&b);
+            assert!(!gapped.is_empty());
+            for scale in [1e78, 1e100, 1e150] {
+                let big = b.scaled(scale);
+                assert!(big.frobenius_norm_sq() >= 2f64.powi(511));
+                for &k in &gapped {
+                    let (p, captured) = fkv_projection(&big, k).unwrap();
+                    let (p_ref, captured_ref) = fkv_projection(&b, k).unwrap();
+                    let rel = (captured / (scale * scale) - captured_ref).abs() / captured_ref;
+                    assert!(
+                        rel <= 1e-12,
+                        "{m}×{d} at {scale:e}, k = {k}: energy off by {rel:e}"
+                    );
+                    let err = projector_error(&p, &p_ref);
+                    assert!(
+                        err < 1e-12,
+                        "{m}×{d} at {scale:e}, k = {k}: projector off by {err:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over the little-endian bytes of 64-bit words.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3))
+        })
+    }
+
+    /// The `fkv_step` bench's input: `r` draws over the `m` rows of a
+    /// Gaussian `m × d` matrix, every row drawn at least once, with
+    /// length-squared probabilities.
+    fn bench_draws(r: usize, m: usize, d: usize, rng: &mut Rng) -> Vec<SampledRow> {
+        let a = Matrix::gaussian(m, d, rng);
+        let weights = a.row_norms_sq();
+        let total: f64 = weights.iter().sum();
+        let mut indices: Vec<usize> = (0..m).chain((m..r).map(|_| rng.index(m))).collect();
+        rng.shuffle(&mut indices);
+        indices
+            .into_iter()
+            .map(|i| row(i, a.row(i), weights[i] / total))
+            .collect()
+    }
+
+    /// A digest of every bit of the basis and captured energy at the
+    /// `fkv_step` bench's shapes, k = 12: `warm_svd`'s and
+    /// `cold_prepare`'s (wide, the LQ branch), then a tall one (the QR
+    /// branch). A change to this step shows here which shapes it moves.
+    #[test]
+    fn projection_bits_match_golden_digest() {
+        let digests: Vec<u64> = [(500, 150, 256), (200, 90, 256), (500, 150, 40)]
+            .into_iter()
+            .map(|(r, m, d)| {
+                let rows = bench_draws(r, m, d, &mut Rng::new(6));
+                let b = build_b_matrix(&rows).unwrap();
+                let (p, captured) = fkv_projection(&b, 12).unwrap();
+                let bits = p.basis().as_slice().iter().chain([&captured]);
+                fnv1a(bits.map(|x| x.to_bits()))
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                0x5354_6b50_7dd8_95c0,
+                0x4d05_bc58_3d73_e6aa,
+                0xaa74_5b73_9b90_a609
+            ],
+            "{digests:x?}"
+        );
     }
 }

@@ -15,10 +15,13 @@
 //!   same ISA dispatch as the dense kernels;
 //! * [`projector`] — factored orthogonal projectors `P = V·Vᵀ` applied as
 //!   `(A·V)·Vᵀ`, never materializing the `d × d` matrix;
-//! * [`qr`] — Householder thin QR and orthonormalization;
+//! * [`qr`] — Householder thin QR, `Q` kept as its reflectors, and
+//!   orthonormalization;
 //! * [`eigen`] — cyclic Jacobi eigensolver for symmetric matrices;
 //! * [`svd`](mod@svd) — one-sided Jacobi (Hestenes) singular value
-//!   decomposition, its sweep compiled through the same ISA dispatch;
+//!   decomposition, its sweep compiled through the same ISA dispatch, and
+//!   [`top_right_svd`], the coordinator's top-k form that runs the sweep
+//!   on a Householder-reduced triangle;
 //! * [`lowrank`] — best rank-k approximations, projection matrices, and the
 //!   Frobenius-error helpers used by the paper's definitions of additive and
 //!   relative error.
@@ -52,8 +55,8 @@ pub use lowrank::{
 };
 pub use matrix::Matrix;
 pub use projector::Projector;
-pub use qr::{householder_qr, orthonormalize_columns};
-pub use svd::{svd, Svd};
+pub use qr::{householder_qr, orthonormalize_columns, HouseholderQr};
+pub use svd::{svd, top_right_svd, Svd};
 pub use threads::{
     parallelism_watermark, pool_profile, pool_profiling, reset_parallelism_watermark,
     reset_pool_profile, set_pool_profiling, set_threads, threads, with_threads, PoolProfile,

@@ -1,81 +1,124 @@
 //! Householder QR factorization and column orthonormalization.
+//!
+//! [`householder_qr`] keeps `Q` as its reflectors `Hⱼ = I − 2vⱼvⱼᵀ`
+//! and applies them on demand ([`HouseholderQr::apply_q_to_rows`]), so
+//! a caller that needs `Q` on a few vectors never forms it. That is the
+//! reduction step of [`top_right_svd`](crate::svd::top_right_svd), which
+//! factors `B` (or `Bᵀ`) once so that the Jacobi sweeps run on the small
+//! square `R` instead of on `B`.
 
 use crate::matrix::{dot, norm, Matrix};
 use crate::{LinalgError, Result};
 
+/// A Householder QR factorization `A = Q·R` of an `m × n` matrix,
+/// `m ≥ n`, with `Q = H₀H₁⋯Hₙ₋₁` (its first `n` columns) kept as the
+/// `n` reflectors `Hⱼ = I − 2vⱼvⱼᵀ`, never formed.
+#[derive(Debug, Clone)]
+pub struct HouseholderQr {
+    /// Row `j` is the unit vector `vⱼ`, zero before coordinate `j`; a
+    /// zero row is `Hⱼ = I` (column `j` was already reduced). `n × m`.
+    v: Matrix,
+    /// `n × n` upper triangular.
+    r: Matrix,
+}
+
 /// Thin QR factorization `A = Q·R` of an `m × n` matrix with `m ≥ n`:
-/// `Q` is `m × n` with orthonormal columns and `R` is `n × n` upper
-/// triangular.
-pub fn householder_qr(a: &Matrix) -> Result<(Matrix, Matrix)> {
+/// `Q` is `m × n` with orthonormal columns, kept as reflectors, and `R`
+/// is `n × n` upper triangular.
+pub fn householder_qr(a: &Matrix) -> Result<HouseholderQr> {
     let (m, n) = a.shape();
     if m < n {
         return Err(LinalgError::InvalidArgument(format!(
             "householder_qr requires rows >= cols, got {m}x{n}"
         )));
     }
-    // Work on the transpose so columns are contiguous.
-    let mut at = a.transpose(); // n x m: row j is column j of A
-    let mut vs: Vec<Vec<f64>> = Vec::with_capacity(n); // Householder vectors
+    Ok(factor_columns(a.transpose()))
+}
+
+/// Factors the `m × n` matrix whose columns are the rows of `cols`
+/// (`n × m`, `m ≥ n`: each column contiguous), reducing `cols` in place
+/// into the reflectors.
+pub(crate) fn factor_columns(mut cols: Matrix) -> HouseholderQr {
+    let (n, m) = cols.shape();
+    debug_assert!(
+        m >= n,
+        "factor_columns needs n <= m, got {n} columns of {m}"
+    );
     let mut r = Matrix::zeros(n, n);
-
+    let data = cols.as_mut_slice();
     for j in 0..n {
-        // Apply previous reflectors were already applied in place; compute the
-        // reflector for the trailing part of column j.
-        let col = at.row(j).to_vec();
-        let tail = &col[j..];
-        let alpha = norm(tail);
-        let mut v = tail.to_vec();
-        if alpha > 0.0 {
-            // Choose sign to avoid cancellation.
-            let sign = if v[0] >= 0.0 { 1.0 } else { -1.0 };
-            v[0] += sign * alpha;
-            let vnorm = norm(&v);
-            if vnorm > 0.0 {
-                for x in &mut v {
-                    *x /= vnorm;
-                }
-            }
-            // Apply the reflector H = I - 2vvᵀ to the trailing columns j..n
-            // (stored as rows of `at`), acting on coordinates j..m.
-            for jj in j..n {
-                let row = at.row_mut(jj);
-                let tail = &mut row[j..];
-                let c = 2.0 * dot(&v, tail);
-                for (t, &vi) in tail.iter_mut().zip(&v) {
-                    *t -= c * vi;
-                }
-            }
+        let (head, trailing) = data.split_at_mut((j + 1) * m);
+        let col = &mut head[j * m..];
+        // R's column j above the diagonal is final: reflectors j and later
+        // act on coordinates from j on.
+        for (i, x) in col[..j].iter_mut().enumerate() {
+            r[(i, j)] = std::mem::take(x);
         }
-        // Record R entries: after reflection, column j has zeros below j.
-        for i in 0..=j {
-            r[(i, j)] = at.row(j)[i];
+        let v = &mut col[j..];
+        let alpha = norm(v);
+        if alpha == 0.0 {
+            v.fill(0.0);
+            continue;
         }
-        vs.push(v);
-    }
-
-    // Form Q (m x n) by applying the reflectors in reverse to the first n
-    // columns of the identity.
-    let mut q = Matrix::zeros(m, n);
-    for j in 0..n {
-        // e_j, then H_0 H_1 ... H_{n-1} applied in reverse order.
-        let mut e = vec![0.0; m];
-        e[j] = 1.0;
-        for k in (0..n).rev() {
-            let v = &vs[k];
-            if v.is_empty() {
-                continue;
-            }
-            let tail = &mut e[k..];
-            let c = 2.0 * dot(v, tail);
-            for (t, &vi) in tail.iter_mut().zip(v) {
-                *t -= c * vi;
-            }
+        // vⱼ = x + sign(x₀)·‖x‖·e₀, normalized: adding with x₀'s sign
+        // avoids cancellation, and Hⱼx = −sign(x₀)·‖x‖·e₀.
+        let sign = if v[0] >= 0.0 { 1.0 } else { -1.0 };
+        r[(j, j)] = -sign * alpha;
+        v[0] += sign * alpha;
+        let vnorm = norm(v);
+        for x in v.iter_mut() {
+            *x /= vnorm;
         }
-        for i in 0..m {
-            q[(i, j)] = e[i];
+        let v = &*v;
+        for other in trailing.chunks_exact_mut(m) {
+            reflect(v, &mut other[j..]);
         }
     }
-    Ok((q, r))
+    HouseholderQr { v: cols, r }
+}
+
+/// `x ← (I − 2vvᵀ)·x`.
+#[inline]
+fn reflect(v: &[f64], x: &mut [f64]) {
+    let c = 2.0 * dot(v, x);
+    for (t, &vi) in x.iter_mut().zip(v) {
+        *t -= c * vi;
+    }
+}
+
+impl HouseholderQr {
+    /// `R`, `n × n` upper triangular.
+    pub fn r(&self) -> &Matrix {
+        &self.r
+    }
+
+    /// `y·Qᵀ`: `Q` applied to each row of the `c × n` matrix `y`, as the
+    /// rows of a `c × m` matrix. Each row is padded to `m` with zeros and
+    /// reflected by `Hₙ₋₁` first and `H₀` last; `Q` is never formed.
+    pub fn apply_q_to_rows(&self, y: &Matrix) -> Matrix {
+        let (n, m) = self.v.shape();
+        assert_eq!(
+            y.cols(),
+            n,
+            "apply_q_to_rows: rows of {} for Q with {n} columns",
+            y.cols()
+        );
+        let mut out = Matrix::zeros(y.rows(), m);
+        for i in 0..y.rows() {
+            let row = out.row_mut(i);
+            row[..n].copy_from_slice(y.row(i));
+            for j in (0..n).rev() {
+                reflect(&self.v.row(j)[j..], &mut row[j..]);
+            }
+        }
+        out
+    }
+
+    /// The thin `Q`: `m × n` with orthonormal columns.
+    pub fn q(&self) -> Matrix {
+        self.apply_q_to_rows(&Matrix::identity(self.v.rows()))
+            .transpose()
+    }
 }
 
 /// Orthonormalizes the columns of `a` via modified Gram–Schmidt with
@@ -139,11 +182,11 @@ mod tests {
         let mut rng = Rng::new(11);
         for &(m, n) in &[(5usize, 3usize), (8, 8), (20, 4), (3, 1)] {
             let a = Matrix::gaussian(m, n, &mut rng);
-            let (q, r) = householder_qr(&a).unwrap();
+            let qr = householder_qr(&a).unwrap();
+            let (q, r) = (qr.q(), qr.r());
             assert_eq!(q.shape(), (m, n));
             assert_eq!(r.shape(), (n, n));
-            let qr = q.matmul(&r).unwrap();
-            let err = qr.sub(&a).unwrap().frobenius_norm();
+            let err = q.matmul(r).unwrap().sub(&a).unwrap().frobenius_norm();
             assert!(err < 1e-10, "reconstruction error {err} for {m}x{n}");
             assert_orthonormal_cols(&q, 1e-10);
         }
@@ -153,7 +196,8 @@ mod tests {
     fn qr_r_is_upper_triangular() {
         let mut rng = Rng::new(12);
         let a = Matrix::gaussian(6, 4, &mut rng);
-        let (_, r) = householder_qr(&a).unwrap();
+        let qr = householder_qr(&a).unwrap();
+        let r = qr.r();
         for i in 1..4 {
             for j in 0..i {
                 assert!(r[(i, j)].abs() < 1e-12, "r[{i},{j}] = {}", r[(i, j)]);
@@ -171,9 +215,27 @@ mod tests {
     fn qr_handles_rank_deficient() {
         // Two identical columns: QR still reconstructs.
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]).unwrap();
-        let (q, r) = householder_qr(&a).unwrap();
-        let err = q.matmul(&r).unwrap().sub(&a).unwrap().frobenius_norm();
-        assert!(err < 1e-10);
+        let qr = householder_qr(&a).unwrap();
+        let err = qr.q().matmul(qr.r()).unwrap().sub(&a).unwrap();
+        assert!(err.frobenius_norm() < 1e-10);
+        assert_orthonormal_cols(&qr.q(), 1e-10);
+        // A zero column is already reduced: its reflector is the identity.
+        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![0.0, 2.0]]).unwrap();
+        let qr = householder_qr(&a).unwrap();
+        assert_eq!(qr.r()[(0, 0)], 0.0);
+        let err = qr.q().matmul(qr.r()).unwrap().sub(&a).unwrap();
+        assert!(err.frobenius_norm() < 1e-12);
+    }
+
+    #[test]
+    fn applying_q_to_rows_matches_the_formed_q() {
+        let mut rng = Rng::new(15);
+        let qr = householder_qr(&Matrix::gaussian(9, 4, &mut rng)).unwrap();
+        let y = Matrix::gaussian(3, 4, &mut rng);
+        let want = y.matmul(&qr.q().transpose()).unwrap();
+        let got = qr.apply_q_to_rows(&y);
+        assert_eq!(got.shape(), (3, 9));
+        assert!(got.sub(&want).unwrap().frobenius_norm() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,32 @@
 //! (Algorithm 1 line 8), while the experiment harness needs a full SVD of
 //! the global matrix to measure the true `‖A − [A]ₖ‖²_F`. One-sided Jacobi
 //! serves both: it is simple, robust for the sizes involved, and delivers
-//! singular vectors to near machine precision.
+//! singular vectors to near machine precision. [`svd`] gives the full
+//! decomposition; [`top_right_svd`] gives the protocols' `σ` and top-k
+//! `V` for less work.
+//!
+//! # Reduce first: Chan's R-SVD
+//!
+//! [`svd`] sweeps the `min(m, d)` vectors of `B`'s short side, each as long
+//! as the long side, and accumulates a `min(m, d)`-square rotation.
+//! [`top_right_svd`] first reduces `B` with one Householder factorization
+//! (Chan, ACM TOMS 8(1), 1982): the LQ of `B` (the QR of `Bᵀ`) when
+//! m < d, its QR when m ≥ d. The reflectors preserve every inner product,
+//! so the columns of the `min(m, d)`-square triangle `R` stand in for
+//! `B`'s rows (m < d) or columns, and the same sweep runs on vectors of
+//! length `min(m, d)` instead of `max(m, d)`:
+//!
+//! - **m < d:** `B = Rᵀ·Qᵀ`. The rotated columns of `R`, normalized, are
+//!   `Rᵀ`'s right singular vectors, so the sweep keeps no accumulator; the
+//!   top k of them, reflected back into `ℝᵈ` by the kept reflectors
+//!   (`Q` is never formed), are `V`.
+//! - **m ≥ d:** `B = Q·R` has `R`'s right singular vectors, so the sweep
+//!   keeps its accumulator, and that is `V`; `Q` is not needed.
+//!
+//! No-accumulate is a mode of the one sweep (an empty `v`), not a second
+//! sweep: it leaves `σ` and the rotated vectors bit-identical. The sweep
+//! sees `R` instead of `B`, so [`top_right_svd`]'s output differs from
+//! [`svd`]'s in the low bits.
 //!
 //! # One pass per pair, three chains
 //!
@@ -29,12 +54,14 @@
 //! reaches 2⁵¹¹, `α·β` can overflow to ∞ and every pair would be skipped,
 //! so [`svd`] then sweeps a copy scaled down by a power of two and scales
 //! `σ` back up. Both steps are exact, `U` and `V` are scale-free, and
-//! below 2⁵¹¹ nothing is scaled.
+//! below 2⁵¹¹ nothing is scaled. [`top_right_svd`] scales the same way
+//! before its factorization.
 
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::isa;
 use crate::kernels::isa_dispatch;
 use crate::matrix::{dot, Matrix};
+use crate::qr::factor_columns;
 use crate::{LinalgError, Result};
 
 /// A thin singular value decomposition `a = U · diag(σ) · Vᵀ`.
@@ -105,75 +132,32 @@ const MAX_SWEEPS: usize = 60;
 /// not finite: a NaN or ±∞ entry, or entries whose squares overflow.
 pub fn svd(a: &Matrix) -> Result<Svd> {
     let (m, n) = a.shape();
-    if m == 0 || n == 0 {
-        return Ok(Svd {
-            u: Matrix::zeros(m, 0),
-            s: vec![],
-            vt: Matrix::zeros(0, n),
-        });
-    }
-    // Row j of `w` is the j-th vector to rotate, contiguous; row j of `v`
-    // is column j of the accumulated rotation.
-    let wide = m < n;
-    let mut w = if wide { a.clone() } else { a.transpose() };
-    let (r, len) = w.shape();
-    let mut v = Matrix::identity(r);
-
-    // ‖a‖²_F summed row by row of the tall orientation (`a`, or `aᵀ` when
-    // m < n), that is down the columns of `w`: `tol` depends on the order.
-    let total: f64 = (0..len)
-        .flat_map(|i| w.as_slice().iter().skip(i).step_by(len))
-        .map(|x| x * x)
-        .sum();
-    if !total.is_finite() {
-        return Err(LinalgError::NonFinite("svd (one-sided Jacobi)"));
-    }
-    if total == 0.0 {
-        // Zero matrix: σ = 0, U/V arbitrary orthonormal (identity blocks).
-        let eye = |rows, cols| Matrix::from_fn(rows, cols, |i, j| if i == j { 1.0 } else { 0.0 });
+    let r = m.min(n);
+    let eye = |rows, cols| Matrix::from_fn(rows, cols, |i, j| if i == j { 1.0 } else { 0.0 });
+    let Some((tol, e)) = prescale(a, "svd (one-sided Jacobi)")? else {
+        // Zero or empty matrix: σ = 0, U/V arbitrary orthonormal
+        // (identity blocks).
         return Ok(Svd {
             u: eye(m, r),
             s: vec![0.0; r],
             vt: eye(r, n),
         });
-    }
-    // From 2⁵¹¹ on, sweep `2⁻ᵏ·a` with the least k that brings ‖·‖²_F
-    // below 2⁵¹¹ (module docs), and scale σ back by 2ᵏ.
-    let (total, up) = if total >= pow2(511) {
-        let exponent = (total.to_bits() >> 52) as i32 - 1023;
-        let k = (exponent - 509) / 2;
-        w.scale(pow2(-k));
-        (total * pow2(-2 * k), pow2(k))
-    } else {
-        (total, 1.0)
     };
-    let tol = 1e-15 * total;
-    if !(0..MAX_SWEEPS).any(|_| !sweep(w.as_mut_slice(), len, v.as_mut_slice(), tol)) {
-        return Err(LinalgError::NoConvergence("svd (one-sided Jacobi)"));
+    // Row j of `w` is the j-th vector to rotate, contiguous; row j of `v`
+    // is column j of the accumulated rotation.
+    let wide = m < n;
+    let mut w = if wide { a.clone() } else { a.transpose() };
+    if e > 0 {
+        w.scale(pow2(-e));
     }
-
-    // Vector norms are singular values.
-    let mut sigma: Vec<(f64, usize)> = (0..r)
-        .map(|j| (dot(w.row(j), w.row(j)).sqrt(), j))
-        .collect();
-    sigma.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    let mut v = Matrix::identity(r);
+    let ranked = orthogonalize(&mut w, v.as_mut_slice(), tol)?;
 
     // In descending σ: the normalized rotated vectors (`U`'s columns, or
     // `Vᵀ`'s rows when m < n) and the rotation's columns (`V`'s, or `U`'s).
-    let mut ws = Matrix::zeros(r, len);
-    let mut vs = Matrix::zeros(r, r);
-    let mut s = Vec::with_capacity(r);
-    for (out_j, &(sv, src_j)) in sigma.iter().enumerate() {
-        s.push(sv * up);
-        // If sv == 0 the vector stays zero; harmless for our uses
-        // (reconstruction multiplies it by σ = 0).
-        if sv > 0.0 {
-            for (o, &x) in ws.row_mut(out_j).iter_mut().zip(w.row(src_j)) {
-                *o = x / sv;
-            }
-        }
-        vs.row_mut(out_j).copy_from_slice(v.row(src_j));
-    }
+    let ws = normalized_rows(&w, &ranked);
+    let vs = Matrix::from_fn(r, r, |i, j| v[(ranked[i].1, j)]);
+    let s = ranked.iter().map(|&(sv, _)| sv * pow2(e)).collect();
     let (u, vt) = if wide {
         (vs.transpose(), ws)
     } else {
@@ -182,20 +166,126 @@ pub fn svd(a: &Matrix) -> Result<Svd> {
     Ok(Svd { u, s, vt })
 }
 
+/// The singular values of `a` (all `min(m, n)`, descending) and its
+/// top-`k` right singular vectors as the columns of an `n × min(k, m, n)`
+/// matrix: the `σ` and `V` of Algorithm 1 line 8, by Chan's R-SVD (module
+/// docs). One Householder factorization reduces `a` to its `min(m, n)`
+/// square triangular factor `R`, and the Jacobi sweeps of [`svd`] run on
+/// `R`'s columns: without an accumulator when `m < n` (the normalized
+/// vectors, mapped back through the reflectors, are `V`), with one when
+/// `m ≥ n` (the accumulated rotation is `V`).
+///
+/// `V` spans the same top-k space as [`svd`]'s, and matches it in all
+/// but the low bits; a zero matrix gives `σ = 0` and the first `k`
+/// columns of the identity, as [`svd`] does. Returns
+/// [`LinalgError::NonFinite`] before any work if `‖a‖²_F` is not finite.
+pub fn top_right_svd(a: &Matrix, k: usize) -> Result<(Vec<f64>, Matrix)> {
+    let (m, n) = a.shape();
+    let r = m.min(n);
+    let k = k.min(r);
+    let Some((tol, e)) = prescale(a, "top_right_svd (Householder + one-sided Jacobi)")? else {
+        let eye = Matrix::from_fn(n, k, |i, j| if i == j { 1.0 } else { 0.0 });
+        return Ok((vec![0.0; r], eye));
+    };
+    // The short side's vectors, one per row: `a`'s rows when m < n (the
+    // QR of `aᵀ`, that is the LQ of `a`), its columns otherwise.
+    let mut short = if m < n { a.clone() } else { a.transpose() };
+    if e > 0 {
+        short.scale(pow2(-e));
+    }
+    let qr = factor_columns(short);
+    // Row j of `Rᵀ` is `R`'s column j, which stands in for row (or
+    // column) j of `a`: the reflectors preserve every inner product.
+    let mut w = qr.r().transpose();
+    let (ranked, v) = if m < n {
+        let ranked = orthogonalize(&mut w, &mut [], tol)?;
+        let top = normalized_rows(&w, &ranked[..k]);
+        (ranked, qr.apply_q_to_rows(&top).transpose())
+    } else {
+        let mut acc = Matrix::identity(r);
+        let ranked = orthogonalize(&mut w, acc.as_mut_slice(), tol)?;
+        let v = Matrix::from_fn(n, k, |i, j| acc[(ranked[j].1, i)]);
+        (ranked, v)
+    };
+    Ok((ranked.iter().map(|&(sv, _)| sv * pow2(e)).collect(), v))
+}
+
+/// The input check and sweep tolerance for `a`: `‖a‖²_F`, summed row by
+/// row of its tall orientation (down `a`'s columns when m < n: the
+/// tolerance depends on the order), must be finite, or this fails as
+/// [`LinalgError::NonFinite`] naming `op`. `None` for a zero or empty
+/// matrix; otherwise the tolerance and the least `e ≥ 0` that brings
+/// `‖2⁻ᵉ·a‖²_F` below 2⁵¹¹ (module docs).
+fn prescale(a: &Matrix, op: &'static str) -> Result<Option<(f64, i32)>> {
+    let (m, n) = a.shape();
+    let total: f64 = if m < n {
+        (0..n)
+            .flat_map(|j| a.as_slice().iter().skip(j).step_by(n))
+            .map(|x| x * x)
+            .sum()
+    } else {
+        a.as_slice().iter().map(|x| x * x).sum()
+    };
+    if !total.is_finite() {
+        return Err(LinalgError::NonFinite(op));
+    }
+    if total == 0.0 {
+        return Ok(None);
+    }
+    let e = if total >= pow2(511) {
+        let exponent = (total.to_bits() >> 52) as i32 - 1023;
+        (exponent - 509) / 2
+    } else {
+        0
+    };
+    Ok(Some((1e-15 * (total * pow2(-2 * e)), e)))
+}
+
+/// Sweeps the rows of `w` until a sweep rotates no pair, rotating the
+/// rows of the square `v` alongside (an empty `v` accumulates nothing),
+/// and ranks them: each row's norm `σ` and index, by descending `σ`.
+fn orthogonalize(w: &mut Matrix, v: &mut [f64], tol: f64) -> Result<Vec<(f64, usize)>> {
+    let len = w.cols();
+    if !(0..MAX_SWEEPS).any(|_| !sweep(w.as_mut_slice(), len, v, tol)) {
+        return Err(LinalgError::NoConvergence("svd (one-sided Jacobi)"));
+    }
+    let mut ranked: Vec<(f64, usize)> = (0..w.rows())
+        .map(|j| (dot(w.row(j), w.row(j)).sqrt(), j))
+        .collect();
+    ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    Ok(ranked)
+}
+
+/// The rows of `w` that `ranked` names, in its order, each divided by its
+/// `σ`. A row with `σ = 0` stays zero: harmless for our uses
+/// (reconstruction multiplies it by `σ = 0`).
+fn normalized_rows(w: &Matrix, ranked: &[(f64, usize)]) -> Matrix {
+    let mut out = Matrix::zeros(ranked.len(), w.cols());
+    for (i, &(sv, j)) in ranked.iter().enumerate() {
+        if sv > 0.0 {
+            for (o, &x) in out.row_mut(i).iter_mut().zip(w.row(j)) {
+                *o = x / sv;
+            }
+        }
+    }
+    out
+}
+
 isa_dispatch!(sweep_body =>
     /// One cyclic Jacobi sweep at the widest supported ISA.
     fn sweep(w: &mut [f64], len: usize, v: &mut [f64], tol: f64) -> bool
 );
 
 /// One cyclic sweep over every pair `p < q` of the `len`-long rows of
-/// `w`, rotating the same pair of rows of the square `v`; returns whether
-/// any pair rotated. `α = ‖w_p‖²`, `β = ‖w_q‖²` and `γ = w_p·w_q` are
-/// [`dot`]'s chains, from −0.0 in ascending index (`Iterator::sum` starts
-/// there), advanced side by side in one pass (module docs).
+/// `w`, rotating the same pair of rows of the square `v` unless `v` is
+/// empty; returns whether any pair rotated. `α = ‖w_p‖²`, `β = ‖w_q‖²`
+/// and `γ = w_p·w_q` are [`dot`]'s chains, from −0.0 in ascending index
+/// (`Iterator::sum` starts there), advanced side by side in one pass
+/// (module docs).
 #[inline(always)]
 fn sweep_body(w: &mut [f64], len: usize, v: &mut [f64], tol: f64) -> bool {
     let r = w.len() / len;
-    debug_assert_eq!(v.len(), r * r);
+    debug_assert!(v.is_empty() || v.len() == r * r);
     let mut rotated = false;
     for p in 0..r {
         for q in (p + 1)..r {
@@ -215,8 +305,10 @@ fn sweep_body(w: &mut [f64], len: usize, v: &mut [f64], tol: f64) -> bool {
             let c = 1.0 / (1.0 + t * t).sqrt();
             let s = c * t;
             rotate(wp, wq, c, s);
-            let (vp, vq) = row_pair(v, r, p, q);
-            rotate(vp, vq, c, s);
+            if !v.is_empty() {
+                let (vp, vq) = row_pair(v, r, p, q);
+                rotate(vp, vq, c, s);
+            }
         }
     }
     rotated
@@ -446,7 +538,10 @@ mod tests {
 
         /// Every compiled sweep body returns the baseline body's `u`, `s`
         /// and `vt` bit for bit, on tall, wide, square, `1 × n` and
-        /// `n × 1` shapes.
+        /// `n × 1` shapes, and so does [`top_right_svd`]. Under each
+        /// body, the sweep without an accumulator leaves `σ` and the
+        /// normalized rotated vectors (`Vᵀ`'s rows, or `U`'s columns)
+        /// bit-identical to the full `svd`'s.
         #[test]
         fn every_isa_body_is_bit_identical(
             mi in 0usize..DIMS.len(),
@@ -455,11 +550,31 @@ mod tests {
         ) {
             let (m, n) = (DIMS[mi], DIMS[ni]);
             let a = low_rank_plus_noise(m, n, seed);
-            let mut baseline: Option<Vec<u64>> = None;
+            let k = 1 + seed as usize % 8;
+            let mut baseline: Option<(Vec<u64>, Vec<u64>)> = None;
             for_each_body(|body| {
-                let got = svd_bits(&svd(&a).unwrap());
+                let full = svd(&a).unwrap();
+                let (s, v) = top_right_svd(&a, k).unwrap();
+                let reduced = s.iter().chain(v.as_slice()).map(|x| x.to_bits()).collect();
+                let got = (svd_bits(&full), reduced);
                 let want = baseline.get_or_insert_with(|| got.clone());
                 prop_assert!(got == *want, "{body} body differs on {m}×{n}, seed {seed}");
+
+                let (tol, e) = prescale(&a, "test").unwrap().unwrap();
+                assert_eq!(e, 0);
+                let mut w = if m < n { a.clone() } else { a.transpose() };
+                let ranked = orthogonalize(&mut w, &mut [], tol).unwrap();
+                let sigma: Vec<u64> = ranked.iter().map(|x| x.0.to_bits()).collect();
+                let full_sigma: Vec<u64> = full.s.iter().map(|x| x.to_bits()).collect();
+                prop_assert!(sigma == full_sigma, "{body}: σ differs on {m}×{n}, seed {seed}");
+                let rotated = normalized_rows(&w, &ranked);
+                let full_rotated = if m < n { full.vt } else { full.u.transpose() };
+                prop_assert!(
+                    rotated.as_slice().iter().map(|x| x.to_bits()).eq(
+                        full_rotated.as_slice().iter().map(|x| x.to_bits())
+                    ),
+                    "{body}: rotated vectors differ on {m}×{n}, seed {seed}"
+                );
             });
         }
     }
@@ -502,6 +617,12 @@ mod tests {
                 assert_eq!(
                     svd(b).unwrap_err(),
                     LinalgError::NonFinite("svd (one-sided Jacobi)"),
+                    "{bad} in a {:?} matrix",
+                    b.shape()
+                );
+                assert_eq!(
+                    top_right_svd(b, 4).unwrap_err(),
+                    LinalgError::NonFinite("top_right_svd (Householder + one-sided Jacobi)"),
                     "{bad} in a {:?} matrix",
                     b.shape()
                 );

@@ -39,8 +39,8 @@
 //!   LRU-evicts idle tenants (never one with queries in flight) — see
 //!   [`ServiceConfig::max_queue_depth`], [`ServiceConfig::memory_budget`],
 //!   and [`Service::pressure`]. Executors budget kernel threads at
-//!   `max(1, total/executors)` so coordinator-side SVDs never
-//!   oversubscribe at high executor counts.
+//!   `max(1, total/executors)` so the coordinator's pooled kernels
+//!   never oversubscribe at high executor counts.
 //! * [`PlanCache`] — the query planner: unboosted Z-sampled queries
 //!   sharing a [`PlanKey`] (dataset id, `f`, sampler parameters, seed,
 //!   residency epoch) run the expensive, `k`-independent

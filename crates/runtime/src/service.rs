@@ -75,13 +75,14 @@
 //! ## Executor-layer kernel budgeting
 //!
 //! Each executor wraps query execution in
-//! `dlra_linalg::with_threads(max(1, total / executors))`, so
-//! coordinator-side kernels (the SVD of `B`, gram products) share the
-//! process kernel-thread budget across concurrent queries instead of each
-//! claiming all of it — at high executor counts the two layers previously
-//! oversubscribed multiplicatively (`tests/thread_composition.rs` bounds
-//! the live-thread watermark). Thread counts never change results: kernels
-//! are bit-identical across thread counts.
+//! `dlra_linalg::with_threads(max(1, total / executors))`, so the
+//! coordinator's pooled kernels (the transposes around the reduction of
+//! `B`, matrix products) share the process kernel-thread budget across
+//! concurrent queries instead of each claiming all of it — at high
+//! executor counts the two layers previously oversubscribed
+//! multiplicatively (`tests/thread_composition.rs` bounds the live-thread
+//! watermark). Thread counts never change results: kernels are
+//! bit-identical across thread counts.
 //!
 //! ## Query planning
 //!
@@ -1365,9 +1366,6 @@ fn run_query(
     let run_span = trace::span("query", "query.run")
         .arg("qid", ticket.query_id)
         .arg("dataset", dataset.id);
-    if let Some(m) = metrics {
-        m.query_started();
-    }
     // Terminal gates first: a deadline or eviction settles the ticket
     // without ever claiming it as started. Settling is itself a claim out
     // of PENDING, so a concurrent `cancel` cannot be told "the query was
@@ -1384,6 +1382,10 @@ fn run_query(
         // must never run.
         Err(ServiceError::Cancelled)
     } else {
+        // Only a query that claimed STARTED counts as executing.
+        if let Some(m) = metrics {
+            m.query_started();
+        }
         // O(s) handle clones of the shared payload: each `Matrix` clone
         // bumps a refcount, no entry data moves.
         let (parts, epoch) = {
@@ -1391,10 +1393,12 @@ fn run_query(
             (resident.locals.to_vec(), resident.epoch)
         };
         let topology = shared.topology;
-        // Executor-layer kernel budgeting: coordinator-side kernels (the
-        // SVD of B, gram products) share the process kernel-thread budget
-        // across executors instead of each claiming all of it. Thread
-        // counts never change bits, so this is invisible to the
+        // Executor-layer kernel budgeting: the pooled kernels of the
+        // coordinator (the transposes around the reduction of B, and the
+        // matrix products; the reduction's Householder loop and Jacobi
+        // sweeps run on this thread) share the process kernel-thread
+        // budget across executors instead of each claiming all of it.
+        // Thread counts never change bits, so this is invisible to the
         // equivalence suites. The budget is read outside the override so
         // `set_threads` changes are picked up per query.
         let budget = (dlra_linalg::threads() / shared.executors).max(1);
@@ -1427,11 +1431,11 @@ fn run_query(
                 }
             }
         }
+        if let Some(m) = metrics {
+            m.query_finished();
+        }
         result
     };
-    if let Some(m) = metrics {
-        m.query_finished();
-    }
     drop(run_span);
     record_resolution(dataset, ticket, true, result.as_ref());
     result
