@@ -4,7 +4,7 @@
 //! type system can't state: bit-identical outputs and communication
 //! ledgers across substrates and thread counts, a no-panic serving path,
 //! unsafe code confined to the kernel crate, justified memory orderings,
-//! two sanctioned thread pools, and a total order on lock acquisition.
+//! two sanctioned spawn sites, and a total order on lock acquisition.
 //! This crate enforces that contract mechanically, with no dependencies
 //! beyond std (the build environment is offline), via a comment- and
 //! string-aware lexer rather than a full parser.

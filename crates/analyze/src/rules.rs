@@ -9,8 +9,8 @@ use crate::source::SourceFile;
 /// communication ledgers must be bit-identical across substrates, thread
 /// counts, and plan-cache settings, so nothing inside them may branch on
 /// wall clock, ambient environment, or unordered iteration. All of
-/// `dlra-linalg` is on it except the kernel pool (`threads.rs`), which
-/// times its workers.
+/// `dlra-linalg` is on it except the kernel fan-out (`threads.rs`), which
+/// times its panels when profiling is on.
 pub fn is_deterministic_module(path: &str) -> bool {
     path.starts_with("crates/core/src/")
         || path.starts_with("crates/sampler/src/")
@@ -35,7 +35,7 @@ pub fn in_panic_scope(path: &str) -> bool {
 /// `dlra-net` takes all configuration through typed parameters and the
 /// bootstrap roster, and `dlra-runtime` through `ServiceConfig`, so a
 /// cluster's wire transcript and a service's behaviour are pure functions
-/// of their inputs. All of `dlra-linalg` is in scope, the kernel pool
+/// of their inputs. All of `dlra-linalg` is in scope, the kernel fan-out
 /// included: its thread count comes from `set_threads` or the hardware.
 /// The library's only env read is the tracer's `DLRA_TRACE` (`dlra-obs`).
 pub fn in_env_scope(path: &str) -> bool {
@@ -50,11 +50,12 @@ pub fn unsafe_allowed(path: &str) -> bool {
     path.starts_with("crates/linalg/")
 }
 
-/// The sanctioned long-lived spawn sites: the persistent kernel worker
-/// pool, and the per-server threads of the loopback clusters
-/// (`ThreadedCluster` and `SocketCluster`, both started by the `dlra-net`
-/// coordinator). Everything else needs a `dlra-allow(thread-discipline)`
-/// with a reason (the service executor pool carries one).
+/// The sanctioned spawn sites: the kernels' row-panel fan-out (scoped
+/// threads, joined before each kernel call returns), and the per-server
+/// threads of the loopback clusters (`ThreadedCluster` and `SocketCluster`,
+/// both started by the `dlra-net` coordinator). Everything else needs a
+/// `dlra-allow(thread-discipline)` with a reason (the service executor pool
+/// carries one).
 pub fn spawn_allowed(path: &str) -> bool {
     path == "crates/linalg/src/threads.rs" || path == "crates/net/src/cluster.rs"
 }
@@ -331,23 +332,23 @@ pub fn atomic_ordering(file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-/// Rule `thread-discipline`: every long-lived thread belongs to one of the
-/// two sanctioned pools; ad-hoc spawns multiply the concurrent surface the
-/// equivalence suites have to reason about.
+/// Rule `thread-discipline`: every thread, scoped or long-lived, is started
+/// at one of the two sanctioned sites; ad-hoc spawns multiply the
+/// concurrent surface the equivalence suites have to reason about.
 pub fn thread_discipline(file: &SourceFile) -> Vec<Diagnostic> {
     if spawn_allowed(&file.path) {
         return Vec::new();
     }
     let mut out = Vec::new();
-    for pattern in ["thread::spawn", "thread::Builder"] {
+    for pattern in ["thread::spawn", "thread::Builder", "thread::scope"] {
         for (line, col) in file.code_matches(pattern) {
             out.push(diag(
                 "thread-discipline",
                 file,
                 line,
                 col,
-                format!("`{pattern}` outside the sanctioned thread pools"),
-                "route work through the persistent kernel pool (dlra-linalg), the \
+                format!("`{pattern}` outside the sanctioned spawn sites"),
+                "route work through the kernels' row-panel fan-out (dlra-linalg), the \
                  loopback cluster servers (dlra-net), or the service executor pool; or \
                  suppress with `// dlra-allow(thread-discipline): <reason>`"
                     .into(),
@@ -485,20 +486,27 @@ fn f() {
 
     #[test]
     fn spawns_flagged_outside_the_pools() {
-        let src = "fn f() { std::thread::spawn(|| {}); }";
-        assert_eq!(
-            thread_discipline(&parse("crates/core/src/a.rs", src)).len(),
-            1
-        );
-        assert!(thread_discipline(&parse("crates/linalg/src/threads.rs", src)).is_empty());
-        assert!(thread_discipline(&parse("crates/net/src/cluster.rs", src)).is_empty());
-        assert_eq!(
-            thread_discipline(&parse("crates/runtime/src/service.rs", src)).len(),
-            1
-        );
-        assert_eq!(
-            thread_discipline(&parse("crates/net/src/node.rs", src)).len(),
-            1
-        );
+        for src in [
+            "fn f() { std::thread::spawn(|| {}); }",
+            "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }",
+        ] {
+            assert_eq!(
+                thread_discipline(&parse("crates/core/src/a.rs", src)).len(),
+                1,
+                "{src}"
+            );
+            assert!(thread_discipline(&parse("crates/linalg/src/threads.rs", src)).is_empty());
+            assert!(thread_discipline(&parse("crates/net/src/cluster.rs", src)).is_empty());
+            assert_eq!(
+                thread_discipline(&parse("crates/runtime/src/service.rs", src)).len(),
+                1,
+                "{src}"
+            );
+            assert_eq!(
+                thread_discipline(&parse("crates/net/src/node.rs", src)).len(),
+                1,
+                "{src}"
+            );
+        }
     }
 }

@@ -242,6 +242,9 @@ pub fn run(spec: &PressureSpec) -> PressureReport {
         let mut max_in_system = 0u64;
         let mut max_resident = 0u64;
 
+        // dlra-allow(thread-discipline): one scoped collector drains and
+        // timestamps tickets while this thread paces the arrival schedule;
+        // it is joined before the wave's figures are read.
         std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel::<(Instant, Ticket)>();
             // The collector drains resolutions concurrently with the

@@ -255,18 +255,24 @@ fn z_panel(
     let (n, d) = model.shape();
     let s = model.num_servers();
     let data_words = model.total_local_words();
-    let kmax = spec.ks.iter().copied().max().unwrap_or(15);
     let mut rows = Vec::new();
 
     for &ratio in &spec.ratios {
         let budget = ratio * data_words as f64;
-        // 40% of the budget on row collection, 60% on the sampler.
-        let r = ((0.4 * budget / ((s - 1) as f64 * d as f64)) as usize).clamp(2 * kmax, n);
+        // 60% of the budget sizes the sampler; the row fetch gets what its
+        // preparation leaves.
         let sampler_budget = (0.6 * budget / (s as f64 * 2.0)) as u64;
         let params = ZSamplerParams::practical((n * d) as u64, sampler_budget.max(512));
         let plan = prepare_z_plan(model, &params, spec.seed ^ (ratio * 1e4) as u64)
             .unwrap_or_else(|e| panic!("{name}: sampler preparation failed: {e}"));
         let prepare_words = plan.prepare_comm.total_words();
+        // The largest r whose row fetch fits in what is left: each of the
+        // s − 1 other servers gets the distinct requested indices and
+        // returns its part of each row, at most r·(d + 1) words plus 2
+        // frame words. At least 1 row, so a budget the preparation
+        // already spent still runs and reports its overshoot.
+        let per_server = (budget as u64).saturating_sub(prepare_words) / (s as u64 - 1);
+        let r = ((per_server.saturating_sub(2) / (d as u64 + 1)) as usize).clamp(1, n);
 
         for (ki, &k) in spec.ks.iter().enumerate() {
             let cfg = Algorithm1Config {
@@ -384,6 +390,24 @@ mod tests {
         let row = &panel.rows[0];
         assert!(row.additive_error < row.predicted);
         assert!(row.comm_words > 0);
+    }
+
+    #[test]
+    fn z_panel_stays_within_its_budget() {
+        let spec = PanelSpec {
+            ratios: vec![0.1],
+            ..PanelSpec::quick()
+        };
+        let panel = isolet_panel(&spec);
+        for row in &panel.rows {
+            assert!(
+                row.comm_words as f64 <= row.ratio * row.data_words as f64,
+                "k={}: achieved {:.4} over the ratio {}",
+                row.k,
+                row.achieved_ratio(),
+                row.ratio
+            );
+        }
     }
 
     #[test]

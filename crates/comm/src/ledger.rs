@@ -45,42 +45,6 @@ pub struct CommEvent {
 /// Fixed per-message framing overhead in words (tag + length).
 pub const FRAME_WORDS: u64 = 1;
 
-/// A simple network cost model turning ledger totals into estimated wall
-/// time: `rounds·latency + words·8/bandwidth`, the standard α–β model. The
-/// simulation itself is instantaneous; this lets experiments report what a
-/// protocol *would* cost on a concrete network.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// One-way latency charged per communication round, in seconds.
-    pub latency_per_round: f64,
-    /// Link bandwidth in bytes per second (aggregate at the coordinator).
-    pub bytes_per_sec: f64,
-}
-
-impl CostModel {
-    /// A 10 GbE datacenter profile (100 µs per round, 1.25 GB/s).
-    pub fn datacenter() -> Self {
-        CostModel {
-            latency_per_round: 100e-6,
-            bytes_per_sec: 1.25e9,
-        }
-    }
-
-    /// A wide-area profile (50 ms per round, 12.5 MB/s).
-    pub fn wide_area() -> Self {
-        CostModel {
-            latency_per_round: 50e-3,
-            bytes_per_sec: 12.5e6,
-        }
-    }
-
-    /// Estimated wall-clock seconds for a snapshot's traffic.
-    pub fn estimate_seconds(&self, snap: &LedgerSnapshot) -> f64 {
-        snap.rounds as f64 * self.latency_per_round
-            + (snap.total_words() * 8) as f64 / self.bytes_per_sec
-    }
-}
-
 #[derive(Debug, Default)]
 struct LedgerInner {
     upstream_words: AtomicU64,
@@ -457,29 +421,6 @@ mod tests {
         assert_eq!(
             format!("{s}"),
             "12 words (10 up / 2 down), 3 msgs, 1 rounds"
-        );
-    }
-
-    #[test]
-    fn cost_model_alpha_beta() {
-        let snap = LedgerSnapshot {
-            upstream_words: 1000,
-            downstream_words: 250,
-            messages: 10,
-            rounds: 4,
-            ..LedgerSnapshot::default()
-        };
-        let m = CostModel {
-            latency_per_round: 0.01,
-            bytes_per_sec: 1e6,
-        };
-        // 4 rounds × 10ms + 1250 words × 8 B / 1 MB/s = 0.04 + 0.01 s.
-        let est = m.estimate_seconds(&snap);
-        assert!((est - 0.05).abs() < 1e-12, "est {est}");
-        // WAN dominated by latency, datacenter by neither at this size.
-        assert!(
-            CostModel::wide_area().estimate_seconds(&snap)
-                > CostModel::datacenter().estimate_seconds(&snap)
         );
     }
 

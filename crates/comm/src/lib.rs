@@ -35,7 +35,7 @@ pub mod wire;
 
 pub use cluster::Cluster;
 pub use collectives::Collectives;
-pub use ledger::{CommEvent, CostModel, Direction, Ledger, LedgerSnapshot};
+pub use ledger::{CommEvent, Direction, Ledger, LedgerSnapshot};
 pub use topology::{Topology, TopologyPlan};
 pub use two_party::{Party, TwoPartyChannel};
 pub use wire::{decode_value, encode_value, Wire, WireError};

@@ -36,7 +36,7 @@
 //! is `s − 1` under every topology; what the tree changes is the
 //! coordinator's **inbox** — `s − 1` root messages for the star versus
 //! one per routing round (`⌈B/m⌉`) for a tree — and the round count,
-//! which the α–β [`crate::CostModel`] prices as latency.
+//! which a network charges as latency.
 
 /// How reduction collectives route partial results to the coordinator.
 ///

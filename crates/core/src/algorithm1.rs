@@ -70,13 +70,6 @@ impl Default for Algorithm1Config {
     }
 }
 
-impl Algorithm1Config {
-    /// The paper's sample count `r = ⌈k²/ε²⌉` for accuracy `eps`.
-    pub fn r_for(k: usize, eps: f64) -> usize {
-        ((k * k) as f64 / (eps * eps)).ceil() as usize
-    }
-}
-
 /// Result of an Algorithm 1 run.
 #[derive(Debug, Clone)]
 pub struct Algorithm1Output {

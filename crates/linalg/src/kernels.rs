@@ -168,7 +168,7 @@ pub(crate) use isa_dispatch;
 
 /// Runs `f` under every `isa_dispatch!` body the host supports, naming
 /// it, with the kernels pinned to this thread: the ISA override is
-/// thread-local, so pool workers would take the detected body. On
+/// thread-local, so spawned panel threads would take the detected body. On
 /// non-x86 targets only the baseline body exists.
 #[cfg(test)]
 pub(crate) fn for_each_body(mut f: impl FnMut(&str)) {

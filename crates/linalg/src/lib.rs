@@ -9,7 +9,9 @@
 //! * [`threads`](mod@threads) — the kernel thread-count knob ([`set_threads`],
 //!   default = available parallelism), the scoped
 //!   [`with_threads`] override outer parallelism layers use to pin
-//!   kernels, and the persistent panel-worker pool the kernels run on;
+//!   kernels, and the row-panel fan-out the kernels run on: inline under
+//!   a one-thread budget or the work floor, otherwise on
+//!   `std::thread::scope` threads joined before each call returns;
 //! * [`mersenne`] — batched polynomial evaluation mod 2⁶¹ − 1, the
 //!   arithmetic of the sketches' k-wise hashes, vectorized through the
 //!   same ISA dispatch as the dense kernels;

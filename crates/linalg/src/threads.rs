@@ -1,4 +1,5 @@
-//! The kernel thread-pool knob and the persistent panel-worker pool.
+//! The kernel thread-count knob and the row-panel fan-out the kernels run
+//! on.
 //!
 //! The blocked kernels in [`crate::kernels`] parallelize over disjoint row
 //! panels of their output. How many panels run concurrently is resolved in
@@ -10,24 +11,25 @@
 //! 2. the last [`set_threads`] call,
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! Panels execute on a **persistent worker pool**, spawned lazily on the
-//! first parallel call and reused for every call after it — replacing the
-//! per-call `std::thread::scope` whose spawn/join latency dominated small
-//! kernels. The submitting thread always runs the first panel itself and
-//! blocks until the pool finishes the rest, so the pool adds at most
-//! `threads() − 1` live kernel threads to the caller's own.
+//! A kernel section with a budget of one thread, or with less work than
+//! `PARALLEL_WORK_FLOOR`, runs inline on the caller. A larger one runs its
+//! first panel on the caller and each other panel on a
+//! [`std::thread::scope`] thread, so the panels borrow the output and the
+//! kernel directly, every panel is joined before the call returns, and a
+//! panic in any panel is re-raised on the caller. A spawned panel costs
+//! about 35 µs (2-vCPU x86-64 host), which the work floor keeps off small
+//! kernels. A section adds at most `threads() − 1` live kernel threads to
+//! the caller's own.
 //!
-//! Thread count never changes results: each worker owns a disjoint slice of
+//! Thread count never changes results: each panel owns a disjoint slice of
 //! the output and every output element is accumulated in the same fixed
 //! summation order regardless of how the panels are distributed, so kernels
 //! are bit-identical across thread counts (proved by
 //! `tests/kernel_equivalence.rs`).
 
 use std::cell::Cell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// 0 = unresolved; resolved values are always ≥ 1.
@@ -84,19 +86,28 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Live kernel execution contexts (pool workers running a panel plus
-/// callers running their own panel inline) and the high-water mark since
-/// the last [`reset_parallelism_watermark`].
+/// Live kernel execution contexts (panels running on a caller or on a
+/// spawned panel thread) and the high-water mark since the last
+/// [`reset_parallelism_watermark`].
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
-fn enter_kernel() {
-    let now = ACTIVE.fetch_add(1, Ordering::AcqRel) + 1;
-    PEAK.fetch_max(now, Ordering::AcqRel);
+/// One live kernel context, counted in `ACTIVE` until it drops — on
+/// unwind too, so a panicking panel cannot leave the count raised.
+struct LiveKernel;
+
+impl LiveKernel {
+    fn enter() -> Self {
+        let now = ACTIVE.fetch_add(1, Ordering::AcqRel) + 1;
+        PEAK.fetch_max(now, Ordering::AcqRel);
+        LiveKernel
+    }
 }
 
-fn exit_kernel() {
-    ACTIVE.fetch_sub(1, Ordering::AcqRel);
+impl Drop for LiveKernel {
+    fn drop(&mut self) {
+        ACTIVE.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Resets the high-water mark of concurrently live kernel threads to the
@@ -106,16 +117,17 @@ pub fn reset_parallelism_watermark() {
     PEAK.store(ACTIVE.load(Ordering::Acquire), Ordering::Release);
 }
 
-/// The maximum number of kernel threads (pool workers plus inline callers)
-/// that were live at once since the last [`reset_parallelism_watermark`].
+/// The maximum number of kernel threads (callers plus spawned panel
+/// threads) that were live at once since the last
+/// [`reset_parallelism_watermark`].
 pub fn parallelism_watermark() -> usize {
     PEAK.load(Ordering::Acquire)
 }
 
-/// Pool profiling: per-section wall time and per-worker busy time, recorded
+/// Pool profiling: per-section wall time and per-panel busy time, recorded
 /// only while [`set_pool_profiling`] is on. When off (the default) the cost
-/// is one relaxed atomic load per kernel section / pool job — no clock
-/// reads — and results are never affected either way.
+/// is one relaxed atomic load per kernel section — no clock reads — and
+/// results are never affected either way.
 static PROFILING: AtomicBool = AtomicBool::new(false);
 static PARALLEL_SECTIONS: AtomicU64 = AtomicU64::new(0);
 static INLINE_SECTIONS: AtomicU64 = AtomicU64::new(0);
@@ -151,13 +163,13 @@ pub fn pool_profile() -> PoolProfile {
     }
 }
 
-/// Profile of the persistent panel pool: how many kernel sections ran
+/// Profile of the kernel panel fan-out: how many kernel sections ran
 /// parallel vs inline, total section wall time, and total busy time across
-/// the submitting thread and all pool workers. `busy / wall` is the
-/// effective parallelism actually achieved (vs the configured `threads()`).
+/// every panel, the callers' own included. `busy / wall` is the effective
+/// parallelism actually achieved (vs the configured `threads()`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolProfile {
-    /// Kernel sections dispatched to the worker pool.
+    /// Kernel sections that ran panels on spawned threads.
     pub parallel_sections: u64,
     /// Kernel sections run inline (single thread or below the work floor).
     pub inline_sections: u64,
@@ -179,165 +191,12 @@ impl PoolProfile {
     }
 }
 
-/// A completion latch: one parallel call waits for its dispatched panels.
-struct Latch {
-    // dlra-lock-order: kernel.latch
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panicked: AtomicBool,
-}
-
-impl Latch {
-    fn new(n: usize) -> Self {
-        Latch {
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        }
-    }
-
-    fn count_down(&self) {
-        let mut left = self.remaining.lock().expect("latch poisoned");
-        *left -= 1;
-        if *left == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut left = self.remaining.lock().expect("latch poisoned");
-        while *left > 0 {
-            left = self.done.wait(left).expect("latch poisoned");
-        }
-    }
-}
-
-/// One dispatched panel, with the kernel closure and output slice erased
-/// to raw pointers. The submitting call blocks on the latch until every
-/// job completed, so the pointers never outlive their borrows; panels are
-/// disjoint `split_at_mut` slices, so workers cannot alias.
-struct PanelJob {
-    // SAFETY: callers pass `call_kernel::<F>` together with a `kernel`
-    // pointer derived from `&F`, so the vtable-style pair always agrees
-    // on the erased type (upheld by the single call site in
-    // `for_each_row_panel`).
-    call: unsafe fn(*const (), usize, *mut f64, usize),
-    kernel: *const (),
-    first_row: usize,
-    panel: *mut f64,
-    panel_len: usize,
-    latch: *const Latch,
-}
-
-// SAFETY: the raw pointers stand for `&(F: Sync)`, a `&mut [f64]` slice
-// disjoint from every other job's, and a `&Latch` — all of which outlive
-// the job because the submitter blocks on the latch before returning.
-unsafe impl Send for PanelJob {}
-
-/// Monomorphized trampoline: reconstitutes the kernel reference and panel
-/// slice for one job.
-///
-/// # Safety
-/// `kernel` must point to a live `F` and `panel/len` to a live, exclusive
-/// `f64` slice (guaranteed by the submit-then-wait protocol above).
-unsafe fn call_kernel<F: Fn(usize, &mut [f64]) + Sync>(
-    kernel: *const (),
-    first_row: usize,
-    panel: *mut f64,
-    panel_len: usize,
-) {
-    // SAFETY: the caller promises `kernel` points to a live `F` (see the
-    // `# Safety` contract); `PanelJob` construction derives it from `&F`.
-    let kernel = unsafe { &*(kernel as *const F) };
-    // SAFETY: `panel/panel_len` describe a live `&mut [f64]` disjoint
-    // from every other job's panel (`split_at_mut`), valid until the
-    // submitter's latch releases — after this call returns.
-    kernel(first_row, unsafe {
-        std::slice::from_raw_parts_mut(panel, panel_len)
-    });
-}
-
-struct Pool {
-    sender: Sender<PanelJob>,
-    // dlra-lock-order: kernel.inbox
-    receiver: Arc<Mutex<Receiver<PanelJob>>>,
-    spawned: usize,
-}
-
-static POOL: OnceLock<Mutex<Pool>> = OnceLock::new();
-
-// dlra-lock-order: kernel.pool
-fn pool() -> &'static Mutex<Pool> {
-    POOL.get_or_init(|| {
-        let (sender, receiver) = mpsc::channel();
-        Mutex::new(Pool {
-            sender,
-            receiver: Arc::new(Mutex::new(receiver)),
-            spawned: 0,
-        })
-    })
-}
-
-/// Grows the pool to at least `jobs.len()` workers and enqueues the jobs.
-fn submit_to_pool(jobs: Vec<PanelJob>) {
-    if jobs.is_empty() {
-        return;
-    }
-    let mut pool = pool().lock().expect("kernel pool poisoned");
-    while pool.spawned < jobs.len() {
-        let work = Arc::clone(&pool.receiver);
-        std::thread::Builder::new()
-            .name(format!("dlra-kernel-{}", pool.spawned))
-            .spawn(move || worker_loop(&work))
-            .expect("spawn kernel pool worker");
-        pool.spawned += 1;
-    }
-    for job in jobs {
-        // The receiver lives in the static pool, so the channel never
-        // closes.
-        pool.sender.send(job).expect("kernel pool channel closed");
-    }
-}
-
-fn worker_loop(work: &Mutex<Receiver<PanelJob>>) {
-    loop {
-        let job = {
-            let inbox = work.lock().expect("kernel pool inbox poisoned");
-            inbox.recv()
-        };
-        let Ok(job) = job else { return };
-        enter_kernel();
-        let job_start = pool_profiling().then(Instant::now);
-        // Pool workers pin nested parallelism to 1: a kernel that somehow
-        // re-enters the dispatcher runs inline instead of waiting on the
-        // very pool it occupies.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // SAFETY: see `PanelJob` — the submitter keeps every pointee
-            // alive until the latch opens, which is after this call.
-            with_threads(1, || unsafe {
-                (job.call)(job.kernel, job.first_row, job.panel, job.panel_len)
-            })
-        }));
-        if let Some(t0) = job_start {
-            // Before `count_down`, so a section's busy time is fully
-            // accumulated by the time its submitter stops waiting.
-            BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        exit_kernel();
-        // SAFETY: the latch outlives the job (submit-then-wait protocol).
-        let latch = unsafe { &*job.latch };
-        if result.is_err() {
-            latch.panicked.store(true, Ordering::Release);
-        }
-        latch.count_down();
-    }
-}
-
-/// Below this many flops the dispatch latency dominates any speedup.
+/// Below this many flops a spawned panel's start-up and join cost more
+/// than the work it takes off the caller.
 const PARALLEL_WORK_FLOOR: usize = 1 << 21;
 
 /// Runs `kernel` over the rows of a contiguous row-major output buffer,
-/// split into one contiguous row panel per worker with (near-)equal row
+/// split into one contiguous row panel per thread with (near-)equal row
 /// counts.
 ///
 /// `kernel(first_row, panel)` must fill `panel` (rows `first_row ..
@@ -346,7 +205,7 @@ const PARALLEL_WORK_FLOOR: usize = 1 << 21;
 ///
 /// `work` is a rough flop count for the whole call; cheap calls and
 /// single-thread configurations run inline on the caller's stack, so tiny
-/// matrices never pay dispatch latency.
+/// matrices never pay for a spawned thread.
 pub(crate) fn for_each_row_panel<F>(out: &mut [f64], row_width: usize, work: usize, kernel: F)
 where
     F: Fn(usize, &mut [f64]) + Sync,
@@ -354,7 +213,7 @@ where
     for_each_row_panel_by_weight(out, row_width, work, |_| 1, kernel)
 }
 
-/// [`for_each_row_panel`] with panel boundaries chosen so every worker gets
+/// [`for_each_row_panel`] with panel boundaries chosen so every thread gets
 /// (approximately) the same total of `row_weight(row)` instead of the same
 /// row count — e.g. the triangular gram kernel weights row `p` by `c − p`
 /// so the first panels (long rows) are narrower than the last.
@@ -372,100 +231,97 @@ pub(crate) fn for_each_row_panel_by_weight<F, W>(
     if rows == 0 {
         return;
     }
-    let t = threads().min(rows);
-    if t <= 1 || work < PARALLEL_WORK_FLOOR {
-        let section_start = pool_profiling().then(Instant::now);
-        enter_kernel();
-        let result = catch_unwind(AssertUnwindSafe(|| kernel(0, out)));
-        exit_kernel();
-        if let Some(t0) = section_start {
-            let nanos = t0.elapsed().as_nanos() as u64;
-            INLINE_SECTIONS.fetch_add(1, Ordering::Relaxed);
-            BUSY_NANOS.fetch_add(nanos, Ordering::Relaxed);
-            WALL_NANOS.fetch_add(nanos, Ordering::Relaxed);
-        }
-        if let Err(payload) = result {
-            resume_unwind(payload);
-        }
-        return;
-    }
-    let section_start = pool_profiling().then(Instant::now);
-    // Cut the row range into `t` contiguous panels of (near-)equal total
-    // weight: walk the rows accumulating weight and cut at each multiple
-    // of `total / t`.
-    let total: usize = (0..rows).map(&row_weight).sum();
-    let target = total.div_ceil(t).max(1);
-    let mut panels: Vec<(usize, &mut [f64])> = Vec::with_capacity(t);
-    {
-        let mut rest = out;
-        let mut row0 = 0;
-        let mut acc = 0usize;
-        let mut row = 0usize;
-        let mut panels_left = t;
-        while row0 < rows {
-            // Extend the panel until its weight reaches the target (always
-            // taking at least one row); the last panel takes everything.
-            if panels_left == 1 {
-                row = rows;
-            } else {
-                while row < rows && (acc < target || row == row0) {
-                    acc += row_weight(row);
-                    row += 1;
-                }
-                acc = acc.saturating_sub(target);
-            }
-            panels_left -= 1;
-            let panel_rows = row - row0;
-            let (panel, tail) = rest.split_at_mut(panel_rows * row_width);
+    let t = if work < PARALLEL_WORK_FLOOR {
+        1
+    } else {
+        threads().min(rows)
+    };
+    let profiled = pool_profiling();
+    let section_start = profiled.then(Instant::now);
+    let mut panels = panel_rows(rows, t, row_weight);
+    let own = panels.next().expect("a non-empty output has a first panel");
+    let parallel = own.end < rows;
+    let (own_panel, mut rest) = out.split_at_mut(own.end * row_width);
+    let kernel = &kernel;
+    // Panel 0 runs on the caller; every other panel on its own scoped
+    // thread, pinned to one kernel thread so a kernel that re-enters the
+    // fan-out runs inline. The scope joins them all before it returns, and
+    // panics on the caller if any panel panicked.
+    std::thread::scope(|scope| {
+        for range in panels {
+            let (panel, tail) = std::mem::take(&mut rest).split_at_mut(range.len() * row_width);
             rest = tail;
-            panels.push((row0, panel));
-            row0 = row;
+            scope
+                .spawn(move || with_threads(1, || run_panel(kernel, range.start, panel, profiled)));
         }
-    }
-
-    let latch = Latch::new(panels.len() - 1);
-    let mut panels = panels.into_iter();
-    let (first0, panel0) = panels.next().expect("at least one panel");
-    let jobs: Vec<PanelJob> = panels
-        .map(|(first_row, panel)| PanelJob {
-            call: call_kernel::<F>,
-            kernel: &kernel as *const F as *const (),
-            first_row,
-            panel: panel.as_mut_ptr(),
-            panel_len: panel.len(),
-            latch: &latch,
-        })
-        .collect();
-    submit_to_pool(jobs);
-
-    // Run our own panel while the pool chews on the rest.
-    enter_kernel();
-    let own_start = section_start.map(|_| Instant::now());
-    let mine = catch_unwind(AssertUnwindSafe(|| kernel(first0, panel0)));
-    if let Some(t0) = own_start {
-        BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-    exit_kernel();
-
-    // Wait before propagating anything: the jobs borrow `kernel`, the
-    // latch, and slices of `out`, all of which must stay alive until every
-    // worker is done with them.
-    latch.wait();
+        run_panel(kernel, 0, own_panel, profiled);
+    });
     if let Some(t0) = section_start {
-        PARALLEL_SECTIONS.fetch_add(1, Ordering::Relaxed);
+        let sections = if parallel {
+            &PARALLEL_SECTIONS
+        } else {
+            &INLINE_SECTIONS
+        };
+        sections.fetch_add(1, Ordering::Relaxed);
         WALL_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
-    if let Err(payload) = mine {
-        resume_unwind(payload);
-    }
-    if latch.panicked.load(Ordering::Acquire) {
-        panic!("a kernel pool worker panicked");
+}
+
+/// The row ranges of at most `t` contiguous panels of (near-)equal total
+/// `row_weight`: walk the rows accumulating weight and cut at each
+/// multiple of `total / t`. Every panel takes at least one row and the
+/// last one every row left, so skewed weights can yield fewer than `t`.
+fn panel_rows(
+    rows: usize,
+    t: usize,
+    row_weight: impl Fn(usize) -> usize,
+) -> impl Iterator<Item = Range<usize>> {
+    // A single panel needs no weights.
+    let target = if t > 1 {
+        (0..rows).map(&row_weight).sum::<usize>().div_ceil(t).max(1)
+    } else {
+        0
+    };
+    let (mut row, mut acc, mut panels_left) = (0, 0, t);
+    std::iter::from_fn(move || {
+        if row == rows {
+            return None;
+        }
+        let row0 = row;
+        if panels_left == 1 {
+            row = rows;
+        } else {
+            while row < rows && (acc < target || row == row0) {
+                acc += row_weight(row);
+                row += 1;
+            }
+            acc = acc.saturating_sub(target);
+        }
+        panels_left -= 1;
+        Some(row0..row)
+    })
+}
+
+/// Runs one panel as a live kernel context, adding its time to the busy
+/// total when `profiled`.
+fn run_panel<F: Fn(usize, &mut [f64])>(
+    kernel: &F,
+    first_row: usize,
+    panel: &mut [f64],
+    profiled: bool,
+) {
+    let _live = LiveKernel::enter();
+    let start = profiled.then(Instant::now);
+    kernel(first_row, panel);
+    if let Some(t0) = start {
+        BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// One test for all process-global thread-knob behavior: `THREADS` is
     /// shared across the test binary, so exercising it from several
@@ -490,7 +346,7 @@ mod tests {
         assert_eq!(threads(), 3, "override leaked past a panic");
 
         // Even split covers every row exactly once (forced parallel path
-        // via a huge work estimate) — and runs on the persistent pool.
+        // via a huge work estimate).
         // (The `parallelism_watermark` bounds live in the single-test
         // `tests/thread_composition.rs` binary — the counters are
         // process-global and concurrent unit tests would race them.)
@@ -545,7 +401,7 @@ mod tests {
         }
 
         // A panicking kernel on the parallel path neither deadlocks nor
-        // poisons the pool for later calls.
+        // breaks later calls.
         let mut out = vec![0.0f64; 8 * width];
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             for_each_row_panel(&mut out, width, usize::MAX, |_first, _panel| {
@@ -559,7 +415,31 @@ mod tests {
                 *x += 1.0;
             }
         });
-        assert!(out.iter().all(|&x| x == 2.0), "pool unusable after panic");
+        assert!(out.iter().all(|&x| x == 2.0), "unusable after a panic");
+
+        // A panic in a spawned panel alone, while the caller's panel 0
+        // runs clean, still reaches the caller; the next parallel call
+        // fills every row.
+        let mut out = vec![0.0f64; 8 * width];
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            with_threads(3, || {
+                for_each_row_panel(&mut out, width, usize::MAX, |first_row, _panel| {
+                    assert_eq!(first_row, 0, "spawned panel panic");
+                });
+            });
+        }));
+        assert!(unwound.is_err(), "a spawned panel's panic was lost");
+        let mut out = vec![0.0f64; 8 * width];
+        with_threads(3, || {
+            for_each_row_panel(&mut out, width, usize::MAX, |first_row, panel| {
+                for (r, row) in panel.chunks_exact_mut(width).enumerate() {
+                    row.fill((first_row + r) as f64);
+                }
+            });
+        });
+        for (i, row) in out.chunks_exact(width).enumerate() {
+            assert!(row.iter().all(|&x| x == i as f64), "row {i}: {row:?}");
+        }
 
         set_threads(1);
     }

@@ -476,11 +476,11 @@ pub struct KernelPoolSnapshot {
     pub threads: usize,
     /// High-water mark of concurrently active kernel workers.
     pub watermark: usize,
-    /// Panel sections dispatched to the worker pool.
+    /// Kernel sections that ran panels on spawned threads.
     pub parallel_sections: u64,
     /// Panel sections executed inline (below the parallel work floor).
     pub inline_sections: u64,
-    /// Nanoseconds of worker busy time across all panel jobs.
+    /// Nanoseconds of busy time across all panels.
     pub busy_nanos: u64,
     /// Nanoseconds of wall time across all profiled sections.
     pub wall_nanos: u64,

@@ -39,7 +39,7 @@
 //!   LRU-evicts idle tenants (never one with queries in flight) — see
 //!   [`ServiceConfig::max_queue_depth`], [`ServiceConfig::memory_budget`],
 //!   and [`Service::pressure`]. Executors budget kernel threads at
-//!   `max(1, total/executors)` so the coordinator's pooled kernels
+//!   `max(1, total/executors)` so the coordinator's parallel kernels
 //!   never oversubscribe at high executor counts.
 //! * [`PlanCache`] — the query planner: unboosted Z-sampled queries
 //!   sharing a [`PlanKey`] (dataset id, `f`, sampler parameters, seed,
@@ -47,7 +47,8 @@
 //!   `ZSampler::prepare` **once** and draw from the shared `Arc`-backed
 //!   structure concurrently. Servers split the kernel thread budget
 //!   among themselves (`dlra_linalg::with_threads`), so the substrate's
-//!   parallelism and the kernel pool never compose multiplicatively.
+//!   parallelism and the kernels' panel threads never compose
+//!   multiplicatively.
 //! * [`threaded_model`] / [`socket_model`] — one-line constructors for a
 //!   `PartitionModel` on the threaded or socket substrate.
 //!

@@ -76,7 +76,7 @@
 //!
 //! Each executor wraps query execution in
 //! `dlra_linalg::with_threads(max(1, total / executors))`, so the
-//! coordinator's pooled kernels (the transposes around the reduction of
+//! coordinator's parallel kernels (the transposes around the reduction of
 //! `B`, matrix products) share the process kernel-thread budget across
 //! concurrent queries instead of each claiming all of it — at high
 //! executor counts the two layers previously oversubscribed
@@ -808,10 +808,11 @@ impl Service {
             memory_budget: config.memory_budget,
         });
         if config.metrics {
-            // Process-global (the kernel pool is process-global too): a
+            // Process-global (the kernel profile counters are too): a
             // metrics-enabled service turns the pool profile on so its
             // snapshots carry busy/wall nanos and section counts. Cost
-            // when on is two clock reads per pool section.
+            // when on is two clock reads per kernel section and two per
+            // panel.
             dlra_linalg::set_pool_profiling(true);
         }
         let tasks = Arc::new(Mutex::new(tasks));
@@ -1393,7 +1394,7 @@ fn run_query(
             (resident.locals.to_vec(), resident.epoch)
         };
         let topology = shared.topology;
-        // Executor-layer kernel budgeting: the pooled kernels of the
+        // Executor-layer kernel budgeting: the parallel kernels of the
         // coordinator (the transposes around the reduction of B, and the
         // matrix products; the reduction's Householder loop and Jacobi
         // sweeps run on this thread) share the process kernel-thread

@@ -8,7 +8,7 @@
 //! this file holds exactly one test (its own binary → its own process).
 //!
 //! Lower bounds on the watermark are deliberately loose: on a single-core
-//! runner the pool's workers may execute their panels one after another,
+//! runner the spawned panel threads may run one after another,
 //! so only the *upper* bound (the budget) is deterministic.
 
 use dlra::comm::Collectives;
@@ -27,7 +27,7 @@ fn kernel_threads_never_exceed_the_configured_budget() {
     let big = Matrix::gaussian(512, 128, &mut rng);
 
     // Baseline: with the process knob at 4, a lone kernel call keeps at
-    // most 4 kernel threads live (the caller plus ≤ 3 pool workers); the
+    // most 4 kernel threads live (the caller plus ≤ 3 panel threads); the
     // watermark always observes at least the caller itself.
     set_threads(4);
     reset_parallelism_watermark();
