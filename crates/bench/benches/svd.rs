@@ -6,10 +6,13 @@
 //! `m × d` with `m ≤ r = Θ(k²/ε²)` draws; `fkv_step` times
 //! `build_b_matrix` + `fkv_projection` from the `r` per-draw rows, on both
 //! sides of `m = d`: the projection reduces a wide `B` by an LQ and a tall
-//! one by a QR before its Jacobi sweeps.
+//! one by a QR before its Jacobi sweeps. Gaussian rows have a flat
+//! spectrum; the graded input draws the rows of a noisy rank-12 matrix
+//! instead, whose `B` takes as many sweeps as `warm_svd`'s own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlra_core::{build_b_matrix, fkv_projection, SampledRow};
+use dlra_data::noisy_low_rank;
 use dlra_linalg::{best_rank_k, householder_qr, svd, Matrix};
 use dlra_util::Rng;
 use std::hint::black_box;
@@ -31,10 +34,10 @@ fn bench_svd(c: &mut Criterion) {
     group.finish();
 }
 
-/// `r` draws over `m` distinct rows of a Gaussian `m × d` matrix, every row
-/// drawn at least once, with length-squared probabilities.
-fn draws(r: usize, m: usize, d: usize, rng: &mut Rng) -> Vec<SampledRow> {
-    let a = Matrix::gaussian(m, d, rng);
+/// `r` draws over the `m` rows of `a`, every row drawn at least once, with
+/// length-squared probabilities.
+fn draws(a: &Matrix, r: usize, rng: &mut Rng) -> Vec<SampledRow> {
+    let m = a.rows();
     let weights = a.row_norms_sq();
     let total: f64 = weights.iter().sum();
     let mut indices: Vec<usize> = (0..m).chain((m..r).map(|_| rng.index(m))).collect();
@@ -53,18 +56,27 @@ fn bench_fkv_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("fkv_step");
     group.sample_size(10);
     let k = 12;
-    // warm_svd's measured shape and cold_prepare's, both wide (m < d: the
-    // LQ branch), then a tall one (m ≥ d: the QR branch).
-    for &(r, m, d) in &[
-        (500usize, 150usize, 256usize),
-        (200, 90, 256),
-        (500, 150, 40),
+    // Gaussian rows at warm_svd's measured shape and cold_prepare's, both
+    // wide (m < d: the LQ branch), then a tall one (m ≥ d: the QR branch);
+    // last, graded rows at warm_svd's shape.
+    for (graded, r, m, d) in [
+        (false, 500, 150, 256),
+        (false, 200, 90, 256),
+        (false, 500, 150, 40),
+        (true, 500, 150, 256),
     ] {
+        let tag = if graded { "_graded" } else { "" };
         group.bench_with_input(
-            BenchmarkId::from_parameter(format!("r{r}_m{m}_d{d}_k{k}")),
+            BenchmarkId::from_parameter(format!("r{r}_m{m}_d{d}_k{k}{tag}")),
             &(r, m),
             |b, &(r, m)| {
-                let rows = draws(r, m, d, &mut Rng::new(6));
+                let mut rng = Rng::new(6);
+                let a = if graded {
+                    noisy_low_rank(m, d, 12, 0.15, &mut rng)
+                } else {
+                    Matrix::gaussian(m, d, &mut rng)
+                };
+                let rows = draws(&a, r, &mut rng);
                 b.iter(|| {
                     let b = build_b_matrix(&rows).unwrap();
                     black_box(fkv_projection(&b, k).unwrap().1)

@@ -602,9 +602,10 @@ mod tests {
     }
 
     /// A digest of every bit of the basis and captured energy at the
-    /// `fkv_step` bench's shapes, k = 12: `warm_svd`'s and
+    /// `fkv_step` bench's Gaussian shapes, k = 12: `warm_svd`'s and
     /// `cold_prepare`'s (wide, the LQ branch), then a tall one (the QR
-    /// branch). A change to this step shows here which shapes it moves.
+    /// branch), captured when the Jacobi sweep gained de Rijk's pivot. A
+    /// change to this step shows here which shapes it moves.
     #[test]
     fn projection_bits_match_golden_digest() {
         let digests: Vec<u64> = [(500, 150, 256), (200, 90, 256), (500, 150, 40)]
@@ -620,9 +621,9 @@ mod tests {
         assert_eq!(
             digests,
             [
-                0x5354_6b50_7dd8_95c0,
-                0x4d05_bc58_3d73_e6aa,
-                0xaa74_5b73_9b90_a609
+                0xe6c3_f87d_aa9d_d6ea,
+                0x7a69_421d_0e86_d75a,
+                0xc32a_e8ff_f4e8_0351
             ],
             "{digests:x?}"
         );

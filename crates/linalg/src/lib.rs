@@ -19,11 +19,10 @@
 //!   `(A·V)·Vᵀ`, never materializing the `d × d` matrix;
 //! * [`qr`] — Householder thin QR, `Q` kept as its reflectors, and
 //!   orthonormalization;
-//! * [`eigen`] — cyclic Jacobi eigensolver for symmetric matrices;
 //! * [`svd`](mod@svd) — one-sided Jacobi (Hestenes) singular value
-//!   decomposition, its sweep compiled through the same ISA dispatch, and
-//!   [`top_right_svd`], the coordinator's top-k form that runs the sweep
-//!   on a Householder-reduced triangle;
+//!   decomposition, its pivoted sweep compiled through the same ISA
+//!   dispatch, and [`top_right_svd`], the coordinator's top-k form that
+//!   runs the sweep on a Householder-reduced triangle;
 //! * [`lowrank`] — best rank-k approximations, projection matrices, and the
 //!   Frobenius-error helpers used by the paper's definitions of additive and
 //!   relative error.
@@ -36,12 +35,13 @@
 //! elements, never pieces of one sum. The SVD's Jacobi sweep follows the
 //! same rule: a pair's three column dots run in one pass as three
 //! sequential chains side by side, since splitting any one of them across
-//! lanes would regroup its sum and move the output bits. The SVD is
+//! lanes would regroup its sum and move the output bits, and its de Rijk
+//! pivot picks the leading row from scalar norms every body computes
+//! alike. The SVD is
 //! accurate to ~1e-12 on the reproduced sizes and is property-tested
 //! against reconstruction and orthogonality invariants.
 
 #![deny(unsafe_op_in_unsafe_fn)]
-pub mod eigen;
 pub mod kernels;
 pub mod lowrank;
 pub mod matrix;
@@ -51,7 +51,6 @@ pub mod qr;
 pub mod svd;
 pub mod threads;
 
-pub use eigen::{sym_eigen, SymEigen};
 pub use lowrank::{
     best_rank_k, best_rank_k_error_sq, projection_from_basis, residual_sq, RankKApprox,
 };

@@ -48,6 +48,28 @@
 //! baseline x86-64, AVX2 and AVX-512, and a proptest holds every body the
 //! host can run to the baseline's bits.
 //!
+//! # Pivoting
+//!
+//! Before row `p`'s pairs, the sweep swaps into position `p` the remaining
+//! row with the largest squared norm, and the same two rows of `v` when it
+//! accumulates: de Rijk's pivoting (SIAM J. Sci. Stat. Comput. 10(2),
+//! 1989). The heaviest remaining row leads its pairs, and the rows come
+//! out nearly sorted by `σ`; on `fkv_projection`'s `B` the sweeps fall
+//! from about 12 to 8–9 (README, "The coordinator's SVD"). The norms cost no
+//! extra pass over the pairs: [`dot`] takes them at the start of each
+//! sweep, and each pair `(p, q)` then keeps row `q`'s, its fresh `β` when
+//! the pair is skipped, `β + t·γ` after a rotation (the rotation's update
+//! of `‖w_q‖²`). Ties go to the lowest index.
+//!
+//! The pivot only chooses which row leads, so it cannot move bits between
+//! bodies. Its norms are [`dot`]'s one chain and the scalar `β + t·γ`
+//! (Rust never contracts it into a fused multiply-add), the same
+//! operations in every body, and the choice is a strict `>` scanned in
+//! ascending index: every body swaps the same rows at the same moment.
+//! The convergence test, the tolerance and the rotations are those of the
+//! unpivoted sweep, but the pairs rotate in another order, so `u`, `s`
+//! and `vt` differ from its output in their low bits.
+//!
 //! # Large finite input
 //!
 //! The sweep skips a pair when `|γ| ≤ 1e-15·√(α·β)`. Once `‖a‖²_F`
@@ -131,17 +153,23 @@ const MAX_SWEEPS: usize = 60;
 /// Returns [`LinalgError::NonFinite`] before any sweep if `‖a‖²_F` is
 /// not finite: a NaN or ±∞ entry, or entries whose squares overflow.
 pub fn svd(a: &Matrix) -> Result<Svd> {
+    svd_and_sweeps(a).map(|(d, _)| d)
+}
+
+/// [`svd`] and the number of Jacobi sweeps it ran.
+fn svd_and_sweeps(a: &Matrix) -> Result<(Svd, usize)> {
     let (m, n) = a.shape();
     let r = m.min(n);
     let eye = |rows, cols| Matrix::from_fn(rows, cols, |i, j| if i == j { 1.0 } else { 0.0 });
     let Some((tol, e)) = prescale(a, "svd (one-sided Jacobi)")? else {
         // Zero or empty matrix: σ = 0, U/V arbitrary orthonormal
         // (identity blocks).
-        return Ok(Svd {
+        let d = Svd {
             u: eye(m, r),
             s: vec![0.0; r],
             vt: eye(r, n),
-        });
+        };
+        return Ok((d, 0));
     };
     // Row j of `w` is the j-th vector to rotate, contiguous; row j of `v`
     // is column j of the accumulated rotation.
@@ -151,7 +179,7 @@ pub fn svd(a: &Matrix) -> Result<Svd> {
         w.scale(pow2(-e));
     }
     let mut v = Matrix::identity(r);
-    let ranked = orthogonalize(&mut w, v.as_mut_slice(), tol)?;
+    let (ranked, sweeps) = orthogonalize(&mut w, v.as_mut_slice(), tol)?;
 
     // In descending σ: the normalized rotated vectors (`U`'s columns, or
     // `Vᵀ`'s rows when m < n) and the rotation's columns (`V`'s, or `U`'s).
@@ -163,7 +191,7 @@ pub fn svd(a: &Matrix) -> Result<Svd> {
     } else {
         (ws.transpose(), vs)
     };
-    Ok(Svd { u, s, vt })
+    Ok((Svd { u, s, vt }, sweeps))
 }
 
 /// The singular values of `a` (all `min(m, n)`, descending) and its
@@ -180,12 +208,17 @@ pub fn svd(a: &Matrix) -> Result<Svd> {
 /// columns of the identity, as [`svd`] does. Returns
 /// [`LinalgError::NonFinite`] before any work if `‖a‖²_F` is not finite.
 pub fn top_right_svd(a: &Matrix, k: usize) -> Result<(Vec<f64>, Matrix)> {
+    top_right_svd_and_sweeps(a, k).map(|(s, v, _)| (s, v))
+}
+
+/// [`top_right_svd`] and the number of Jacobi sweeps it ran.
+fn top_right_svd_and_sweeps(a: &Matrix, k: usize) -> Result<(Vec<f64>, Matrix, usize)> {
     let (m, n) = a.shape();
     let r = m.min(n);
     let k = k.min(r);
     let Some((tol, e)) = prescale(a, "top_right_svd (Householder + one-sided Jacobi)")? else {
         let eye = Matrix::from_fn(n, k, |i, j| if i == j { 1.0 } else { 0.0 });
-        return Ok((vec![0.0; r], eye));
+        return Ok((vec![0.0; r], eye, 0));
     };
     // The short side's vectors, one per row: `a`'s rows when m < n (the
     // QR of `aᵀ`, that is the LQ of `a`), its columns otherwise.
@@ -197,17 +230,18 @@ pub fn top_right_svd(a: &Matrix, k: usize) -> Result<(Vec<f64>, Matrix)> {
     // Row j of `Rᵀ` is `R`'s column j, which stands in for row (or
     // column) j of `a`: the reflectors preserve every inner product.
     let mut w = qr.r().transpose();
-    let (ranked, v) = if m < n {
-        let ranked = orthogonalize(&mut w, &mut [], tol)?;
+    let (ranked, v, sweeps) = if m < n {
+        let (ranked, sweeps) = orthogonalize(&mut w, &mut [], tol)?;
         let top = normalized_rows(&w, &ranked[..k]);
-        (ranked, qr.apply_q_to_rows(&top).transpose())
+        (ranked, qr.apply_q_to_rows(&top).transpose(), sweeps)
     } else {
         let mut acc = Matrix::identity(r);
-        let ranked = orthogonalize(&mut w, acc.as_mut_slice(), tol)?;
+        let (ranked, sweeps) = orthogonalize(&mut w, acc.as_mut_slice(), tol)?;
         let v = Matrix::from_fn(n, k, |i, j| acc[(ranked[j].1, i)]);
-        (ranked, v)
+        (ranked, v, sweeps)
     };
-    Ok((ranked.iter().map(|&(sv, _)| sv * pow2(e)).collect(), v))
+    let s = ranked.iter().map(|&(sv, _)| sv * pow2(e)).collect();
+    Ok((s, v, sweeps))
 }
 
 /// The input check and sweep tolerance for `a`: `‖a‖²_F`, summed row by
@@ -243,17 +277,18 @@ fn prescale(a: &Matrix, op: &'static str) -> Result<Option<(f64, i32)>> {
 
 /// Sweeps the rows of `w` until a sweep rotates no pair, rotating the
 /// rows of the square `v` alongside (an empty `v` accumulates nothing),
-/// and ranks them: each row's norm `σ` and index, by descending `σ`.
-fn orthogonalize(w: &mut Matrix, v: &mut [f64], tol: f64) -> Result<Vec<(f64, usize)>> {
+/// and ranks them: each row's norm `σ` and index, by descending `σ`. Also
+/// returns the number of sweeps, the last one included.
+fn orthogonalize(w: &mut Matrix, v: &mut [f64], tol: f64) -> Result<(Vec<(f64, usize)>, usize)> {
     let len = w.cols();
-    if !(0..MAX_SWEEPS).any(|_| !sweep(w.as_mut_slice(), len, v, tol)) {
+    let Some(last) = (0..MAX_SWEEPS).position(|_| !sweep(w.as_mut_slice(), len, v, tol)) else {
         return Err(LinalgError::NoConvergence("svd (one-sided Jacobi)"));
-    }
+    };
     let mut ranked: Vec<(f64, usize)> = (0..w.rows())
         .map(|j| (dot(w.row(j), w.row(j)).sqrt(), j))
         .collect();
     ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-    Ok(ranked)
+    Ok((ranked, last + 1))
 }
 
 /// The rows of `w` that `ranked` names, in its order, each divided by its
@@ -278,7 +313,9 @@ isa_dispatch!(sweep_body =>
 
 /// One cyclic sweep over every pair `p < q` of the `len`-long rows of
 /// `w`, rotating the same pair of rows of the square `v` unless `v` is
-/// empty; returns whether any pair rotated. `α = ‖w_p‖²`, `β = ‖w_q‖²`
+/// empty; returns whether any pair rotated. Before row `p`'s pairs, the
+/// remaining row with the largest squared norm is swapped into position
+/// `p`, in `v` too (module docs, "Pivoting"). `α = ‖w_p‖²`, `β = ‖w_q‖²`
 /// and `γ = w_p·w_q` are [`dot`]'s chains, from −0.0 in ascending index
 /// (`Iterator::sum` starts there), advanced side by side in one pass
 /// (module docs).
@@ -286,9 +323,20 @@ isa_dispatch!(sweep_body =>
 fn sweep_body(w: &mut [f64], len: usize, v: &mut [f64], tol: f64) -> bool {
     let r = w.len() / len;
     debug_assert!(v.is_empty() || v.len() == r * r);
+    // `norms[q]` is row q's squared norm for every row q > p: fresh from
+    // `dot` here, then the β of each pair (p, q), updated by its rotation.
+    let mut norms: Vec<f64> = w.chunks_exact(len).map(|x| dot(x, x)).collect();
     let mut rotated = false;
     for p in 0..r {
-        for q in (p + 1)..r {
+        let lead = (p + 1..r).fold(p, |best, j| if norms[j] > norms[best] { j } else { best });
+        if lead != p {
+            swap_rows(w, len, p, lead);
+            if !v.is_empty() {
+                swap_rows(v, r, p, lead);
+            }
+            norms.swap(p, lead);
+        }
+        for (q, norm) in norms.iter_mut().enumerate().skip(p + 1) {
             let (wp, wq) = row_pair(w, len, p, q);
             let (mut alpha, mut beta, mut gamma) = (-0.0_f64, -0.0_f64, -0.0_f64);
             for (&x, &y) in wp.iter().zip(&*wq) {
@@ -297,6 +345,7 @@ fn sweep_body(w: &mut [f64], len: usize, v: &mut [f64], tol: f64) -> bool {
                 gamma += x * y;
             }
             if gamma.abs() <= tol || gamma.abs() <= 1e-15 * (alpha * beta).sqrt() {
+                *norm = beta;
                 continue;
             }
             rotated = true;
@@ -309,6 +358,7 @@ fn sweep_body(w: &mut [f64], len: usize, v: &mut [f64], tol: f64) -> bool {
                 let (vp, vq) = row_pair(v, r, p, q);
                 rotate(vp, vq, c, s);
             }
+            *norm = beta + t * gamma;
         }
     }
     rotated
@@ -328,6 +378,13 @@ fn row_pair(data: &mut [f64], cols: usize, p: usize, q: usize) -> (&mut [f64], &
     (&mut head[p * cols..(p + 1) * cols], &mut tail[..cols])
 }
 
+/// Swaps rows `p < q` of the row-major `data` with `cols` columns.
+#[inline(always)]
+fn swap_rows(data: &mut [f64], cols: usize, p: usize, q: usize) {
+    let (xp, xq) = row_pair(data, cols, p, q);
+    xp.swap_with_slice(xq);
+}
+
 /// Rotates the pair `(xp, xq)` by `[c −s; s c]`, element by element.
 #[inline(always)]
 fn rotate(xp: &mut [f64], xq: &mut [f64], c: f64, s: f64) {
@@ -341,7 +398,6 @@ fn rotate(xp: &mut [f64], xq: &mut [f64], c: f64, s: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eigen::sym_eigen;
     use crate::kernels::for_each_body;
     use dlra_util::Rng;
     use proptest::prelude::*;
@@ -396,14 +452,27 @@ mod tests {
         }
     }
 
+    /// The σᵢ² are the eigenvalues of the Gram `AᵀA`, checked without an
+    /// eigensolver: they sum to its trace `‖A‖²_F`, and each is its
+    /// quadratic form at `vᵢ`, `‖A·vᵢ‖²`.
     #[test]
     fn singular_values_match_eigen_of_gram() {
         let mut rng = Rng::new(33);
         let a = Matrix::gaussian(10, 6, &mut rng);
         let d = svd(&a).unwrap();
-        let e = sym_eigen(&a.gram()).unwrap();
-        for (sv, ev) in d.s.iter().zip(&e.values) {
-            assert!((sv * sv - ev).abs() < 1e-8, "σ²={} vs λ={}", sv * sv, ev);
+        let energy: f64 = d.s.iter().map(|x| x * x).sum();
+        let total = a.frobenius_norm_sq();
+        assert!(
+            (energy - total).abs() <= 1e-10,
+            "Σσ² = {energy}, ‖A‖²_F = {total}"
+        );
+        let av = a.matmul(&d.vt.transpose()).unwrap();
+        for (i, sv) in d.s.iter().enumerate() {
+            let norm = (0..av.rows())
+                .map(|r| av[(r, i)] * av[(r, i)])
+                .sum::<f64>()
+                .sqrt();
+            assert!((norm - sv).abs() <= 1e-10, "‖A·v{i}‖ = {norm}, σ{i} = {sv}");
         }
     }
 
@@ -509,8 +578,7 @@ mod tests {
 
     /// A digest of every bit of `u`, `s` and `vt` at `fkv_projection`'s two
     /// shapes (wide, `m` distinct rows of `d = 256`) and one tall shape,
-    /// captured from the sequential-dot sweep before the fused body
-    /// existed.
+    /// captured when the sweep gained de Rijk's pivot (module docs).
     #[test]
     fn output_bits_match_golden_digest() {
         let digests: Vec<u64> = [(87, 256, 87), (150, 256, 150), (300, 40, 300)]
@@ -520,12 +588,29 @@ mod tests {
         assert_eq!(
             digests,
             [
-                0x5913_c2e9_6c0f_4cd4,
-                0xc029_1ec9_56c7_847b,
-                0xd28c_6344_7cdd_560f
+                0xeeb2_f4d7_6f21_97f6,
+                0xa827_2d25_06a9_64c3,
+                0x8a25_44a6_bbf5_e104
             ],
             "{digests:x?}"
         );
+    }
+
+    /// The sweeps both solvers take on the golden-digest inputs. Pivoting
+    /// cut them from 10, 11 and 10 (`svd`) to these: a change that loses
+    /// the pivot fails here without a timer.
+    #[test]
+    fn sweep_counts_on_the_golden_digest_inputs() {
+        let counts: Vec<(usize, usize)> = [(87, 256, 87), (150, 256, 150), (300, 40, 300)]
+            .into_iter()
+            .map(|(m, n, seed)| {
+                let a = low_rank_plus_noise(m, n, seed);
+                let (_, full) = svd_and_sweeps(&a).unwrap();
+                let (_, _, top) = top_right_svd_and_sweeps(&a, 12).unwrap();
+                (full, top)
+            })
+            .collect();
+        assert_eq!(counts, [(9, 9), (9, 9), (8, 8)]);
     }
 
     /// Dimensions for the body test: 1, and around one and two AVX-512
@@ -563,7 +648,7 @@ mod tests {
                 let (tol, e) = prescale(&a, "test").unwrap().unwrap();
                 assert_eq!(e, 0);
                 let mut w = if m < n { a.clone() } else { a.transpose() };
-                let ranked = orthogonalize(&mut w, &mut [], tol).unwrap();
+                let (ranked, _) = orthogonalize(&mut w, &mut [], tol).unwrap();
                 let sigma: Vec<u64> = ranked.iter().map(|x| x.0.to_bits()).collect();
                 let full_sigma: Vec<u64> = full.s.iter().map(|x| x.to_bits()).collect();
                 prop_assert!(sigma == full_sigma, "{body}: σ differs on {m}×{n}, seed {seed}");
@@ -577,6 +662,69 @@ mod tests {
                 );
             });
         }
+    }
+
+    /// Pivot ties go to the lowest index, under every body, with and
+    /// without an accumulator. The rows of a ±3 Hadamard block are
+    /// orthogonal with equal norms, so its one sweep neither rotates nor
+    /// swaps: `w` and `v` come back unchanged, where ties that went to the
+    /// last row would reorder them. Two equal rows `x, x` tie too: row 0
+    /// leads, their rotation (ζ = 0, so `c = s`) leaves `0, 2c·x`, and the
+    /// second sweep swaps them, so `v` ends `[c c; c −c]`, where a tie
+    /// that went to row 1 ends `[c c; −c c]`. `svd` and `top_right_svd` of
+    /// these, and of a matrix whose every row appears twice, in both
+    /// orientations, match the baseline body's bits.
+    #[test]
+    fn pivot_ties_go_to_the_lowest_index_on_every_body() {
+        let hadamard = Matrix::from_fn(16, 16, |i, j| {
+            if (i & j).count_ones() % 2 == 0 {
+                3.0
+            } else {
+                -3.0
+            }
+        });
+        let x: Vec<f64> = (0..9).map(|j| j as f64 - 2.5).collect();
+        let twins = Matrix::from_rows(&[x.clone(), x.clone()]).unwrap();
+        let c = 1.0 / 2.0_f64.sqrt();
+        let doubled_x: Vec<f64> = x.iter().map(|&e| c * e + c * e).collect();
+        let twins_after = Matrix::from_rows(&[doubled_x, vec![0.0; 9]]).unwrap();
+        let once = low_rank_plus_noise(6, 24, 7);
+        let paired = Matrix::from_fn(12, 24, |i, j| once[(i / 2, j)]);
+        let inputs = [&hadamard, &twins, &paired, &paired.transpose()];
+        let mut baseline: Option<Vec<Vec<u64>>> = None;
+        for_each_body(|body| {
+            let cases = [
+                (&hadamard, &hadamard, 1, Matrix::identity(16)),
+                (
+                    &twins,
+                    &twins_after,
+                    2,
+                    Matrix::from_rows(&[vec![c, c], vec![c, -c]]).unwrap(),
+                ),
+            ];
+            for (a, w_after, sweeps, v_after) in cases {
+                let (tol, _) = prescale(a, "test").unwrap().unwrap();
+                let (mut w, mut v) = (a.clone(), Matrix::identity(a.rows()));
+                let (ranked, n) = orthogonalize(&mut w, v.as_mut_slice(), tol).unwrap();
+                assert_eq!(n, sweeps, "{body}: sweeps");
+                assert_eq!(w.as_slice(), w_after.as_slice(), "{body}: w");
+                assert_eq!(v.as_slice(), v_after.as_slice(), "{body}: v");
+                let mut bare = a.clone();
+                let got = orthogonalize(&mut bare, &mut [], tol).unwrap();
+                assert_eq!(got, (ranked, n), "{body}: σ without an accumulator");
+                assert_eq!(bare.as_slice(), w.as_slice(), "{body}: w without one");
+            }
+            let got: Vec<Vec<u64>> = inputs
+                .iter()
+                .flat_map(|a| {
+                    let (s, v) = top_right_svd(a, 4).unwrap();
+                    let top = s.iter().chain(v.as_slice()).map(|x| x.to_bits()).collect();
+                    [svd_bits(&svd(a).unwrap()), top]
+                })
+                .collect();
+            let want = baseline.get_or_insert_with(|| got.clone());
+            assert!(got == *want, "{body} body differs on tied rows");
+        });
     }
 
     /// Entries from 1e78 up keep ‖a‖²_F finite but overflow `α·β` in the

@@ -12,7 +12,7 @@
 //! | [`net`] (`dlra-net`) | networked substrate: the servers behind real TCP sockets, with bytes-on-the-wire auditing against the ledger |
 //! | [`runtime`] (`dlra-runtime`) | threaded message-passing substrate + the multi-dataset `Service` façade (typed query builder, tickets with cancellation/deadlines) |
 //! | [`obs`] (`dlra-obs`) | structured tracing (chrome://tracing export via `DLRA_TRACE`) and the per-dataset metrics registry |
-//! | [`linalg`] (`dlra-linalg`) | matrices, QR, symmetric eigen, Jacobi SVD, rank-k tools |
+//! | [`linalg`] (`dlra-linalg`) | matrices, QR, Jacobi SVD, rank-k tools |
 //! | [`data`] (`dlra-data`) | synthetic stand-ins for the paper's datasets |
 //! | [`lowerbounds`] (`dlra-lowerbounds`) | executable Theorem 4 / 6 / 8 reductions |
 //! | [`util`] (`dlra-util`) | deterministic RNG and numeric helpers |
